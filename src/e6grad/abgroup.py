@@ -4,12 +4,14 @@ Elements are integer tuples of length r + k, free coordinates first; torsion
 coordinates are kept reduced mod m_i.  The moduli need not form a
 divisibility chain: groups used for degree bookkeeping (e.g. Z2^3 x Z3^2)
 keep their natural coordinates.  ``canonical()`` maps to the invariant-factor
-form, so isomorphism testing is equality of canonical forms.
+form, so isomorphism testing is equality of canonical forms.  Every
+structural question goes through ``presented_group``, which reads a group off
+the invariant factors of its relation matrix.
 """
 
 from __future__ import annotations
 
-from .linalg import diagonal_of, smith_normal_form, transpose
+from .linalg import smith_normal_form, transpose
 
 
 class FgAbelianGroup:
@@ -61,8 +63,7 @@ class FgAbelianGroup:
         rels = [[(self.torsion[i] if i == j else 0)
                  for j in range(len(self.torsion))]
                 for i in range(len(self.torsion))]
-        g = presented_group(len(self.torsion), rels, extra_rank=self.rank)
-        return g
+        return presented_group(len(self.torsion), rels, extra_rank=self.rank)
 
     def is_isomorphic_to(self, other: "FgAbelianGroup") -> bool:
         a, b = self.canonical(), other.canonical()
@@ -134,13 +135,14 @@ def presented_group(n_generators: int, relations: list[list[int]],
                     extra_rank: int = 0) -> FgAbelianGroup:
     """Canonical form of <x_1..x_n | relations> (plus extra free factors).
 
-    Each relation is a length-n integer vector meaning sum r_i x_i = 0.
+    Each relation is a length-n integer vector meaning sum r_i x_i = 0.  The
+    invariant factors of the relation matrix give the torsion (those above 1)
+    and, by their count of nonzeros, the rank.
     """
     if not relations:
         return FgAbelianGroup(n_generators + extra_rank)
     m = transpose([list(r) for r in relations])  # n x k: columns are relations
-    _, d, _ = smith_normal_form(m)
-    diag = diagonal_of(d)
-    rank = n_generators - sum(1 for x in diag if x != 0)
-    torsion = tuple(x for x in diag if x not in (0, 1))
+    factors = smith_normal_form(m)
+    rank = n_generators - sum(1 for x in factors if x != 0)
+    torsion = tuple(x for x in factors if x > 1)
     return FgAbelianGroup(rank + extra_rank, torsion)

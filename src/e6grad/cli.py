@@ -6,8 +6,7 @@
                       [--include-twist] [--include-split-octonions]
 
 All machine output is JSON (deterministic modulo the generated_at field);
-human-readable summaries go to stdout.  Setting E6GRAD_CACHE to a directory
-memoizes the model tables as JSON files.
+human-readable summaries go to stdout.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 
-from . import jsonio, liemodels, verify
+from . import jsonio, verify
 from .gradings import (GRADING_MODEL, NAMED_GRADINGS, build_named_grading,
                        check_grading, interval_check, type_vector,
                        universal_group)
@@ -30,57 +28,25 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _cache_path(key: str) -> str | None:
-    root = os.environ.get("E6GRAD_CACHE")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"{key}.json")
-
-
-def _build_model(name: str, epsilon: int = -1, split: bool = False):
-    if name == "albert":
-        return liemodels.build_albert(epsilon)
-    if name == "tits":
-        return liemodels.build_tits(split)
-    if name == "flag":
-        return liemodels.build_flag()
-    if name == "chevalley":
-        return liemodels.build_chevalley_form()
-    raise ValueError(f"unknown model {name!r}")
-
-
-def _model_key(name: str, epsilon: int, split: bool) -> str:
-    if name == "albert":
-        return f"albert_eps{'+1' if epsilon == 1 else '-1'}"
-    if name == "tits" and split:
-        return "tits_split"
-    return name
-
-
 def cmd_build(args) -> int:
-    name = args.model
-    key = _model_key(name, args.epsilon, args.split_octonions)
-    cache = _cache_path(key)
-    cached = None
-    if cache and os.path.exists(cache):
-        cached = jsonio.load(cache)
-    model = _build_model(name, args.epsilon, args.split_octonions)
-    doc = jsonio.table_to_json(model.table)
-    if cached is not None and cached.get("table") != doc:
-        print(f"warning: cache entry {cache} is stale; overwriting",
-              file=sys.stderr)
+    # name: the Workspace model; key: the "model" field and default file name
+    name = key = args.model
+    if name == "albert":
+        key = f"albert_eps{'+1' if args.epsilon == 1 else '-1'}"
+        if args.epsilon == 1:
+            name = "albert_plus"
+    elif name == "tits" and args.split_octonions:
+        name = key = "tits_split"
+    model = verify.Workspace().model(name)
     sig = model.killing_signature()
     payload = {
         "model": key,
         "provenance": model.provenance,
         "killing_signature": sig,
         "dim": model.dim,
-        "table": doc,
+        "table": jsonio.table_to_json(model.table),
         "generated_at": _timestamp(),
     }
-    if cache:
-        jsonio.dump(payload, cache)
     out = args.out or f"{key}.json"
     jsonio.dump(payload, out)
     print(f"{key}: dim {model.dim}, Killing signature {sig}; table -> {out}")
@@ -98,7 +64,7 @@ def cmd_grade(args) -> int:
         print(f"error: {name} lives on the {want} model, not {args.model}",
               file=sys.stderr)
         return 2
-    model = _build_model(args.model)
+    model = verify.Workspace().model(args.model)
     gd = build_named_grading(name, model)
     rep = check_grading(gd)
     ug = universal_group(gd)

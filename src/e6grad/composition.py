@@ -90,11 +90,6 @@ def norm(a: Octonion) -> Fraction:
     return sum(x * x for x in a)
 
 
-def norm_bilinear(a: Octonion, b: Octonion) -> Fraction:
-    """Polar form with n(a, a) = n(a); the basis is orthonormal."""
-    return sum(x * y for x, y in zip(a, b))
-
-
 def trace_o(a: Octonion) -> Fraction:
     return 2 * a[0]
 

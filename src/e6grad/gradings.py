@@ -4,8 +4,9 @@ A ``GradedDecomposition`` assigns degrees in a finitely generated abelian
 group to the summands of a direct-sum decomposition of an algebra.  The
 checker verifies both the direct-sum property and multiplicative
 compatibility A_g A_h <= A_{g+h} exactly.  Invariants: the type vector
-(component counts by dimension) and the universal grading group, computed
-from the support by generators and relations plus Smith normal form.
+(component counts by dimension) and the universal grading group, presented
+by the support with one relation g + h = k per nonzero product and read off
+the invariant factors of that relation matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abgroup import FgAbelianGroup, presented_group
-from .linalg import kernel, rref, signature
+from .linalg import kernel, rref
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import (AlgebraTable, CheckReport, Subspace, dense_to_sparse,
                         derivations, form_restrict, sparse_to_dense)
@@ -120,7 +121,6 @@ def universal_group(gd: GradedDecomposition) -> FgAbelianGroup:
     supp = gd.support
     index = {d: i for i, d in enumerate(supp)}
     table = gd.table
-    n = table.dim
     relations = []
     for gi, (g, sg) in enumerate(gd.components):
         for hi, (h, sh) in enumerate(gd.components):
@@ -151,20 +151,19 @@ def universal_group(gd: GradedDecomposition) -> FgAbelianGroup:
 
 
 def support_generates(gd: GradedDecomposition) -> bool:
-    """Does the support generate the declared coordinate group?"""
+    """Does the support generate the declared coordinate group?
+
+    It does when Z^ncoords modulo the support degrees and the torsion
+    relations m_t e_t = 0 is the trivial group.
+    """
     group = gd.group
     nc = group.ncoords
-    rows = [list(d) for d in gd.support]
+    relations = [list(d) for d in gd.support]
     for t, m in enumerate(group.torsion):
         row = [0] * nc
         row[group.rank + t] = m
-        rows.append(row)
-    from .linalg import diagonal_of, smith_normal_form
-    if not rows:
-        return nc == 0
-    _, d, _ = smith_normal_form(rows)
-    diag = diagonal_of(d)
-    return sum(1 for x in diag if x == 1) == nc
+        relations.append(row)
+    return presented_group(nc, relations) == FgAbelianGroup(0)
 
 
 def refine(g1: GradedDecomposition, g2: GradedDecomposition,

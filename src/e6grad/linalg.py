@@ -2,8 +2,9 @@
 
 Matrices are plain lists of row lists.  Everything here is exact: Gaussian
 elimination over the field of the entries, Sylvester inertia by symmetric
-congruence, integer Smith normal form, and simultaneous eigenspace splitting
-for commuting operators.
+congruence, the invariant factors of an integer matrix (the diagonal of its
+Smith normal form), and simultaneous eigenspace splitting for commuting
+operators.
 """
 
 from __future__ import annotations
@@ -196,20 +197,17 @@ def signature(g: Matrix) -> tuple[int, int, int]:
     return n_plus, n_minus, n - n_plus - n_minus
 
 
-def signature_value(g: Matrix) -> int:
-    p, m, _ = signature(g)
-    return p - m
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(U, D, V) with D = U a V diagonal, d1 | d2 | ..., U, V unimodular.
+def smith_normal_form(a: Matrix) -> list[int]:
+    """Invariant factors d1 | d2 | ... of an integer matrix, one per index up
+    to min(rows, cols), as non-negative ints with the zeros last.
 
-    Integer-only; entries of ``a`` must be ints (Fractions with denominator 1
-    are accepted).
+    Integer row and column elimination on the smallest nonzero pivot; the
+    unimodular transforms are not formed.  Entries of ``a`` must be ints
+    (Fractions with denominator 1 are accepted).
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -218,28 +216,17 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         for x in row:
             if Fraction(x).denominator != 1:
                 raise ValueError("smith_normal_form requires integer entries")
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def row_op(i, j, q):  # row i -= q * row j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        for row in d:
+            row[i] -= q * row[j]
 
     def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for row in d:
+            row[i], row[j] = row[j], row[i]
 
     t = 0
     while True:
@@ -248,7 +235,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if not entries:
             break
         _, pi, pj = min(entries)
-        swap_rows(t, pi)
+        d[t], d[pi] = d[pi], d[t]
         swap_cols(t, pj)
         # clear row and column t, restarting whenever a smaller pivot appears
         dirty = True
@@ -259,7 +246,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                     q = d[i][t] // d[t][t]
                     row_op(i, t, q)
                     if d[i][t]:  # nonzero remainder is a smaller pivot
-                        swap_rows(t, i)
+                        d[t], d[i] = d[i], d[t]
                         dirty = True
             for j in range(t + 1, cols):
                 if d[t][j]:
@@ -281,17 +268,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if fixed:
             continue
         t += 1
-    for i in range(min(rows, cols)):
-        if d[i][i] < 0:
-            for j in range(cols):
-                d[i][j] = -d[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
-    return u, d, v
-
-
-def diagonal_of(d: Matrix) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return [abs(d[i][i]) for i in range(min(rows, cols))]
 
 
 # ---------------------------------------------------------------------------

@@ -168,10 +168,6 @@ class ChevalleyE6:
 
     # -- structure data --------------------------------------------------------
 
-    def coroot(self, r) -> dict:
-        """h_r as a sparse vector (simply-laced: coefficients of r)."""
-        return {t: Fraction(r[t]) for t in range(6) if r[t]}
-
     def n_constant(self, a, b) -> Fraction:
         """N_{a,b} with the convention e_{-a} = f_a, for roots a, b, a+b."""
         ia, sa = self.x_idx_paper(a)

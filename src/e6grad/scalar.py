@@ -227,11 +227,6 @@ OMEGA = Cyc(-1, 0, 1, 0)       # z^2 - 1
 SQRT3 = Cyc(0, 2, 0, -1)       # 2z - z^3
 
 
-def cyc(x: Scalar) -> Cyc:
-    """Lift an int/Fraction into Q(zeta_12)."""
-    return x if isinstance(x, Cyc) else Cyc(x)
-
-
 def sign_exact(x: Scalar) -> int:
     """Sign of an exact real scalar (Fraction or real Cyc)."""
     if isinstance(x, Cyc):

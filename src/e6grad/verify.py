@@ -2,7 +2,8 @@
 
 Every numeric claim in a report traces to an operation in this package:
 exhaustive identity checks, exact kernels, Sylvester signatures, type
-vectors, universal groups via Smith normal form.  Checks are grouped by the
+vectors, universal groups from the invariant factors of their relation
+matrices.  Checks are grouped by the
 acceptance criteria; each check records measured and expected values, so a
 failing check documents the actual computed quantity.
 """

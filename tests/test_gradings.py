@@ -119,6 +119,13 @@ def test_root_decomposition_universal_group_is_free(chevalley):
 def test_support_generates(ws):
     g13 = ws.grading("gamma13")
     assert gr.support_generates(g13)
+    o = co.octonion_grading()
+    assert gr.support_generates(o)
+    # the same support with a fourth coordinate 0 spans only Z2^3 in Z2^4
+    padded = gr.GradedDecomposition(
+        o.table, FgAbelianGroup(0, (2, 2, 2, 2)),
+        [(d + (0,), sub) for d, sub in o.components])
+    assert not gr.support_generates(padded)
 
 
 def test_induced_derivation_grading_octonions():

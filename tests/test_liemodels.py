@@ -4,6 +4,7 @@ from e6grad import liemodels as lm
 from e6grad import linalg as la
 from e6grad import rootsys as rs
 from e6grad import structalg as sa
+from e6grad.scalar import I as CYC_I
 
 
 def sig(form):
@@ -71,7 +72,7 @@ def test_chevalley_model(chevalley):
 
 
 def test_corollary_basis_report(chevalley):
-    rep = lm.corollary_basis_report(chevalley, permutation_samples=50)
+    rep = lm.corollary_basis_report(chevalley)
     assert rep["orthogonal"]
     assert (rep["negative_norms"], rep["positive_norms"]) == (46, 32)
     assert rep["all_semisimple"]
@@ -89,6 +90,22 @@ def test_corollary_basis_report(chevalley):
     f_p = chevalley.table.prod[pi[0]][pi[1]].get(pi[2], Fraction(0))
     parity = -1  # all recorded witnesses use an odd permutation
     assert f_p != parity * f
+
+    # both checks can fail: a 3-dim table with kappa = 1 and one coefficient
+    # that breaks anticommutativity on a triple none of whose i < j orderings
+    # is nonzero, and one with a Q(zeta_12) coefficient
+    def tiny(prod):
+        return lm.Model("tiny", sa.AlgebraTable(3, ["a", "b", "c"], prod), {},
+                        {"killing": la.identity(3)})
+
+    prod = [[{} for _ in range(3)] for _ in range(3)]
+    prod[1][0] = {2: Fraction(1)}  # [b, a] = c, [a, b] = 0
+    rep = lm.corollary_basis_report(tiny(prod))
+    assert rep["nonzero_triples"] == 0
+    assert not rep["trilinear_antisymmetric"]
+    prod = [[{} for _ in range(3)] for _ in range(3)]
+    prod[0][1], prod[1][0] = {2: CYC_I}, {2: -CYC_I}
+    assert not lm.corollary_basis_report(tiny(prod))["constants_rational"]
 
 
 def test_flag_model(flag):
