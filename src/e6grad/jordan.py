@@ -27,8 +27,8 @@ from . import composition
 from .abgroup import FgAbelianGroup
 from .gradings import GradedDecomposition
 from .linalg import kernel
-from .scalar import Cyc, OMEGA, is_zero
-from .structalg import AlgebraTable, dense_to_sparse, sparse_to_dense
+from .scalar import Cyc, OMEGA
+from .structalg import AlgebraTable, RealForm, dense_to_sparse, sparse_to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -283,50 +283,36 @@ def _pauli_matrices() -> dict[tuple[int, int], list]:
     return out
 
 
+def _mat3_plus() -> AlgebraTable:
+    """Mat3(C)+ on the matrix units, E_ij . E_kl = (d_jk E_il + d_li E_kj)/2
+    with E_ij at index 3i + j."""
+    half = Fraction(1, 2)
+
+    def mul(a, b):
+        (i, j), (k, l) = divmod(a, 3), divmod(b, 3)
+        out = {}
+        if j == k:
+            out[3 * i + l] = half
+        if l == i:
+            out[3 * k + j] = out.get(3 * k + j, 0) + half
+        return out
+
+    names = [f"E{i}{j}" for i in range(3) for j in range(3)]
+    return AlgebraTable.build(9, names, mul)
+
+
 def build_pauli_m() -> JordanH3:
+    """M as the rational span of its homogeneous units inside Mat3(C)+."""
     units = _pauli_matrices()
     degs = sorted(units)
     mats = [units[d] for d in degs]
-
-    # rational coefficients -> matrix entries, as a 36 x 9 rational system
-    # (each complex entry contributes its four Q(zeta_12) coordinates)
-    rows = []
-    for i in range(3):
-        for j in range(3):
-            for c in range(4):
-                rows.append([mats[t][i][j].c[c] for t in range(9)])
-    from .linalg import rank as _rank
-    if _rank([r[:] for r in rows]) != 9:
-        raise AssertionError("homogeneous units are dependent")
-
-    def coords_of(m):
-        rhs = []
-        for i in range(3):
-            for j in range(3):
-                for c in range(4):
-                    rhs.append(m[i][j].c[c])
-        from .linalg import solve
-        v = solve([r[:] for r in rows], rhs)
-        if v is None:
-            raise ValueError("matrix outside the homogeneous basis span")
-        return v
-
-    def mul(i, j):
-        xy = _cmat_mul(mats[i], mats[j])
-        yx = _cmat_mul(mats[j], mats[i])
-        sym = [[(xy[r][s] + yx[r][s]) / 2 for s in range(3)] for r in range(3)]
-        return dense_to_sparse(coords_of(sym))
-
-    names = [f"u{a}{b}" for a, b in degs]
-    table = AlgebraTable.build(9, names, mul)
-    trace = []
-    for u in mats:
-        t = u[0][0] + u[1][1] + u[2][2]
-        trace.append(t.as_fraction())
-    unit_vec = coords_of([[Cyc(1) if i == j else Cyc(0) for j in range(3)]
-                          for i in range(3)])
+    basis = [{3 * i + j: u[i][j] for i in range(3) for j in range(3)
+              if not u[i][j].is_zero()} for u in mats]
+    rf = RealForm(_mat3_plus(), basis, [f"u{a}{b}" for a, b in degs])
+    trace = [(u[0][0] + u[1][1] + u[2][2]).as_fraction() for u in mats]
+    unit_vec = rf.to_real_coords({0: Cyc(1), 4: Cyc(1), 8: Cyc(1)})
     meta = {"degrees": degs, "matrices": mats}
-    return JordanH3(table, trace, unit_vec, "M", meta)
+    return JordanH3(rf.table, trace, unit_vec, "M", meta)
 
 
 # ---------------------------------------------------------------------------

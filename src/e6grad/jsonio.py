@@ -57,10 +57,26 @@ def table_to_json(table: AlgebraTable) -> dict:
             "entries": entries}
 
 
+def _is_index(x, dim: int) -> bool:
+    return type(x) is int and 0 <= x < dim
+
+
 def table_from_json(d) -> AlgebraTable:
+    """The table of ``d``; raises ValueError naming the first bad entry."""
     dim = d["dim"]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"dim {dim!r} is not a non-negative int")
+    if len(d["basis_names"]) != dim:
+        raise ValueError(f"{len(d['basis_names'])} basis_names for dim {dim}")
     prod = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, c in d["entries"]:
+    for e in d["entries"]:
+        if len(e) != 4 or not all(_is_index(x, dim) for x in e[:3]):
+            raise ValueError(f"entry {e!r}: expected [i, j, k, scalar] with "
+                             f"ints i, j, k in range({dim})")
+        i, j, k, c = e
+        if k in prod[i][j]:
+            raise ValueError(f"entry {e!r}: duplicate (i, j, k) = "
+                             f"{(i, j, k)}")
         prod[i][j][k] = scalar_from_json(c)
     return AlgebraTable(dim, d["basis_names"], prod)
 
@@ -78,9 +94,19 @@ def grading_to_json(gd: GradedDecomposition) -> dict:
 
 
 def grading_from_json(d, table: AlgebraTable) -> GradedDecomposition:
+    """The grading of ``d`` on ``table``; raises ValueError naming the first
+    degree or basis vector of the wrong length."""
     group = FgAbelianGroup(d["group"]["rank"], tuple(d["group"]["torsion"]))
     comps = []
-    for c in d["components"]:
+    for n, c in enumerate(d["components"]):
+        if len(c["degree"]) != group.ncoords:
+            raise ValueError(f"component {n}: degree {c['degree']!r} has "
+                             f"length {len(c['degree'])}, the group has "
+                             f"{group.ncoords} coordinates")
+        for m, v in enumerate(c["basis_vectors"]):
+            if len(v) != table.dim:
+                raise ValueError(f"component {n}, basis vector {m}: length "
+                                 f"{len(v)}, the table has dim {table.dim}")
         vecs = [[scalar_from_json(x) for x in v] for v in c["basis_vectors"]]
         comps.append((tuple(c["degree"]), vecs))
     return GradedDecomposition(table, group, comps, d.get("name", ""))

@@ -24,7 +24,7 @@ from . import composition, jordan, rootsys
 from .abgroup import FgAbelianGroup
 from .linalg import mat_mul, signature
 from .scalar import Cyc, I as CYC_I
-from .structalg import (AlgebraTable, dense_to_sparse, derivations,
+from .structalg import (AlgebraTable, RealForm, dense_to_sparse, derivations,
                         killing_form, mat_commutator, sparse_to_dense)
 
 
@@ -323,14 +323,13 @@ def gamma13_operators(model: Model) -> list[list[list[Fraction]]]:
     element."""
     chev = model.meta["chev"]
     rf = model.meta["real_form"]
-    ops = []
-    for j in range(6):
-        signs = tuple(-1 if t == j else 1 for t in range(6))
-        ops.append(rf.real_matrix_of_complex_auto(rootsys.torus_auto(chev, signs)))
-    om = rootsys.omega_auto(chev)
-    tstar = rootsys.torus_auto(chev, model.meta["signs"])
-    ops.append(rf.real_matrix_of_complex_auto(mat_mul(om, tstar)))
-    return ops
+    mats = [rootsys.torus_auto(chev, tuple(-1 if t == j else 1
+                                           for t in range(6)))
+            for j in range(6)]
+    mats.append(mat_mul(rootsys.omega_auto(chev),
+                        rootsys.torus_auto(chev, model.meta["signs"])))
+    return [rf.real_matrix_of([{k: row[a] for k, row in enumerate(m) if row[a]}
+                               for a in range(len(m))]) for m in mats]
 
 
 def corollary_basis_report(model: Model) -> dict:
@@ -566,7 +565,17 @@ def build_flag_complex() -> AlgebraTable:
     return AlgebraTable.build(78, names, mul)
 
 
-class FlagRealForm:
+def _complement_sign(t: tuple) -> tuple[tuple, int]:
+    """(Tc, g_T) with g_T = eps(T, Tc) s_T: the real form pairs e_T with
+    -g_T e_Tc (u_T) and i e_T with i g_T e_Tc (v_T)."""
+    tc = tuple(sorted(set(range(6)) - set(t)))
+    s = 1
+    for r in t:
+        s *= S_SIGNS[r]
+    return tc, _eps_split(t, tc) * s
+
+
+class FlagRealForm(RealForm):
     """The real form assembled from su(5,1) + R I6, the +-1 eigenspaces of
     the twisted conjugation on wedge^3 V, and i-multiples of the top forms.
 
@@ -582,10 +591,9 @@ class FlagRealForm:
     """
 
     def __init__(self):
-        self.complex = build_flag_complex()
         self.pairs = [(p, q) for p in range(6) for q in range(p + 1, 6)]
         self.t_with0 = [t for t in TRIPLES if 0 in t]
-        self.names = []
+        names = []
         self.z_degrees = []
         basis = []
         one = Cyc(1)
@@ -596,153 +604,36 @@ class FlagRealForm:
         for (p, q) in self.pairs:
             sig = S_SIGNS[p] * S_SIGNS[q]
             basis.append({gl(p, q): one, gl(q, p): Cyc(-sig)})
-            self.names.append(f"X{p}{q}")
+            names.append(f"X{p}{q}")
             self.z_degrees.append(0)
         for (p, q) in self.pairs:
             sig = S_SIGNS[p] * S_SIGNS[q]
             basis.append({gl(p, q): CYC_I, gl(q, p): CYC_I * sig})
-            self.names.append(f"Y{p}{q}")
+            names.append(f"Y{p}{q}")
             self.z_degrees.append(0)
         for p in range(5):
             basis.append({gl(p, p): CYC_I, gl(p + 1, p + 1): -CYC_I})
-            self.names.append(f"D{p}")
+            names.append(f"D{p}")
             self.z_degrees.append(0)
         basis.append({gl(p, p): one for p in range(6)})
-        self.names.append("I6")
+        names.append("I6")
         self.z_degrees.append(0)
-
-        def s_of(t):
-            s = 1
-            for r in t:
-                s *= S_SIGNS[r]
-            return s
-
-        for t in self.t_with0:
-            tc = tuple(sorted(set(range(6)) - set(t)))
-            gs = Fraction(_eps_split(t, tc) * s_of(t))
-            ie, ic = 36 + TRIPLE_IDX[t], 36 + TRIPLE_IDX[tc]
-            basis.append({ie: one, ic: Cyc(-gs)})
-            self.names.append(f"u{''.join(map(str, t))}")
-            self.z_degrees.append(1)
-            basis.append({ie: CYC_I, ic: CYC_I * gs})
-            self.names.append(f"v{''.join(map(str, t))}")
-            self.z_degrees.append(1)
-        for t in self.t_with0:
-            tc = tuple(sorted(set(range(6)) - set(t)))
-            gs = Fraction(_eps_split(t, tc) * s_of(t))
-            ie, ic = 56 + TRIPLE_IDX[t], 56 + TRIPLE_IDX[tc]
-            basis.append({ie: one, ic: Cyc(-gs)})
-            self.names.append(f"u*{''.join(map(str, t))}")
-            self.z_degrees.append(-1)
-            basis.append({ie: CYC_I, ic: CYC_I * gs})
-            self.names.append(f"v*{''.join(map(str, t))}")
-            self.z_degrees.append(-1)
+        for base, star, deg in ((36, "", 1), (56, "*", -1)):
+            for t in self.t_with0:
+                tc, gs = _complement_sign(t)
+                ie, ic = base + TRIPLE_IDX[t], base + TRIPLE_IDX[tc]
+                tag = "".join(map(str, t))
+                basis.append({ie: one, ic: Cyc(-gs)})
+                basis.append({ie: CYC_I, ic: CYC_I * gs})
+                names += [f"u{star}{tag}", f"v{star}{tag}"]
+                self.z_degrees += [deg, deg]
         basis.append({76: CYC_I})
-        self.names.append("iw")
+        names.append("iw")
         self.z_degrees.append(2)
         basis.append({77: CYC_I})
-        self.names.append("ih")
+        names.append("ih")
         self.z_degrees.append(-2)
-        self.complex_basis = basis
-        self.table = AlgebraTable.build(78, self.names, self._mul)
-
-    # -- coordinates ---------------------------------------------------------
-
-    def to_real_coords(self, w: dict) -> list[Fraction]:
-        out = [Fraction(0)] * 78
-        half = Fraction(1, 2)
-        mih = -CYC_I * half  # -i/2
-
-        def gl(p, q):
-            return 6 * p + q
-
-        def rat(c: Cyc) -> Fraction:
-            return c.as_fraction()
-
-        # off-diagonal gl
-        for t, (p, q) in enumerate(self.pairs):
-            a = w.pop(gl(p, q), Cyc(0))
-            b = w.pop(gl(q, p), Cyc(0))
-            if a.is_zero() and b.is_zero():
-                continue
-            sig = S_SIGNS[p] * S_SIGNS[q]
-            out[t] = rat((a - sig * b) * half)
-            out[15 + t] = rat((a + sig * b) * mih)
-        # diagonal gl: x * I6 + i * (traceless real diag)
-        diag = [w.pop(gl(p, p), Cyc(0)) for p in range(6)]
-        if any(not c.is_zero() for c in diag):
-            x6 = sum((c for c in diag), Cyc(0)) * Fraction(1, 6)
-            out[35] = rat(x6)
-            ys = [rat((c - x6) * (-CYC_I)) for c in diag]
-            acc = Fraction(0)
-            for p in range(5):
-                acc += ys[p]
-                out[30 + p] = acc
-            if acc + ys[5] != 0:
-                raise ValueError("diagonal part is not in the real span")
-        # wedge blocks
-        for base, off in ((36, 36), (56, 56)):
-            for t in self.t_with0:
-                tc = tuple(sorted(set(range(6)) - set(t)))
-                a = w.pop(base + TRIPLE_IDX[t], Cyc(0))
-                b = w.pop(base + TRIPLE_IDX[tc], Cyc(0))
-                if a.is_zero() and b.is_zero():
-                    continue
-                s = 1
-                for r in t:
-                    s *= S_SIGNS[r]
-                gs = Fraction(_eps_split(t, tc) * s)
-                k = off + 2 * self.t_with0.index(t)
-                out[k] = rat((a - gs * b) * half)
-                out[k + 1] = rat((a + gs * b) * mih)
-        cw = w.pop(76, Cyc(0))
-        if not cw.is_zero():
-            out[76] = rat(cw * (-CYC_I))
-        ch = w.pop(77, Cyc(0))
-        if not ch.is_zero():
-            out[77] = rat(ch * (-CYC_I))
-        if any(not c.is_zero() for c in w.values()):
-            raise ValueError("vector has support outside the expected blocks")
-        return out
-
-    def _complex_bracket(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        prod = self.complex.prod
-        for a, ca in u.items():
-            row = prod[a]
-            for b, cb in v.items():
-                cell = row[b]
-                if not cell:
-                    continue
-                c = ca * cb
-                for k, x in cell.items():
-                    s = out.get(k, Cyc(0)) + c * x
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
-
-    def _mul(self, i, j):
-        w = self._complex_bracket(self.complex_basis[i], self.complex_basis[j])
-        coords = self.to_real_coords(w)
-        return {k: c for k, c in enumerate(coords) if c}
-
-    def real_matrix_of(self, cols: list[dict]) -> list[list[Fraction]]:
-        """Real-basis matrix of a complex-linear map given by its columns
-        (images of the complex basis, Cyc coefficients)."""
-        out_cols = []
-        for t in range(78):
-            img: dict = {}
-            for a, c in self.complex_basis[t].items():
-                for k, d in cols[a].items():
-                    s = img.get(k, Cyc(0)) + c * d
-                    if s.is_zero():
-                        img.pop(k, None)
-                    else:
-                        img[k] = s
-            out_cols.append(self.to_real_coords(img))
-        return [[out_cols[t][k] for t in range(78)] for k in range(78)]
+        super().__init__(build_flag_complex(), basis, names)
 
     # -- the grading automorphisms --------------------------------------------
 
@@ -868,17 +759,13 @@ def flag_eigenspace_matches_basis(model: Model) -> bool:
     vecs = []
     half = len(TRIPLES)
     for t in rf.t_with0:
-        tc = tuple(sorted(set(range(6)) - set(t)))
-        s = 1
-        for r in t:
-            s *= S_SIGNS[r]
-        gs = Fraction(_eps_split(t, tc) * s)
+        tc, gs = _complement_sign(t)
         u = [Fraction(0)] * n
         u[TRIPLE_IDX[t]] = Fraction(1)
-        u[TRIPLE_IDX[tc]] = -gs
+        u[TRIPLE_IDX[tc]] = Fraction(-gs)
         v = [Fraction(0)] * n
         v[half + TRIPLE_IDX[t]] = Fraction(1)
-        v[half + TRIPLE_IDX[tc]] = gs
+        v[half + TRIPLE_IDX[tc]] = Fraction(gs)
         vecs.extend([u, v])
     red1, piv1 = rref([list(x) for x in ker])
     red2, piv2 = rref([list(x) for x in vecs])

@@ -237,24 +237,24 @@ def smith_normal_form(a: Matrix) -> list[int]:
         _, pi, pj = min(entries)
         d[t], d[pi] = d[pi], d[t]
         swap_cols(t, pj)
-        # clear row and column t, restarting whenever a smaller pivot appears
-        dirty = True
-        while dirty:
-            dirty = False
+        # reduce all of column t and row t by the pivot; the smallest
+        # nonzero remainder, if any, becomes the next (smaller) pivot
+        while True:
             for i in range(t + 1, rows):
                 if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
-                    if d[i][t]:  # nonzero remainder is a smaller pivot
-                        d[t], d[i] = d[i], d[t]
-                        dirty = True
+                    row_op(i, t, d[i][t] // d[t][t])
             for j in range(t + 1, cols):
                 if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
+                    col_op(j, t, d[t][j] // d[t][t])
+            rest = [(abs(d[i][t]), i, t) for i in range(t + 1, rows)
+                    if d[i][t]]
+            rest += [(abs(d[t][j]), t, j) for j in range(t + 1, cols)
+                     if d[t][j]]
+            if not rest:
+                break
+            _, pi, pj = min(rest)
+            d[t], d[pi] = d[pi], d[t]
+            swap_cols(t, pj)
         # enforce divisibility of the remaining block by the pivot
         fixed = False
         for i in range(t + 1, rows):

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 from .abgroup import FgAbelianGroup
 from .gradings import GradedDecomposition
-from .linalg import inverse
 from .scalar import Cyc, I as CYC_I, is_zero
-from .structalg import AlgebraTable
+from .structalg import AlgebraTable, RealForm
 
 CARTAN = [
     [2, 0, -1, 0, 0, 0],
@@ -295,7 +294,7 @@ H_PRIME = [
 ]
 
 
-class ChevalleyRealForm:
+class ChevalleyRealForm(RealForm):
     """The real span of B = {i h'_j} + {e-f, i(e+f)} + {e+f, i(e-f)}.
 
     Whether a positive root contributes the compact pair (e-f, i(e+f)) or
@@ -317,14 +316,12 @@ class ChevalleyRealForm:
                 if s < 0 and k % 2:
                     chi = -chi
             self.compact_root[r] = (chi == 1)
-        self.names = [f"ih'{j+1}" for j in range(6)]
+        names = [f"ih'{j+1}" for j in range(6)]
         for r in chev.pos:
             tag = ",".join(map(str, r))
-            self.names += [f"p[{tag}]", f"q[{tag}]"]
-        self._h_inv = inverse([[Fraction(H_PRIME[m][t]) for m in range(6)]
-                               for t in range(6)])
-        self.complex_basis = [self._basis_vector(t) for t in range(78)]
-        self.table = AlgebraTable.build(78, self.names, self._mul)
+            names += [f"p[{tag}]", f"q[{tag}]"]
+        super().__init__(chev.table, [self._basis_vector(t) for t in range(78)],
+                         names)
 
     def p_idx(self, r) -> int:
         return 6 + 2 * self.chev.pos_index[r]
@@ -349,79 +346,3 @@ class ChevalleyRealForm:
         if self.compact_root[r]:
             return {ie: CYC_I, if_: CYC_I}
         return {ie: CYC_I, if_: -CYC_I}
-
-    def _complex_bracket(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        prod = self.chev.table.prod
-        for a, ca in u.items():
-            row = prod[a]
-            for b, cb in v.items():
-                w = row[b]
-                if not w:
-                    continue
-                c = ca * cb
-                for k, x in w.items():
-                    s = out.get(k, Cyc(0)) + c * x
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
-
-    def to_real_coords(self, w: dict) -> list[Fraction]:
-        """Coordinates of a complex vector in the real basis.
-
-        Raises ValueError when the vector is not in the real span (i.e. its
-        coordinates would not be real rationals).
-        """
-        chev = self.chev
-        out = [Fraction(0)] * 78
-
-        def as_rat(c: Cyc) -> Fraction:
-            return c.as_fraction()
-
-        hpart = [w.get(m, Cyc(0)) for m in range(6)]
-        # h coefficients must be purely imaginary: c = i * r
-        rvec = [as_rat(c * (-CYC_I)) for c in hpart]
-        for j in range(6):
-            s = Fraction(0)
-            for m in range(6):
-                s += self._h_inv[j][m] * rvec[m]
-            out[j] = s
-        half = Fraction(1, 2)
-        for r in chev.pos:
-            a = w.get(chev.e_idx(r), Cyc(0))
-            b = w.get(chev.f_idx(r), Cyc(0))
-            if a.is_zero() and b.is_zero():
-                continue
-            if self.compact_root[r]:
-                x = (a - b) * half
-                y = (a + b) * half * (-CYC_I)
-            else:
-                x = (a + b) * half
-                y = (a - b) * half * (-CYC_I)
-            out[self.p_idx(r)] = as_rat(x)
-            out[self.q_idx(r)] = as_rat(y)
-        return out
-
-    def _mul(self, i: int, j: int) -> dict:
-        w = self._complex_bracket(self.complex_basis[i], self.complex_basis[j])
-        coords = self.to_real_coords(w)
-        return {k: c for k, c in enumerate(coords) if c}
-
-    def real_matrix_of_complex_auto(self, m: list[list[Fraction]]) -> list:
-        """Restrict a (rational-matrix) automorphism of the complexification
-        to the real form, in the real basis."""
-        cols = []
-        for t in range(78):
-            img: dict = {}
-            for a, c in self.complex_basis[t].items():
-                for k in range(78):
-                    if m[k][a]:
-                        s = img.get(k, Cyc(0)) + c * m[k][a]
-                        if s.is_zero():
-                            img.pop(k, None)
-                        else:
-                            img[k] = s
-            cols.append(self.to_real_coords(img))
-        return [[cols[t][k] for t in range(78)] for k in range(78)]

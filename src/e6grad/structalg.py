@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .linalg import inverse, kernel_from_rref, rref
 from .linalg import kernel as dense_kernel
-from .linalg import kernel_from_rref, rref
-from .scalar import Cyc, is_zero
+from .scalar import Cyc, as_fraction, is_zero
 
 Vec = dict  # sparse vector: index -> scalar
 
@@ -269,6 +269,100 @@ class AlgebraTable:
                         if acc:
                             return CheckReport("jordan", False, (a, b, c, y))
         return CheckReport("jordan", True)
+
+
+# ---------------------------------------------------------------------------
+# real forms by restriction of scalars
+# ---------------------------------------------------------------------------
+
+class RealForm:
+    """The Q-span of a Q(zeta_12)-basis of a rational complex table.
+
+    ``complex_basis[t]`` is a sparse vector {coordinate: scalar} of the
+    complex coordinate space of ``complex_table``.  The basis is inverted
+    once, block by block: basis vectors whose supports overlap form a block,
+    and each block must be a square, invertible matrix over Q(zeta_12).
+    ``table`` is the restricted algebra: entry (i, j) holds the rational
+    coordinates of the complex product of basis vectors i and j.
+    """
+
+    def __init__(self, complex_table: AlgebraTable, complex_basis: list[dict],
+                 names: list[str]):
+        n = complex_table.dim
+        if len(complex_basis) != n:
+            raise ValueError(f"{len(complex_basis)} vectors cannot be a "
+                             f"basis of a {n}-dim space")
+        self.complex = complex_table
+        self.complex_basis = complex_basis
+        self.names = names
+        root = list(range(n))
+
+        def find(k):
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        supports = []
+        for t, v in enumerate(complex_basis):
+            sup = [k for k, c in v.items() if not is_zero(c)]
+            if not sup:
+                raise ValueError(f"basis vector {t} is zero")
+            for k in sup[1:]:
+                root[find(k)] = find(sup[0])
+            supports.append(sup)
+        coords: dict = {}
+        for k in range(n):
+            coords.setdefault(find(k), []).append(k)
+        vecs: dict = {}
+        for t, sup in enumerate(supports):
+            vecs.setdefault(find(sup[0]), []).append(t)
+        # blocks: (basis indices, coordinates, inverse rows as (pos, scalar))
+        self._blocks = []
+        self._block_of = [0] * n
+        for r, ks in coords.items():
+            ts = vecs.get(r, [])
+            if len(ts) != len(ks):
+                raise ValueError(f"basis vectors {ts} span coordinates {ks}: "
+                                 "not a basis")
+            mat = [[complex_basis[t].get(k, Fraction(0)) for t in ts]
+                   for k in ks]
+            inv = [[(p, c) for p, c in enumerate(row) if not is_zero(c)]
+                   for row in inverse(mat)]
+            for k in ks:
+                self._block_of[k] = len(self._blocks)
+            self._blocks.append((ts, ks, inv))
+        self.table = AlgebraTable.build(n, names, self._mul)
+
+    def to_real_coords(self, w: dict) -> list[Fraction]:
+        """Rational coordinates of the complex vector w in the basis.
+
+        Raises ValueError when a coordinate is not rational, i.e. w is not
+        in the real span.
+        """
+        out = [Fraction(0)] * self.complex.dim
+        for b in {self._block_of[k] for k in w}:
+            ts, ks, inv = self._blocks[b]
+            wb = [w.get(k, 0) for k in ks]
+            for t, row in zip(ts, inv):
+                out[t] = as_fraction(sum((c * wb[p] for p, c in row),
+                                         Fraction(0)))
+        return out
+
+    def _mul(self, i: int, j: int) -> dict:
+        w = self.complex.mul_vec(self.complex_basis[i], self.complex_basis[j])
+        return {k: c for k, c in enumerate(self.to_real_coords(w)) if c}
+
+    def real_matrix_of(self, cols: list[dict]) -> list[list[Fraction]]:
+        """Real-basis matrix of a complex-linear map given by its columns
+        (sparse images of the complex coordinate vectors)."""
+        out_cols = []
+        for v in self.complex_basis:
+            img: dict = {}
+            for a, c in v.items():
+                vec_add_scaled(img, cols[a], c)
+            out_cols.append(self.to_real_coords(img))
+        return [list(row) for row in zip(*out_cols)]
 
 
 # ---------------------------------------------------------------------------

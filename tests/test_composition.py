@@ -29,7 +29,15 @@ def test_line_products_are_unit_basis_vectors():
 
 
 def test_norm_multiplicativity_oracle():
-    assert co.check_norm_multiplicativity(1000).ok
+    assert co.check_norm_multiplicativity().ok
+
+
+def test_norm_multiplicativity_rejects_a_reversed_line(monkeypatch):
+    lines = [co.FANO_LINES[0][::-1], *co.FANO_LINES[1:]]
+    monkeypatch.setattr(co, "_MUL", co._pair_table(lines))
+    for split in (False, True):
+        rep = co.check_norm_multiplicativity(split=split)
+        assert not rep.ok and len(rep.witness) == 4
 
 
 def test_alternativity():
@@ -111,7 +119,7 @@ def test_octonion_grading():
 
 
 def test_split_octonions():
-    assert co.check_norm_multiplicativity(300, split=True).ok
+    assert co.check_norm_multiplicativity(split=True).ok
     t = co.octonion_table(split=True)
     # e4^2 = +1 in the split algebra
     assert t.prod[4][4] == {0: Fraction(1)}

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from e6grad import composition as co
 from e6grad import jordan as jo
 from e6grad import jsonio
@@ -51,3 +53,54 @@ def test_dump_deterministic(tmp_path):
     jsonio.dump(jsonio.table_to_json(t), str(p1))
     jsonio.dump(jsonio.table_to_json(t), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _octonion_table_json():
+    return jsonio.table_to_json(co.octonion_table())
+
+
+def test_table_rejects_non_int_index():
+    d = _octonion_table_json()
+    d["entries"][3][1] = "1"
+    with pytest.raises(ValueError, match=r"entry \[.*'1'"):
+        jsonio.table_from_json(d)
+
+
+def test_table_rejects_out_of_range_index():
+    for bad in (-1, 8):
+        d = _octonion_table_json()
+        d["entries"][5][2] = bad
+        with pytest.raises(ValueError, match=rf"entry \[.*{bad}.*range\(8\)"):
+            jsonio.table_from_json(d)
+
+
+def test_table_rejects_duplicate_entry():
+    d = _octonion_table_json()
+    d["entries"].append(list(d["entries"][7]))
+    with pytest.raises(ValueError, match="duplicate"):
+        jsonio.table_from_json(d)
+
+
+def test_table_rejects_basis_names_length():
+    d = _octonion_table_json()
+    d["basis_names"].pop()
+    with pytest.raises(ValueError, match="7 basis_names for dim 8"):
+        jsonio.table_from_json(d)
+
+
+def _octonion_grading_json():
+    return jsonio.grading_to_json(co.octonion_grading())
+
+
+def test_grading_rejects_basis_vector_length():
+    d = _octonion_grading_json()
+    d["components"][2]["basis_vectors"][0].pop()
+    with pytest.raises(ValueError, match="component 2, basis vector 0"):
+        jsonio.grading_from_json(d, co.octonion_table())
+
+
+def test_grading_rejects_degree_length():
+    d = _octonion_grading_json()
+    d["components"][1]["degree"].append(0)
+    with pytest.raises(ValueError, match="component 1: degree"):
+        jsonio.grading_from_json(d, co.octonion_table())

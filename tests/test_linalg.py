@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -82,14 +86,40 @@ def _determinantal_divisor(a, k) -> int:
     return g
 
 
+# Smith forms that once grew their entries without bound when each remainder
+# was swapped in before the rest of the pivot row and column were reduced.
+SNF_HARD = [
+    [[0, 0, -1, 1, 1, 0, 3, 3], [0, -1, 6, 0, 0, 0, 0, 3],
+     [15, 0, -7, 3, -1, 2, 16, 1], [-2, -9, 0, 0, -1, -18, 0, 0],
+     [6, -3, 3, 0, 0, -1, 0, 0], [-26, 0, 28, 0, 2, -2, 0, 0],
+     [3, 0, 3, -1, 0, 3, -1, 6]],
+]
+
+
+def _snf_in_child(a, seconds=30):
+    """smith_normal_form(a) in a child process, so a hang fails the test."""
+    src = os.path.dirname(os.path.dirname(la.__file__))
+    code = ("import json, sys; from e6grad.linalg import smith_normal_form; "
+            "print(json.dumps(smith_normal_form(json.loads(sys.argv[1]))))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(a)],
+                         capture_output=True, text=True, check=True,
+                         timeout=seconds, env=dict(os.environ, PYTHONPATH=src))
+    return json.loads(out.stdout)
+
+
 def test_smith_normal_form():
     assert la.smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert la.smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     rng = random.Random(5)
+    cases = []
     for _ in range(30):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        dd = la.smith_normal_form(a)
+        cases.append((a, la.smith_normal_form(a)))
+    cases += [(a, _snf_in_child(a)) for a in SNF_HARD]
+    assert cases[-1][1] == [1, 1, 1, 1, 1, 1, 2]
+    for a, dd in cases:
+        r, c = len(a), len(a[0])
         assert len(dd) == min(r, c) and all(x >= 0 for x in dd)
         for x, y in zip(dd, dd[1:]):
             assert y == 0 or (x != 0 and y % x == 0)

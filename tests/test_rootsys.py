@@ -6,6 +6,7 @@ from e6grad import gradings as gr
 from e6grad import linalg as la
 from e6grad import rootsys as rs
 from e6grad import structalg as sa
+from e6grad.scalar import I as CYC_I
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +98,35 @@ def test_fix_dimension(chev):
     assert 78 - 2 * 46 == -14
 
 
-def test_compact_form(chev):
-    cf = rs.ChevalleyRealForm(chev, (1,) * 6)
-    assert cf.table.check_lie().ok
-    assert la.signature(sa.killing_form(cf.table)) == (0, 78, 0)
+@pytest.fixture(scope="module")
+def compact(chev):
+    return rs.ChevalleyRealForm(chev, (1,) * 6)
+
+
+def test_compact_form(compact):
+    assert compact.table.check_lie().ok
+    assert la.signature(sa.killing_form(compact.table)) == (0, 78, 0)
+
+
+def test_real_form_contract(compact, chevalley, flag):
+    for rf in (compact, chevalley.meta["real_form"], flag.meta["real_form"]):
+        n = len(rf.complex_basis)
+        for t, v in enumerate(rf.complex_basis):
+            assert rf.to_real_coords(v) == [int(s == t) for s in range(n)]
+            with pytest.raises(ValueError):
+                rf.to_real_coords({k: CYC_I * c for k, c in v.items()})
+        ident = [{k: Fraction(1)} for k in range(n)]
+        assert rf.real_matrix_of(ident) == la.identity(n)
+
+
+def test_real_form_rejects_a_repeated_vector(chev, compact):
+    # q of the first root replaced by its p (a singular 2x2 block), and p
+    # by a Cartan vector (seven vectors on the six Cartan coordinates)
+    for t, s in ((7, 6), (6, 0)):
+        basis = list(compact.complex_basis)
+        basis[t] = basis[s]
+        with pytest.raises(ValueError):
+            sa.RealForm(chev.table, basis, compact.names)
 
 
 def test_h_prime_orthogonal(chev):
