@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abgroup import FgAbelianGroup, presented_group
-from .linalg import kernel, rref
+from .linalg import inverse, kernel, rref
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import (AlgebraTable, CheckReport, Subspace, dense_to_sparse,
                         derivations, form_restrict, sparse_to_dense)
@@ -488,26 +488,15 @@ def sp8_lemma() -> dict:
 
     def ad_fix_dim(m):
         minv = invert8(m)
-        dim_fix = 0
-        # operator x -> m x m^{-1} on sp8, in coordinates
-        op = []
+        # operator x -> m x m^{-1} on sp8, in coordinates, verifying that
+        # each image lies in sp8; then take the +1 eigenspace
+        coords = []
         for b in sp.basis:
             x = [[Cyc(b[i * 8 + j]) for j in range(8)] for i in range(8)]
             y = mmul(mmul(m, x), minv)
-            flat = [y[i][j] for i in range(8) for j in range(8)]
-            op.append(flat)
-        # restrict to the subspace and take the +1 eigenspace
-        coords = []
-        for flat in op:
-            cs = [flat[p] for p in sp.pivots]
-            # verify membership of the image in sp8
-            for t in range(64):
-                s = flat[t]
-                for c, bb in zip(cs, sp.basis):
-                    if not is_zero(c) and not is_zero(bb[t]):
-                        s = s - c * bb[t]
-                if not is_zero(s):
-                    raise AssertionError("Ad does not preserve sp8")
+            cs = sp.coords([y[i][j] for i in range(8) for j in range(8)])
+            if cs is None:
+                raise AssertionError("Ad does not preserve sp8")
             coords.append(cs)
         d = len(sp.basis)
         shifted = [[coords[l][r] - (1 if r == l else 0) for l in range(d)]
@@ -515,7 +504,6 @@ def sp8_lemma() -> dict:
         return d - len(rref(shifted)[1])
 
     def invert8(m):
-        from .linalg import inverse
         inv = inverse([row[:] for row in m])
         return [[x if isinstance(x, Cyc) else Cyc(x) for x in row] for row in inv]
 

@@ -77,20 +77,26 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        d = m[r][c]
+        mr = m[r]
+        # Rows r.. are zero left of c, so the pivot row's support starts at
+        # c; entries where it is zero are left as they are.
+        nz = [j for j in range(c, cols) if not is_zero(mr[j])]
+        d = mr[c]
         if d != 1:
             inv = (Fraction(1) / d) if not isinstance(d, Cyc) else d.inv()
-            m[r] = [v * inv for v in m[r]]
+            for j in nz:
+                mr[j] = mr[j] * inv
         for i in range(rows):
-            if i != r and not is_zero(m[i][c]):
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                m[i] = [x - f * y for x, y in zip(mi, mr)]
+            mi = m[i]
+            if i != r and not is_zero(mi[c]):
+                f = mi[c]
+                for j in nz:
+                    mi[j] = mi[j] - f * mr[j]
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m[:r] + m[r:], pivots
+    return m, pivots
 
 
 def rank(m: Matrix) -> int:

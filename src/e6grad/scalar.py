@@ -80,6 +80,13 @@ class Cyc:
         if not isinstance(other, Cyc):
             return NotImplemented
         a, b = self.c, other.c
+        # A rational operand scales the coordinates of the other.
+        if not (b[1] or b[2] or b[3]):
+            s = b[0]
+            return Cyc._make((a[0] * s, a[1] * s, a[2] * s, a[3] * s))
+        if not (a[1] or a[2] or a[3]):
+            s = a[0]
+            return Cyc._make((s * b[0], s * b[1], s * b[2], s * b[3]))
         # Convolution up to degree 6, then reduce with z^4 = z^2 - 1,
         # z^5 = z^3 - z, z^6 = -1.
         d0 = a[0] * b[0]
@@ -97,6 +104,9 @@ class Cyc:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_12)")
+        c = self.c
+        if not (c[1] or c[2] or c[3]):
+            return Cyc._make((_ONE / c[0], _ZERO, _ZERO, _ZERO))
         # Solve (self * x) = 1 as a 4x4 rational linear system in the
         # coordinates of x.  Columns are self * z^k.
         cols = []
@@ -149,7 +159,10 @@ class Cyc:
         return Cyc._make((c0 + c2, c1, -c2, -c1 - c3))
 
     def is_zero(self) -> bool:
-        return self.c == (_ZERO, _ZERO, _ZERO, _ZERO)
+        # Fraction.__bool__ tests the numerator; == would go through the
+        # numbers.Rational ABC check four times.
+        c = self.c
+        return not (c[0] or c[1] or c[2] or c[3])
 
     def is_real(self) -> bool:
         """True iff self equals its complex conjugate."""

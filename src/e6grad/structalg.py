@@ -385,10 +385,11 @@ class Subspace:
     def coords(self, v: list):
         """Coordinates of v in self.basis, or None if v is outside."""
         cs = [v[p] for p in self.pivots]
+        terms = [(c, row) for c, row in zip(cs, self.basis) if not is_zero(c)]
         for j in range(self.ambient_dim):
             s = v[j]
-            for c, row in zip(cs, self.basis):
-                if not is_zero(c) and not is_zero(row[j]):
+            for c, row in terms:
+                if not is_zero(row[j]):
                     s = s - c * row[j]
             if not is_zero(s):
                 return None

@@ -37,6 +37,11 @@ class Check:
                 "expected": _plain(self.expected), "note": self.note}
 
 
+def _reported(name: str, rep) -> Check:
+    """A Check from a structalg.CheckReport; a red one keeps its witness."""
+    return Check(name, rep.ok, None if rep.ok else rep.witness)
+
+
 def _plain(x):
     if isinstance(x, Fraction):
         return str(x)
@@ -99,9 +104,9 @@ def _sig(form) -> int:
 def criterion_1_octonions(ws: Workspace) -> list[Check]:
     out = []
     rep = composition.check_norm_multiplicativity()
-    out.append(Check("octonions: norm multiplicativity", rep.ok))
+    out.append(_reported("octonions: norm multiplicativity", rep))
     rep = composition.check_alternativity()
-    out.append(Check("octonions: alternativity", rep.ok))
+    out.append(_reported("octonions: alternativity", rep))
     from .structalg import derivations
     ders = derivations(composition.octonion_table())
     out.append(Check("Der(O) dimension", ders.dim == 14, ders.dim, 14))
@@ -115,7 +120,7 @@ def criterion_2_jordan(ws: Workspace) -> list[Check]:
     for kind in ("Jc", "J", "M", "Ms"):
         j = ws.jordan_algebra(kind)
         rep = j.table.check_jordan()
-        out.append(Check(f"{kind}: Jordan identity", rep.ok))
+        out.append(_reported(f"{kind}: Jordan identity", rep))
     j = ws.jordan_algebra("J")
     s = _sig(form_restrict(j.trace_form(), j.traceless_basis()))
     out.append(Check("J: traceless trace-form signature", s == -6, s, -6))
@@ -133,12 +138,12 @@ def criterion_3_models(ws: Workspace) -> list[Check]:
     for name in ("albert", "tits", "flag", "chevalley"):
         model = ws.model(name)
         rep = model.table.check_lie()
-        out.append(Check(f"{name}: Jacobi", rep.ok))
+        out.append(_reported(f"{name}: Jacobi", rep))
         out.append(Check(f"{name}: dimension", model.dim == 78, model.dim, 78))
         s = model.killing_signature()
         out.append(Check(f"{name}: Killing signature", s == -14, s, -14))
     plus = ws.model("albert_plus")
-    out.append(Check("albert(+1): Jacobi", plus.table.check_lie().ok))
+    out.append(_reported("albert(+1): Jacobi", plus.table.check_lie()))
     s = plus.killing_signature()
     out.append(Check("albert(+1): Killing signature", s == -26, s, -26))
     return out
@@ -199,7 +204,7 @@ def criterion_5_twist(ws: Workspace) -> list[Check]:
     even = [[k[i][j] for j in range(52)] for i in range(52)]
     s_even = _sig(even)
     tw = twist_z2(alb.table, alb.meta["parity"], -1)
-    out.append(Check("twist: twisted table is Lie", tw.check_lie().ok))
+    out.append(_reported("twist: twisted table is Lie", tw.check_lie()))
     s_tw = _sig(killing_form(tw))
     s = alb.killing_signature()
     ok = s + s_tw == 2 * s_even and (s, s_tw, s_even) == (-14, -26, -20)
@@ -216,7 +221,7 @@ def criterion_6_gradings(ws: Workspace) -> list[Check]:
     for name in NAMED_GRADINGS:
         gd = ws.grading(name)
         rep = check_grading(gd)
-        out.append(Check(f"{name}: grading compatibility", rep.ok))
+        out.append(_reported(f"{name}: grading compatibility", rep))
         tv = type_vector(gd)
         want_tv = TABLE1[name][0]
         out.append(Check(f"{name}: type vector", tv == want_tv, tv, want_tv))
@@ -400,9 +405,9 @@ def run_all(ws: Workspace | None = None, include_sp8: bool = False,
 def split_octonion_checks(ws: Workspace) -> list[Check]:
     out = []
     rep = composition.check_norm_multiplicativity(split=True)
-    out.append(Check("split octonions: norm multiplicativity", rep.ok))
+    out.append(_reported("split octonions: norm multiplicativity", rep))
     model = ws.model("tits_split")
-    out.append(Check("T(Os, M): Jacobi", model.table.check_lie().ok))
+    out.append(_reported("T(Os, M): Jacobi", model.table.check_lie()))
     s = model.killing_signature()
     out.append(Check("T(Os, M): Killing signature", s == 2, s, 2))
     return out

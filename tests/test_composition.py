@@ -7,6 +7,7 @@ from e6grad import composition as co
 from e6grad import gradings as gr
 from e6grad import linalg as la
 from e6grad import structalg as sa
+from e6grad import verify
 from e6grad.abgroup import FgAbelianGroup
 
 
@@ -38,6 +39,15 @@ def test_norm_multiplicativity_rejects_a_reversed_line(monkeypatch):
     for split in (False, True):
         rep = co.check_norm_multiplicativity(split=split)
         assert not rep.ok and len(rep.witness) == 4
+
+
+def test_criterion_1_reports_the_witness_of_a_reversed_line(monkeypatch, ws):
+    lines = [co.FANO_LINES[0][::-1], *co.FANO_LINES[1:]]
+    monkeypatch.setattr(co, "_MUL", co._pair_table(lines))
+    checks = {c.name: c.to_json() for c in verify.criterion_1_octonions(ws)}
+    red = checks["octonions: norm multiplicativity"]
+    assert not red["ok"] and len(red["measured"]) == 4
+    assert all(isinstance(i, int) for i in red["measured"])
 
 
 def test_alternativity():

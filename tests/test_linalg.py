@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from e6grad import linalg as la
-from e6grad.scalar import Cyc, OMEGA
+from e6grad.scalar import Cyc, OMEGA, is_zero
 
 
 def frac_mat(rows):
@@ -34,6 +34,84 @@ def test_rank_nullity():
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = frac_mat([[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)])
         assert la.rank([row[:] for row in m]) + len(la.kernel(m)) == c
+
+
+def _dense_rref(m):
+    """Reference Gauss-Jordan that updates every entry of every row."""
+    m = [row[:] for row in m]
+    rows, cols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if not is_zero(m[i][c])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        d = m[r][c]
+        inv = d.inv() if isinstance(d, Cyc) else Fraction(1) / d
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and not is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _sparse_entry(rng, cyc):
+    """0 with probability 0.7, else a small Fraction or Q(zeta_12) value."""
+    if rng.random() < 0.7:
+        return Fraction(0)
+    if not cyc:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+    if rng.random() < 0.5:
+        coeffs[1:] = [0, 0, 0]
+    return Cyc(*coeffs)
+
+
+def _sparse_cases(rng, cyc):
+    for _ in range(60):
+        r, c = rng.randint(1, 7), rng.randint(1, 8)
+        m = [[_sparse_entry(rng, cyc) for _ in range(c)] for _ in range(r)]
+        yield m
+        # rank-deficient: append a combination of two rows
+        f = _sparse_entry(rng, cyc) or Fraction(2)
+        i, j = rng.randrange(r), rng.randrange(r)
+        yield m + [[x + f * y for x, y in zip(m[i], m[j])]]
+        # a zero row and a zero column inserted
+        k = rng.randrange(c + 1)
+        z = [row[:k] + [Fraction(0)] + row[k:] for row in m]
+        yield z[:1] + [[Fraction(0)] * (c + 1)] + z[1:]
+
+
+def test_rref_matches_dense_gauss_jordan():
+    rng = random.Random(17)
+    deficient = set()
+    for cyc in (False, True):
+        for m in _sparse_cases(rng, cyc):
+            red, piv = la.rref(m)
+            want, want_piv = _dense_rref(m)
+            assert piv == want_piv
+            assert len(red) == len(want) and all(len(row) == len(m[0])
+                                                 for row in red)
+            for row, wrow in zip(red, want):
+                assert all(is_zero(x - y) for x, y in zip(row, wrow))
+            deficient.add(len(piv) < min(len(m), len(m[0])))
+    assert deficient == {False, True}
+
+
+def test_inverse_of_cyc_matrix():
+    rng = random.Random(23)
+    n = 6
+    while True:
+        m = [[_sparse_entry(rng, True) for _ in range(n)] for _ in range(n)]
+        if la.rank(m) == n:
+            break
+    prod = la.mat_mul(la.inverse(m), m)
+    assert la.mat_eq(prod, la.identity(n))
 
 
 def test_signature_examples_and_congruence():

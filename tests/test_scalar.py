@@ -54,6 +54,47 @@ def test_conjugation_involutive_automorphism():
         assert norm.sign_real() >= 0
 
 
+def test_is_zero_on_computed_zeros():
+    x = Cyc(Fraction(2, 3), -1, Fraction(5, 7), 4)
+    for z in (ZETA ** 4 - ZETA ** 2 + 1, x - x, OMEGA ** 3 - 1, Cyc(0)):
+        assert z.is_zero()
+    for k in range(4):
+        coords = [0, 0, 0, 0]
+        coords[k] = Fraction(-1, 9)
+        assert not Cyc(*coords).is_zero()
+
+
+def _convolution(a, b):
+    """Product in the power basis, reduced by z^4 = z^2 - 1, z^5 = z^3 - z,
+    z^6 = -1."""
+    d = [Fraction(0)] * 7
+    for i in range(4):
+        for j in range(4):
+            d[i + j] += a.c[i] * b.c[j]
+    return (d[0] - d[4] - d[6], d[1] - d[5], d[2] + d[4], d[3] + d[5])
+
+
+def test_product_with_a_rational_operand():
+    rng = random.Random(31)
+    for _ in range(100):
+        a = rand_cyc(rng)
+        q = Cyc(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        assert (a * q).c == _convolution(a, q)
+        assert (q * a).c == _convolution(q, a)
+        assert (q * q).c == _convolution(q, q)
+
+
+def test_inverse_of_rational_and_irrational():
+    rng = random.Random(37)
+    for _ in range(50):
+        q = Cyc(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                         rng.randint(1, 5)))
+        assert q.inv() * q == 1
+        assert q.inv().c == (1 / q.c[0], 0, 0, 0)
+    for x in (ZETA, SQRT3 + 1, Cyc(Fraction(1, 2), 0, 0, -3)):
+        assert x.inv() * x == 1
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Cyc(0).inv()

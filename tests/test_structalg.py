@@ -123,3 +123,21 @@ def test_derivations_of_m():
     assert ders.dim == 8
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == 0
+
+
+def test_subspace_coords():
+    f = Fraction
+    v1 = [f(1), f(0), f(2), f(0), f(1)]
+    v2 = [f(0), f(1), f(-1), f(0), f(3)]
+    sp = sa.Subspace(5, [v1, v2])
+    assert sp.pivots == [0, 1]
+    member = [3 * x - 2 * y for x, y in zip(v1, v2)]
+    assert sp.coords(member) == [3, -2]
+    # a zero coefficient: 2 v1 has coordinate 0 on v2
+    assert sp.coords([2 * x for x in v1]) == [2, 0]
+    # the same pivot coordinates, changed at one coordinate off the pivots
+    for base in (member, [2 * x for x in v1], [f(0)] * 5):
+        for j in (2, 3, 4):
+            w = base[:]
+            w[j] += f(1, 3)
+            assert sp.coords(w) is None, (base, j)
