@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abgroup import FgAbelianGroup, presented_group
-from .linalg import inverse, kernel, rref
+from .linalg import inverse, kernel, rref, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import (AlgebraTable, CheckReport, Subspace, dense_to_sparse,
                         derivations, form_restrict, sparse_to_dense)
@@ -46,11 +46,8 @@ class GradedDecomposition:
     def from_degree_map(cls, table: AlgebraTable, group, degrees,
                         name: str = "") -> "GradedDecomposition":
         """Grading whose components group basis vectors by assigned degree."""
-        buckets: dict = {}
-        for i, d in enumerate(degrees):
-            buckets.setdefault(group.reduce(d), []).append(i)
         comps = []
-        for d, idxs in buckets.items():
+        for d, idxs in degree_buckets(group, degrees):
             vecs = []
             for i in idxs:
                 v = [Fraction(0)] * table.dim
@@ -73,6 +70,14 @@ class GradedDecomposition:
         return sum(s.dim for _, s in self.components)
 
 
+def degree_buckets(group, degrees) -> list[tuple[tuple, list[int]]]:
+    """Basis indices grouped by reduced degree, in order of first appearance."""
+    buckets: dict = {}
+    for i, d in enumerate(degrees):
+        buckets.setdefault(group.reduce(d), []).append(i)
+    return list(buckets.items())
+
+
 def check_grading(gd: GradedDecomposition) -> CheckReport:
     """Exact direct-sum and compatibility verification."""
     table = gd.table
@@ -84,14 +89,15 @@ def check_grading(gd: GradedDecomposition) -> CheckReport:
     _, piv = rref([list(v) for v in stacked])
     if len(piv) != n:
         return CheckReport("grading", False, None, "components are not independent")
-    for g, sg in gd.components:
-        for h, sh in gd.components:
+    sparse = [(d, [dense_to_sparse(v) for v in sub.basis])
+              for d, sub in gd.components]
+    for g, sg in sparse:
+        for h, sh in sparse:
             target_deg = gd.group.add(g, h)
             target = gd.component(target_deg)
-            for a in sg.basis:
-                sa = dense_to_sparse(a)
-                for b in sh.basis:
-                    w = table.mul_vec(sa, dense_to_sparse(b))
+            for sa in sg:
+                for sb in sh:
+                    w = table.mul_vec(sa, sb)
                     if not w:
                         continue
                     if target is None:
@@ -121,16 +127,17 @@ def universal_group(gd: GradedDecomposition) -> FgAbelianGroup:
     supp = gd.support
     index = {d: i for i, d in enumerate(supp)}
     table = gd.table
+    sparse = [(d, [dense_to_sparse(v) for v in sub.basis])
+              for d, sub in gd.components]
     relations = []
-    for gi, (g, sg) in enumerate(gd.components):
-        for hi, (h, sh) in enumerate(gd.components):
+    for gi, (g, sg) in enumerate(sparse):
+        for hi, (h, sh) in enumerate(sparse):
             if hi < gi:
                 continue
             nonzero = False
-            for a in sg.basis:
-                sa = dense_to_sparse(a)
-                for b in sh.basis:
-                    if table.mul_vec(sa, dense_to_sparse(b)):
+            for sa in sg:
+                for sb in sh:
+                    if table.mul_vec(sa, sb):
                         nonzero = True
                         break
                 if nonzero:
@@ -307,18 +314,13 @@ GRADING_MODEL = {
 }
 
 
-def grading_from_eigensplit(table: AlgebraTable, ops, name: str = ""):
-    """Z2^k grading from the joint eigenspaces of commuting involutions."""
-    from .linalg import simultaneous_eigensplit
-    n = table.dim
-    pm = [Fraction(1), Fraction(-1)]
-    spaces = simultaneous_eigensplit(ops, [pm] * len(ops), n)
-    group = FgAbelianGroup(0, (2,) * len(ops))
-    comps = []
-    for tag, vecs in spaces:
-        deg = tuple(0 if lam == 1 else 1 for lam in tag)
-        comps.append((deg, vecs))
-    return GradedDecomposition(table, group, comps, name)
+PM = [Fraction(1), Fraction(-1)]
+AD_EIGENVALUES = [Fraction(v) for v in range(-2, 3)]
+
+
+def _parity(signs) -> tuple:
+    """Z2 coordinates of a tuple of +-1 eigenvalues."""
+    return tuple(0 if lam == 1 else 1 for lam in signs)
 
 
 def build_named_grading(name: str, model) -> GradedDecomposition:
@@ -341,50 +343,37 @@ def build_named_grading(name: str, model) -> GradedDecomposition:
         return GradedDecomposition.from_degree_map(
             model.table, group, model.meta["z26_degrees"], name="gamma7")
 
-    if name == "gamma8":
-        from .linalg import simultaneous_eigensplit
-        ad = lm.albert_z_grading_operator(model)
-        eig = [Fraction(v) for v in range(-2, 3)]
-        spaces = simultaneous_eigensplit([ad], [eig], model.dim)
-        zgroup = FgAbelianGroup(1)
-        zgrading = GradedDecomposition(
-            model.table, zgroup,
-            [((int(t[0]),), vecs) for t, vecs in spaces], name="Z on albert")
-        z24 = [d[:3] + (d[5],) for d in model.meta["z26_degrees"]]
-        z2grading = GradedDecomposition.from_degree_map(
-            model.table, FgAbelianGroup(0, (2,) * 4), z24, name="Z2^4 on albert")
-        out = refine(zgrading, z2grading, name="gamma8")
-        return out
-
-    if name == "gamma12":
-        zdeg = [(d,) for d in model.meta["z_degrees"]]
-        zgrading = GradedDecomposition.from_degree_map(
-            model.table, FgAbelianGroup(1), zdeg, name="Z on flag")
-        ops = lm.flag_f_matrices(model) + [lm.flag_theta_matrix(model)]
-        eig = grading_from_eigensplit(model.table, ops, name="Z2^5 on flag")
-        return refine(zgrading, eig, name="gamma12")
-
-    if name == "gamma10":
-        from .linalg import simultaneous_eigensplit
-        ad = lm.flag_ad_e(model)
-        eig5 = [Fraction(v) for v in range(-2, 3)]
-        spaces = simultaneous_eigensplit([ad], [eig5], model.dim)
-        adgrading = GradedDecomposition(
-            model.table, FgAbelianGroup(1),
-            [((int(t[0]),), vecs) for t, vecs in spaces], name="ad E on flag")
-        zdeg = [(d,) for d in model.meta["z_degrees"]]
-        zgrading = GradedDecomposition.from_degree_map(
-            model.table, FgAbelianGroup(1), zdeg, name="Z on flag")
-        fs = lm.flag_f_matrices(model)
-        ops = [lm.flag_theta_matrix(model), fs[0], fs[1]]
-        eig = grading_from_eigensplit(model.table, ops, name="Z2^3 on flag")
-        return refine(refine(adgrading, zgrading), eig, name="gamma10")
-
     if name == "gamma13":
-        ops = lm.gamma13_operators(model)
-        gd = grading_from_eigensplit(model.table, ops, name="gamma13")
-        return gd
-    raise AssertionError
+        spaces = simultaneous_eigensplit(lm.gamma13_operators(model), [PM] * 7,
+                                         model.dim)
+        group = FgAbelianGroup(0, (2,) * 7)
+        comps = [(_parity(t), vecs) for t, vecs in spaces]
+    elif name == "gamma8":
+        z24 = FgAbelianGroup(0, (2,) * 4)
+        start = degree_buckets(
+            z24, [d[:3] + (d[5],) for d in model.meta["z26_degrees"]])
+        spaces = simultaneous_eigensplit([lm.albert_z_grading_operator(model)],
+                                         [AD_EIGENVALUES], model.dim, start)
+        group = FgAbelianGroup(1).product(z24)
+        comps = [(group.pair((int(t[4]),), t[:4]), vecs) for t, vecs in spaces]
+    else:
+        z = FgAbelianGroup(1)
+        start = degree_buckets(z, [(d,) for d in model.meta["z_degrees"]])
+        fs, theta = lm.flag_f_matrices(model), lm.flag_theta_matrix(model)
+        if name == "gamma10":  # operators ad E, theta, F1, F2
+            spaces = simultaneous_eigensplit(
+                [lm.flag_ad_e(model), theta, fs[0], fs[1]],
+                [AD_EIGENVALUES, PM, PM, PM], model.dim, start)
+            group = z.product(z).product(FgAbelianGroup(0, (2,) * 3))
+            comps = [(group.pair((int(t[1]), t[0]), _parity(t[2:])), vecs)
+                     for t, vecs in spaces]
+        else:  # gamma12: operators F1..F4, theta
+            spaces = simultaneous_eigensplit(fs + [theta], [PM] * 5, model.dim,
+                                             start)
+            group = z.product(FgAbelianGroup(0, (2,) * 5))
+            comps = [(group.pair(t[:1], _parity(t[1:])), vecs)
+                     for t, vecs in spaces]
+    return GradedDecomposition(model.table, group, comps, name)
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +589,18 @@ def killing_orthogonality_check(gd: GradedDecomposition,
                                 killing: list[list]) -> CheckReport:
     """kappa(A_g, A_h) = 0 whenever g + h != e."""
     e = gd.group.zero()
-    for g, sg in gd.components:
-        for h, sh in gd.components:
+    sparse = [(d, [dense_to_sparse(v) for v in sub.basis])
+              for d, sub in gd.components]
+    for g, sg in sparse:
+        for h, sh in sparse:
             if gd.group.add(g, h) == e:
                 continue
-            for a in sg.basis:
-                sa = dense_to_sparse(a)
-                for b in sh.basis:
+            for sa in sg:
+                for sb in sh:
                     s = Fraction(0)
                     for i, x in sa.items():
                         row = killing[i]
-                        for j, y in dense_to_sparse(b).items():
+                        for j, y in sb.items():
                             s += x * y * row[j]
                     if not is_zero(s):
                         return CheckReport("killing-orthogonality", False, (g, h))

@@ -1,10 +1,11 @@
-"""Exact dense linear algebra over Fraction / Q(zeta_12) scalars.
+"""Exact linear algebra over Fraction / Q(zeta_12) scalars.
 
-Matrices are plain lists of row lists.  Everything here is exact: Gaussian
-elimination over the field of the entries, Sylvester inertia by symmetric
-congruence, the invariant factors of an integer matrix (the diagonal of its
-Smith normal form), and simultaneous eigenspace splitting for commuting
-operators.
+Matrices are plain lists of row lists; sparse vectors are dicts from index
+to nonzero scalar.  Everything here is exact: Gaussian elimination over the
+field of the entries, Sylvester inertia by symmetric congruence, the
+invariant factors of an integer matrix (the diagonal of its Smith normal
+form), and the joint eigenspaces of commuting operators, split off by the
+images of their Lagrange projectors on sparse vectors.
 """
 
 from __future__ import annotations
@@ -41,17 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 bv = brow[j]
                 if not is_zero(bv):
                     oi[j] = oi[j] + av * bv
-    return out
-
-
-def mat_vec(a: Matrix, v: list) -> list:
-    out = [Fraction(0)] * len(a)
-    for i, row in enumerate(a):
-        s = Fraction(0)
-        for j, av in enumerate(row):
-            if not is_zero(av) and not is_zero(v[j]):
-                s = s + av * v[j]
-        out[i] = s
     return out
 
 
@@ -285,87 +275,100 @@ class EigensplitError(ValueError):
     pass
 
 
-def _restrict(op: Matrix, basis: list[list]) -> Matrix:
-    """Coordinates of op(basis[l]) in ``basis``, which must be in RREF (so
-    coordinates can be read off pivot columns).  Raises if the span is not
-    invariant."""
-    red, pivots = rref(basis)
-    dim = len(pivots)
-    cols = []
-    for b in basis:
-        img = mat_vec(op, b)
-        coords = [img[p] for p in pivots]
-        # residual check: img must equal sum coords[r] * red[r]
-        for j in range(len(img)):
-            s = img[j]
-            for r in range(dim):
-                s = s - coords[r] * red[r][j]
-            if not is_zero(s):
-                raise EigensplitError("subspace is not invariant under operator")
-        cols.append(coords)
-    return cols
+def _apply(cols: list[dict], v: dict, shift=0) -> dict:
+    """(A - shift) v for the operator A with sparse columns ``cols`` and the
+    sparse vector v, without zero entries."""
+    out = {k: -shift * x for k, x in v.items()}
+    for l, x in v.items():
+        for k, y in cols[l].items():
+            out[k] = out[k] + x * y if k in out else x * y
+    return {k: x for k, x in out.items() if not is_zero(x)}
+
+
+def _row_space(vecs: list[dict]) -> list[dict]:
+    """RREF basis of the span of sparse vectors, from ``rref`` on the
+    columns they touch (zero columns do not change the reduced rows)."""
+    support = sorted({k for v in vecs for k in v})
+    red, pivots = rref([[v.get(k, Fraction(0)) for k in support] for v in vecs])
+    return [{support[j]: x for j, x in enumerate(row) if not is_zero(x)}
+            for row in red[: len(pivots)]]
 
 
 def simultaneous_eigensplit(ops: list[Matrix], eigenvalues: list[list],
-                            dim: int) -> list[tuple[tuple, list[list]]]:
+                            dim: int, start=None) -> list[tuple[tuple, list]]:
     """Joint eigenspace decomposition for commuting exact operators.
 
-    ``eigenvalues[k]`` lists the allowed eigenvalues of ``ops[k]``; each
-    operator must be annihilated by prod(x - lam) over its list.  Returns
-    [(eigentuple, basis)] with nonzero spaces only, in deterministic order.
-    Raises EigensplitError if the operators do not commute, an annihilating
-    polynomial fails, or the split does not exhaust the space.
+    ``eigenvalues[k]`` lists the distinct allowed eigenvalues of ``ops[k]``.
+    ``start``, by default ``[((), range(dim))]``, lists (tag, basis indices)
+    buckets that partition range(dim).  Returns [(tag, RREF basis)] for the
+    nonzero joint eigenspaces in each bucket, in deterministic order; a tag
+    is its bucket's tag followed by one eigenvalue per operator.
+
+    Each operator A splits each current component C by the images of its
+    Lagrange projectors prod_{mu != lam} (A - mu) / (lam - mu) on C's sparse
+    basis, row-reduced (the scalar does not change an image).  Raises
+    EigensplitError unless the operators commute (A(B e_k) = B(A e_k) for
+    all k), each maps each bucket into itself, A v = lam v exactly on every
+    image vector, the image dimensions of each C add up to dim C, and every
+    returned vector is a joint eigenvector with its tag's values.
+
+    This proves as much as prod(A - lam) = 0.  C is A-invariant (a bucket
+    by the check, an eigenspace of an operator B by AB = BA), so the images
+    lie in C; exact eigenvectors for distinct lam are independent, so they
+    exhaust C only if A is diagonalizable on C with its spectrum in the list.
     """
+    if len(eigenvalues) != len(ops):
+        raise EigensplitError("one eigenvalue list per operator is needed")
+    cols = []
     for a in ops:
         if len(a) != dim or any(len(r) != dim for r in a):
             raise EigensplitError("operator has wrong shape")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not mat_eq(mat_mul(ops[i], ops[j]), mat_mul(ops[j], ops[i])):
+        cols.append([{k: a[k][l] for k in range(dim) if not is_zero(a[k][l])}
+                     for l in range(dim)])
+    for n, lams in enumerate(eigenvalues):
+        if any(is_zero(lam - mu)
+               for i, lam in enumerate(lams) for mu in lams[:i]):
+            raise EigensplitError(f"operator {n} has a repeated eigenvalue")
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            a, b = cols[i], cols[j]
+            if any(_apply(a, b[k]) != _apply(b, a[k]) for k in range(dim)):
                 raise EigensplitError(f"operators {i} and {j} do not commute")
-    for a, lams in zip(ops, eigenvalues):
-        prod = identity(dim)
-        for lam in lams:
-            shifted = [[a[r][c] - (lam if r == c else 0) for c in range(dim)]
-                       for r in range(dim)]
-            prod = mat_mul(prod, shifted)
-        if any(not is_zero(x) for row in prod for x in row):
-            raise EigensplitError("operator is not annihilated by its eigenvalue list")
 
-    spaces = [((), identity(dim))]
-    for a, lams in zip(ops, eigenvalues):
+    if start is None:
+        start = [((), range(dim))]
+    if sorted(k for _, idx in start for k in idx) != list(range(dim)):
+        raise EigensplitError("start buckets do not partition the basis")
+    spaces = []
+    for tag, idx in start:
+        members = set(idx)
+        for n, a in enumerate(cols):
+            if any(not members.issuperset(a[k]) for k in idx):
+                raise EigensplitError(f"operator {n} moves start bucket {tag}")
+        spaces.append((tuple(tag), [{k: Fraction(1)} for k in idx]))
+
+    for n, (a, lams) in enumerate(zip(cols, eigenvalues)):
         nxt = []
         for tag, basis in spaces:
-            red, pivots = rref(basis)
-            red = red[: len(pivots)]
-            sub = _restrict(a, red)
-            d = len(pivots)
-            # sub[l][r] = coords of a(red[l]); operator matrix M[r][l]
-            m_op = [[sub[l][r] for l in range(d)] for r in range(d)]
-            for lam in lams:
-                shifted = [[m_op[r][c] - (lam if r == c else 0)
-                            for c in range(d)] for r in range(d)]
-                ker = kernel(shifted, d)
-                if not ker:
-                    continue
-                vecs = []
-                for k in ker:
-                    v = [Fraction(0)] * dim
-                    for coef, row in zip(k, red):
-                        if not is_zero(coef):
-                            v = [x + coef * y for x, y in zip(v, row)]
-                    vecs.append(v)
-                nxt.append((tag + (lam,), vecs))
+            found = 0
+            for i, lam in enumerate(lams):
+                image = basis
+                for mu in lams[:i] + lams[i + 1:]:
+                    image = [w for w in (_apply(a, v, mu) for v in image) if w]
+                eig = _row_space(image)
+                if any(_apply(a, v, lam) for v in eig):
+                    raise EigensplitError(f"operator {n} is not {lam} on its "
+                                          f"projector image in {tag}")
+                found += len(eig)
+                if eig:
+                    nxt.append((tag + (lam,), eig))
+            if found != len(basis):
+                raise EigensplitError(f"eigenspaces of operator {n} span "
+                                      f"{found} of the {len(basis)} in {tag}")
         spaces = nxt
-    total = sum(len(b) for _, b in spaces)
-    if total != dim:
-        raise EigensplitError(
-            f"eigenspaces span dimension {total}, expected {dim}")
-    # exactness: each returned vector is an exact eigenvector of every op
     for tag, basis in spaces:
-        for a, lam in zip(ops, tag):
-            for v in basis:
-                img = mat_vec(a, v)
-                if any(not is_zero(x - lam * y) for x, y in zip(img, v)):
-                    raise EigensplitError("inexact eigenvector (internal)")
-    return spaces
+        for a, lam in zip(cols, tag[len(tag) - len(cols):]):
+            if any(_apply(a, v, lam) for v in basis):
+                raise EigensplitError("inexact eigenvector (internal)")
+    return [(tag, [[v.get(k, Fraction(0)) for k in range(dim)] for v in basis])
+            for tag, basis in spaces]

@@ -53,11 +53,12 @@ def _plain(x):
 
 
 class Workspace:
-    """Builds and memoizes the models and gradings used by the pipeline."""
+    """Builds and memoizes the models, gradings and groups of the pipeline."""
 
     def __init__(self):
         self._models = {}
         self._gradings = {}
+        self._groups = {}
         self._jordans = {}
 
     def model(self, name: str):
@@ -90,6 +91,11 @@ class Workspace:
             model = self.model(GRADING_MODEL[name])
             self._gradings[name] = build_named_grading(name, model)
         return self._gradings[name]
+
+    def universal_group(self, name: str):
+        if name not in self._groups:
+            self._groups[name] = universal_group(self.grading(name))
+        return self._groups[name]
 
 
 def _sig(form) -> int:
@@ -225,7 +231,7 @@ def criterion_6_gradings(ws: Workspace) -> list[Check]:
         tv = type_vector(gd)
         want_tv = TABLE1[name][0]
         out.append(Check(f"{name}: type vector", tv == want_tv, tv, want_tv))
-        ug = universal_group(gd)
+        ug = ws.universal_group(name)
         want = TABLE1[name][1]
         out.append(Check(f"{name}: universal group",
                          ug.is_isomorphic_to(want), ug.describe(),
@@ -419,7 +425,7 @@ def table1_summary(ws: Workspace) -> list[dict]:
         if name not in ws._gradings:
             continue
         gd = ws._gradings[name]
-        ug = universal_group(gd)
+        ug = ws.universal_group(name)
         model = ws.model(GRADING_MODEL[name])
         iv = interval_check(gd, model.killing_signature())
         rows.append({

@@ -198,3 +198,47 @@ def test_classical_signatures_and_so8_exclusion():
     rep = gr.so8_exclusion_arithmetic()
     assert rep["ok"]
     assert rep["so8_signatures"] == [-28, -14, -4, 2, 4]
+
+
+# SHA-256 of json.dumps(grading_to_json(...), sort_keys=True) for each named
+# grading, as built by the intersection of gradings that the direct bucket
+# split replaced.
+GRADING_SHA256 = {
+    "gamma3": "0a510c4e002c9e6acf41f9eac7e44415e90539f3758ce5abfbb816c321fdac54",
+    "gamma7": "88d2767ca3d3240c42d19f83ce65715ec7f649153f684746e28528bd8bab6165",
+    "gamma8": "ef5cdeeaf53fab9bdc653910efe986ff8deac210f066489931a3a2553b0ea017",
+    "gamma10": "3d2f7b89aa35e1ecf0e38f1af81aecfbae9b784238dd5391cc938f13f8c4817f",
+    "gamma12": "e7bc1cb003f12a781e967d9a6418164409146b6dd8b063105c07297ab7104bac",
+    "gamma13": "67db076719c8720aa09e7dc3296dd50413d4d14d5c1e193efce35c293a9cac56",
+}
+
+
+def test_named_gradings_are_pinned(ws):
+    import hashlib
+    import json
+    from e6grad import jsonio
+    for name, want in GRADING_SHA256.items():
+        doc = json.dumps(jsonio.grading_to_json(ws.grading(name)),
+                         sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == want, name
+
+
+def test_gamma12_buckets_match_the_refinement(ws, flag):
+    """gamma12 split from its Z-degree buckets equals the refinement of the
+    Z-degree grading by the Z2^5 split of the whole space."""
+    from e6grad import liemodels as lm
+    from e6grad.linalg import simultaneous_eigensplit
+    z = gr.GradedDecomposition.from_degree_map(
+        flag.table, FgAbelianGroup(1), [(d,) for d in flag.meta["z_degrees"]])
+    ops = lm.flag_f_matrices(flag) + [lm.flag_theta_matrix(flag)]
+    spaces = simultaneous_eigensplit(ops, [gr.PM] * 5, flag.dim)
+    z25 = gr.GradedDecomposition(
+        flag.table, FgAbelianGroup(0, (2,) * 5),
+        [(tuple(0 if lam == 1 else 1 for lam in t), vecs)
+         for t, vecs in spaces])
+    want = gr.refine(z, z25)
+    got = ws.grading("gamma12")
+    assert (got.group.rank, got.group.torsion) == \
+        (want.group.rank, want.group.torsion)
+    assert [(d, s.basis) for d, s in got.components] == \
+        [(d, s.basis) for d, s in want.components]

@@ -250,3 +250,177 @@ def test_eigensplit_two_commuting():
     assert got == {(Fraction(1), Fraction(1)): 1,
                    (Fraction(-1), Fraction(1)): 1,
                    (Fraction(1), Fraction(-1)): 1}
+
+
+def test_eigensplit_rejects_a_jordan_block():
+    with pytest.raises(la.EigensplitError, match="is not 1"):
+        la.simultaneous_eigensplit([frac_mat([[1, 1], [0, 1]])],
+                                   [[Fraction(1)]], 2)
+
+
+def test_eigensplit_rejects_a_repeated_eigenvalue():
+    for lams in ([Fraction(1), Fraction(1)], [Fraction(-1), Cyc(-1)]):
+        with pytest.raises(la.EigensplitError, match="repeated"):
+            la.simultaneous_eigensplit([la.identity(2)], [lams], 2)
+
+
+def test_eigensplit_rejects_noncommuting_involutions():
+    a = frac_mat([[1, 0], [0, -1]])
+    b = frac_mat([[0, 1], [1, 0]])
+    pm = [Fraction(1), Fraction(-1)]
+    with pytest.raises(la.EigensplitError, match="do not commute"):
+        la.simultaneous_eigensplit([a, b], [pm, pm], 2)
+
+
+def test_eigensplit_rejects_a_moved_start_bucket():
+    swap = frac_mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    pm = [Fraction(1), Fraction(-1)]
+    with pytest.raises(la.EigensplitError, match="moves start bucket"):
+        la.simultaneous_eigensplit([swap], [pm], 3,
+                                   start=[((0,), [0, 2]), ((1,), [1])])
+    with pytest.raises(la.EigensplitError, match="partition"):
+        la.simultaneous_eigensplit([swap], [pm], 3, start=[((0,), [0, 1])])
+    sp = la.simultaneous_eigensplit([swap], [pm], 3,
+                                    start=[((0,), [0, 1]), ((1,), [2])])
+    assert [(t, len(b)) for t, b in sp] == [((0, 1), 1), ((0, -1), 1),
+                                            ((1, 1), 1)]
+
+
+# The dense eigensplit that the sparse projector split replaced, kept as the
+# reference: an annihilating-polynomial check, then kernels of each
+# restricted operator minus lam.
+
+def _dense_mat_vec(a, v):
+    out = [Fraction(0)] * len(a)
+    for i, row in enumerate(a):
+        s = Fraction(0)
+        for j, av in enumerate(row):
+            if not is_zero(av) and not is_zero(v[j]):
+                s = s + av * v[j]
+        out[i] = s
+    return out
+
+
+def _dense_restrict(op, basis):
+    red, pivots = la.rref(basis)
+    dim = len(pivots)
+    cols = []
+    for b in basis:
+        img = _dense_mat_vec(op, b)
+        coords = [img[p] for p in pivots]
+        for j in range(len(img)):
+            s = img[j]
+            for r in range(dim):
+                s = s - coords[r] * red[r][j]
+            if not is_zero(s):
+                raise la.EigensplitError("subspace is not invariant")
+        cols.append(coords)
+    return cols
+
+
+def _dense_eigensplit(ops, eigenvalues, dim):
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if not la.mat_eq(la.mat_mul(ops[i], ops[j]),
+                             la.mat_mul(ops[j], ops[i])):
+                raise la.EigensplitError("operators do not commute")
+    for a, lams in zip(ops, eigenvalues):
+        prod = la.identity(dim)
+        for lam in lams:
+            shifted = [[a[r][c] - (lam if r == c else 0) for c in range(dim)]
+                       for r in range(dim)]
+            prod = la.mat_mul(prod, shifted)
+        if any(not is_zero(x) for row in prod for x in row):
+            raise la.EigensplitError("not annihilated")
+    spaces = [((), la.identity(dim))]
+    for a, lams in zip(ops, eigenvalues):
+        nxt = []
+        for tag, basis in spaces:
+            red, pivots = la.rref(basis)
+            red = red[: len(pivots)]
+            sub = _dense_restrict(a, red)
+            d = len(pivots)
+            m_op = [[sub[l][r] for l in range(d)] for r in range(d)]
+            for lam in lams:
+                shifted = [[m_op[r][c] - (lam if r == c else 0)
+                            for c in range(d)] for r in range(d)]
+                ker = la.kernel(shifted, d)
+                if not ker:
+                    continue
+                vecs = []
+                for k in ker:
+                    v = [Fraction(0)] * dim
+                    for coef, row in zip(k, red):
+                        if not is_zero(coef):
+                            v = [x + coef * y for x, y in zip(v, row)]
+                    vecs.append(v)
+                nxt.append((tag + (lam,), vecs))
+        spaces = nxt
+    if sum(len(b) for _, b in spaces) != dim:
+        raise la.EigensplitError("eigenspaces do not exhaust the space")
+    return spaces
+
+
+def _reduced(vecs):
+    red, piv = la.rref(vecs)
+    return red[: len(piv)]
+
+
+def _commuting_ops(rng, n, blocks):
+    """P D_k P^-1 for diagonal D_k and a random P invertible on each block
+    of the coordinate partition ``blocks``."""
+    while True:
+        p = [[Fraction(0)] * n for _ in range(n)]
+        for b in blocks:
+            for i in b:
+                for j in b:
+                    if rng.random() < 0.6:
+                        p[i][j] = Fraction(rng.randint(-3, 3))
+        if la.rank(p) == n:
+            break
+    pinv = la.inverse(p)
+    ops, eigs = [], []
+    for _ in range(rng.randint(1, 3)):
+        lams = ([Fraction(1), Fraction(-1)] if rng.random() < 0.5
+                else [Fraction(v) for v in range(-2, 3)])
+        d = [[rng.choice(lams) if i == j else Fraction(0) for j in range(n)]
+             for i in range(n)]
+        ops.append(la.mat_mul(la.mat_mul(p, d), pinv))
+        eigs.append(lams)
+    return ops, eigs
+
+
+def test_eigensplit_matches_the_dense_reference():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        ops, eigs = _commuting_ops(rng, n, [range(n)])
+        got = la.simultaneous_eigensplit(ops, eigs, n)
+        want = _dense_eigensplit(ops, eigs, n)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, basis), (_, ref) in zip(got, want):
+            assert basis == _reduced(ref)
+
+
+def test_eigensplit_from_start_buckets_intersects_the_reference():
+    from e6grad.gradings import subspace_intersection
+    from e6grad.structalg import Subspace
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        labels = [rng.randrange(3) for _ in range(n)]
+        start = [((b,), [i for i in range(n) if labels[i] == b])
+                 for b in range(3)]
+        ops, eigs = _commuting_ops(rng, n, [idx for _, idx in start])
+        got = {t: basis for t, basis in
+               la.simultaneous_eigensplit(ops, eigs, n, start=start)}
+        want = {}
+        for tag, ref in _dense_eigensplit(ops, eigs, n):
+            for (b,), idx in start:
+                units = [[Fraction(int(i == k)) for i in range(n)]
+                         for k in idx]
+                inter = subspace_intersection(Subspace(n, ref),
+                                              Subspace(n, units), n)
+                if inter.dim:
+                    want[(b,) + tag] = inter.basis
+        assert got == want

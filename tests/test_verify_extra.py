@@ -1,6 +1,7 @@
 """Cross-cutting grading invariants over all six named gradings."""
 
 from e6grad import gradings as gr
+from e6grad import verify
 from e6grad.gradings import GRADING_MODEL, NAMED_GRADINGS
 
 
@@ -37,3 +38,27 @@ def test_gamma7_refines_the_albert_parity(ws):
     z2 = gr.GradedDecomposition.from_degree_map(
         albert.table, FgAbelianGroup(0, (2,)), [(p,) for p in parity])
     assert gr.is_refinement(ws.grading("gamma7"), z2)
+
+
+def test_universal_groups_computed_once_per_workspace(ws, monkeypatch):
+    """Criterion 6 and the Table 1 summary share one group per grading.
+
+    Only those two call ``universal_group``, so ``run_all`` runs criteria 6
+    and 7 here; the workspace reuses the session's models and gradings.
+    """
+    calls = []
+    real = verify.universal_group
+
+    def counted(gd):
+        calls.append(gd.name)
+        return real(gd)
+
+    monkeypatch.setattr(verify, "universal_group", counted)
+    monkeypatch.setattr(verify, "CRITERIA", [
+        c for c in verify.CRITERIA if c[0] in ("6 gradings", "7 intervals")])
+    fresh = verify.Workspace()
+    fresh._models = ws._models
+    fresh._gradings = {name: ws.grading(name) for name in NAMED_GRADINGS}
+    report = verify.run_all(fresh)
+    assert sorted(calls) == sorted(NAMED_GRADINGS)
+    assert [row["grading"] for row in report["table1"]] == list(NAMED_GRADINGS)
