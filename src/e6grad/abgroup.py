@@ -123,9 +123,6 @@ class _Product(FgAbelianGroup):
     def pair(self, a, b):
         return tuple(a) + tuple(b)
 
-    def split(self, g):
-        return tuple(g[: self._nl]), tuple(g[self._nl:])
-
     @property
     def ncoords(self):
         return self.left.ncoords + self.right.ncoords

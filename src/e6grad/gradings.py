@@ -63,9 +63,6 @@ class GradedDecomposition:
     def component(self, deg) -> Subspace | None:
         return self._by_degree.get(self.group.reduce(deg))
 
-    def dims(self) -> dict:
-        return {d: s.dim for d, s in self.components}
-
     def total_dim(self) -> int:
         return sum(s.dim for _, s in self.components)
 

@@ -409,11 +409,11 @@ def jordan_z_grading(j: JordanH3) -> GradedDecomposition:
     if not leibniz_residual(j.table, d):
         raise AssertionError("grading operator is not a derivation")
     n = j.dim
-    dense = [[Fraction(0)] * n for _ in range(n)]
+    cols = [{} for _ in range(n)]
     for (k, l), c in d.items():
-        dense[k][l] = c
+        cols[l][k] = c
     eig = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    spaces = simultaneous_eigensplit([dense], [eig], n)
+    spaces = simultaneous_eigensplit([cols], [eig], n)
     group = FgAbelianGroup(1)
     comps = [((int(tag[0]),), vecs) for tag, vecs in spaces]
     return GradedDecomposition(j.table, group, comps, name="Z on J")

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from . import composition, jordan, rootsys
 from .abgroup import FgAbelianGroup
-from .linalg import mat_mul, signature
+from .linalg import apply, mat_mul, signature
 from .scalar import Cyc, I as CYC_I
 from .structalg import (AlgebraTable, RealForm, dense_to_sparse, derivations,
                         killing_form, mat_commutator, sparse_to_dense)
@@ -132,9 +132,9 @@ def build_albert(eps: int = -1) -> Model:
     return Model("albert", table, prov, meta)
 
 
-def albert_z_grading_operator(model: Model) -> list[list[Fraction]]:
+def albert_z_grading_operator(model: Model) -> list[dict]:
     """ad of the derivation 4 [R_{iota1(1)}, R_{E22}] as an element of the
-    model (a homogeneous element of Der(J))."""
+    model (a homogeneous element of Der(J)), as sparse columns."""
     j = model.meta["jordan"]
     ders = model.meta["derivations"]
     d = jordan.z_grading_derivation(j)
@@ -146,14 +146,9 @@ def albert_z_grading_operator(model: Model) -> list[list[Fraction]]:
         elif blk != s:
             raise AssertionError("grading derivation is not homogeneous")
     cs = ders.coords_in_block(d, blk)
-    n = model.dim
-    ad = [[Fraction(0)] * n for _ in range(n)]
     sparse_d = {t: c for t, c in enumerate(cs) if c}
-    for l in range(n):
-        w = model.table.mul_vec(sparse_d, {l: Fraction(1)})
-        for k, c in w.items():
-            ad[k][l] = c
-    return ad
+    return [model.table.mul_vec(sparse_d, {l: Fraction(1)})
+            for l in range(model.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +312,18 @@ def build_chevalley_form(signs=(-1, 1, 1, 1, 1, 1),
     return Model("chevalley", rf.table, prov, meta)
 
 
-def gamma13_operators(model: Model) -> list[list[list[Fraction]]]:
-    """The seven commuting order-2 automorphisms on the real form: the six
-    single-sign torus generators and omega composed with the defining torus
-    element."""
+def gamma13_operators(model: Model) -> list[list[dict]]:
+    """The seven commuting order-2 automorphisms on the real form, as sparse
+    columns: the six single-sign torus generators and omega composed with
+    the defining torus element."""
     chev = model.meta["chev"]
     rf = model.meta["real_form"]
-    mats = [rootsys.torus_auto(chev, tuple(-1 if t == j else 1
+    maps = [rootsys.torus_auto(chev, tuple(-1 if t == j else 1
                                            for t in range(6)))
             for j in range(6)]
-    mats.append(mat_mul(rootsys.omega_auto(chev),
+    maps.append(mat_mul(rootsys.omega_auto(chev),
                         rootsys.torus_auto(chev, model.meta["signs"])))
-    return [rf.real_matrix_of([{k: row[a] for k, row in enumerate(m) if row[a]}
-                               for a in range(len(m))]) for m in mats]
+    return [rf.real_matrix_of(m) for m in maps]
 
 
 def corollary_basis_report(model: Model) -> dict:
@@ -704,12 +698,14 @@ def build_flag() -> Model:
     return Model("flag", rf.table, prov, meta)
 
 
-def flag_theta_matrix(model: Model) -> list[list[Fraction]]:
+def flag_theta_matrix(model: Model) -> list[dict]:
+    """theta on the real basis, as sparse columns."""
     rf = model.meta["real_form"]
     return rf.real_matrix_of(rf.theta_cols())
 
 
-def flag_f_matrices(model: Model) -> list[list[list[Fraction]]]:
+def flag_f_matrices(model: Model) -> list[list[dict]]:
+    """F_1..F_4 on the real basis, each as sparse columns."""
     rf = model.meta["real_form"]
     return [rf.real_matrix_of(rf.phi_cols(s)) for s in FLAG_F_SIGNS]
 
@@ -779,32 +775,18 @@ def flag_e_element_index(model: Model) -> int:
     return 15 + rf.pairs.index((4, 5))
 
 
-def flag_ad_e(model: Model) -> list[list[Fraction]]:
-    n = model.dim
-    idx = flag_e_element_index(model)
-    ad = [[Fraction(0)] * n for _ in range(n)]
-    for l in range(n):
-        for k, c in model.table.prod[idx][l].items():
-            ad[k][l] = c
-    return ad
+def flag_ad_e(model: Model) -> list[dict]:
+    """ad E as sparse columns: column l is [E, b_l], a row of the table."""
+    return list(model.table.prod[flag_e_element_index(model)])
 
 
 def _min_poly_ad(table: AlgebraTable, i: int) -> list[Fraction]:
     """Minimal polynomial of ad(b_i), monic, low degree first."""
     n = table.dim
-    ad = table.prod[i]
+    ad = table.prod[i]  # the columns of ad(b_i): column l is [b_i, b_l]
 
     def matvec(v: dict) -> dict:
-        out: dict = {}
-        for l, c in v.items():
-            # note ad acts as [b_i, b_l]
-            for k, d in ad[l].items():
-                s = out.get(k, 0) + c * d
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return out
+        return apply(ad, v)
 
     # Krylov minimal polynomials on basis seeds, combined by lcm
     poly = [Fraction(1)]

@@ -1,11 +1,12 @@
 """Exact linear algebra over Fraction / Q(zeta_12) scalars.
 
-Matrices are plain lists of row lists; sparse vectors are dicts from index
-to nonzero scalar.  Everything here is exact: Gaussian elimination over the
-field of the entries, Sylvester inertia by symmetric congruence, the
-invariant factors of an integer matrix (the diagonal of its Smith normal
-form), and the joint eigenspaces of commuting operators, split off by the
-images of their Lagrange projectors on sparse vectors.
+A linear map is a list of sparse columns: column l is the image of basis
+vector l, a dict from index to nonzero scalar.  Row lists are kept for what
+reads rows: Gaussian elimination over the field of the entries, Sylvester
+inertia of a symmetric form by congruence, and the invariant factors of an
+integer matrix (the diagonal of its Smith normal form).  The joint
+eigenspaces of commuting maps are split off by the images of their Lagrange
+projectors on sparse vectors.
 """
 
 from __future__ import annotations
@@ -14,45 +15,26 @@ from fractions import Fraction
 
 from .scalar import Cyc, is_zero, sign_exact
 
-Matrix = list  # list[list[scalar]]
+Matrix = list  # list[list[scalar]]: rows, for elimination and forms
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
+def apply(cols: list[dict], v: dict, shift=0) -> dict:
+    """(A - shift) v for the map A with sparse columns ``cols`` and the
+    sparse vector v, without zero entries."""
+    out = {k: -shift * x for k, x in v.items()} if shift else {}
+    for l, x in v.items():
+        for k, y in cols[l].items():
+            out[k] = out[k] + x * y if k in out else x * y
+    return {k: x for k, x in out.items() if not is_zero(x)}
 
 
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rb = len(b)
-    cb = len(b[0]) if rb else 0
-    out = zeros(len(a), cb)
-    for i, row in enumerate(a):
-        oi = out[i]
-        for k, av in enumerate(row):
-            if is_zero(av):
-                continue
-            brow = b[k]
-            for j in range(cb):
-                bv = brow[j]
-                if not is_zero(bv):
-                    oi[j] = oi[j] + av * bv
-    return out
+def mat_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """The columns of the composite a b of two maps given by columns."""
+    return [apply(a, c) for c in b]
 
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(
-        all(is_zero(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -275,16 +257,6 @@ class EigensplitError(ValueError):
     pass
 
 
-def _apply(cols: list[dict], v: dict, shift=0) -> dict:
-    """(A - shift) v for the operator A with sparse columns ``cols`` and the
-    sparse vector v, without zero entries."""
-    out = {k: -shift * x for k, x in v.items()}
-    for l, x in v.items():
-        for k, y in cols[l].items():
-            out[k] = out[k] + x * y if k in out else x * y
-    return {k: x for k, x in out.items() if not is_zero(x)}
-
-
 def _row_space(vecs: list[dict]) -> list[dict]:
     """RREF basis of the span of sparse vectors, from ``rref`` on the
     columns they touch (zero columns do not change the reduced rows)."""
@@ -294,9 +266,10 @@ def _row_space(vecs: list[dict]) -> list[dict]:
             for row in red[: len(pivots)]]
 
 
-def simultaneous_eigensplit(ops: list[Matrix], eigenvalues: list[list],
+def simultaneous_eigensplit(ops: list[list[dict]], eigenvalues: list[list],
                             dim: int, start=None) -> list[tuple[tuple, list]]:
-    """Joint eigenspace decomposition for commuting exact operators.
+    """Joint eigenspace decomposition for commuting exact operators, each
+    given by its ``dim`` sparse columns.
 
     ``eigenvalues[k]`` lists the distinct allowed eigenvalues of ``ops[k]``.
     ``start``, by default ``[((), range(dim))]``, lists (tag, basis indices)
@@ -319,20 +292,17 @@ def simultaneous_eigensplit(ops: list[Matrix], eigenvalues: list[list],
     """
     if len(eigenvalues) != len(ops):
         raise EigensplitError("one eigenvalue list per operator is needed")
-    cols = []
     for a in ops:
-        if len(a) != dim or any(len(r) != dim for r in a):
+        if len(a) != dim or any(not 0 <= k < dim for c in a for k in c):
             raise EigensplitError("operator has wrong shape")
-        cols.append([{k: a[k][l] for k in range(dim) if not is_zero(a[k][l])}
-                     for l in range(dim)])
     for n, lams in enumerate(eigenvalues):
         if any(is_zero(lam - mu)
                for i, lam in enumerate(lams) for mu in lams[:i]):
             raise EigensplitError(f"operator {n} has a repeated eigenvalue")
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            a, b = cols[i], cols[j]
-            if any(_apply(a, b[k]) != _apply(b, a[k]) for k in range(dim)):
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            a, b = ops[i], ops[j]
+            if any(apply(a, b[k]) != apply(b, a[k]) for k in range(dim)):
                 raise EigensplitError(f"operators {i} and {j} do not commute")
 
     if start is None:
@@ -342,21 +312,21 @@ def simultaneous_eigensplit(ops: list[Matrix], eigenvalues: list[list],
     spaces = []
     for tag, idx in start:
         members = set(idx)
-        for n, a in enumerate(cols):
+        for n, a in enumerate(ops):
             if any(not members.issuperset(a[k]) for k in idx):
                 raise EigensplitError(f"operator {n} moves start bucket {tag}")
         spaces.append((tuple(tag), [{k: Fraction(1)} for k in idx]))
 
-    for n, (a, lams) in enumerate(zip(cols, eigenvalues)):
+    for n, (a, lams) in enumerate(zip(ops, eigenvalues)):
         nxt = []
         for tag, basis in spaces:
             found = 0
             for i, lam in enumerate(lams):
                 image = basis
                 for mu in lams[:i] + lams[i + 1:]:
-                    image = [w for w in (_apply(a, v, mu) for v in image) if w]
+                    image = [w for w in (apply(a, v, mu) for v in image) if w]
                 eig = _row_space(image)
-                if any(_apply(a, v, lam) for v in eig):
+                if any(apply(a, v, lam) for v in eig):
                     raise EigensplitError(f"operator {n} is not {lam} on its "
                                           f"projector image in {tag}")
                 found += len(eig)
@@ -367,8 +337,8 @@ def simultaneous_eigensplit(ops: list[Matrix], eigenvalues: list[list],
                                       f"{found} of the {len(basis)} in {tag}")
         spaces = nxt
     for tag, basis in spaces:
-        for a, lam in zip(cols, tag[len(tag) - len(cols):]):
-            if any(_apply(a, v, lam) for v in basis):
+        for a, lam in zip(ops, tag[len(tag) - len(ops):]):
+            if any(apply(a, v, lam) for v in basis):
                 raise EigensplitError("inexact eigenvector (internal)")
     return [(tag, [[v.get(k, Fraction(0)) for k in range(dim)] for v in basis])
             for tag, basis in spaces]

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .abgroup import FgAbelianGroup
 from .gradings import GradedDecomposition
+from .linalg import apply
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import AlgebraTable, RealForm
 
@@ -209,57 +210,40 @@ def z_grading_from_weights(chev: ChevalleyE6, weights) -> GradedDecomposition:
 # automorphisms
 # ---------------------------------------------------------------------------
 
-def torus_auto(chev: ChevalleyE6, signs) -> list[list[Fraction]]:
-    """The order-2 torus element acting by prod s_i^{k_i} on root spaces."""
+def torus_auto(chev: ChevalleyE6, signs) -> list[dict]:
+    """The order-2 torus element acting by prod s_i^{k_i} on root spaces,
+    as sparse columns."""
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1")
-    n = chev.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for t in range(6):
-        m[t][t] = Fraction(1)
+    cols = [{t: Fraction(1)} for t in range(chev.dim)]
     for r in chev.pos:
         chi = 1
         for k, s in zip(r, signs):
             if s < 0 and k % 2:
                 chi = -chi
-        m[chev.e_idx(r)][chev.e_idx(r)] = Fraction(chi)
-        m[chev.f_idx(r)][chev.f_idx(r)] = Fraction(chi)
-    return m
+        for t in (chev.e_idx(r), chev.f_idx(r)):
+            cols[t] = {t: Fraction(chi)}
+    return cols
 
 
-def omega_auto(chev: ChevalleyE6) -> list[list[Fraction]]:
-    """The Chevalley involution: h -> -h, e_a -> -f_a, f_a -> -e_a."""
-    n = chev.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for t in range(6):
-        m[t][t] = Fraction(-1)
+def omega_auto(chev: ChevalleyE6) -> list[dict]:
+    """The Chevalley involution: h -> -h, e_a -> -f_a, f_a -> -e_a, as
+    sparse columns."""
+    cols = [{t: Fraction(-1)} for t in range(chev.dim)]
     for r in chev.pos:
         ie, if_ = chev.e_idx(r), chev.f_idx(r)
-        m[if_][ie] = Fraction(-1)
-        m[ie][if_] = Fraction(-1)
-    return m
+        cols[ie] = {if_: Fraction(-1)}
+        cols[if_] = {ie: Fraction(-1)}
+    return cols
 
 
-def is_table_automorphism(table: AlgebraTable, m: list[list]) -> bool:
-    """phi([x, y]) == [phi x, phi y] on all basis pairs, exactly."""
+def is_table_automorphism(table: AlgebraTable, cols: list[dict]) -> bool:
+    """phi([x, y]) == [phi x, phi y] on all basis pairs, exactly, for the
+    map phi with sparse columns ``cols``."""
     n = table.dim
-    cols = [{k: m[k][l] for k in range(n) if not is_zero(m[k][l])}
-            for l in range(n)]
-
-    def apply(v):
-        out = {}
-        for l, c in v.items():
-            for k, d in cols[l].items():
-                s = out.get(k, 0) + c * d
-                if is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
-
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = apply(table.prod[i][j])
+            lhs = apply(cols, table.prod[i][j])
             rhs = table.mul_vec(cols[i], cols[j])
             keys = set(lhs) | set(rhs)
             if any(not is_zero(lhs.get(k, 0) - rhs.get(k, 0)) for k in keys):
@@ -322,12 +306,6 @@ class ChevalleyRealForm(RealForm):
             names += [f"p[{tag}]", f"q[{tag}]"]
         super().__init__(chev.table, [self._basis_vector(t) for t in range(78)],
                          names)
-
-    def p_idx(self, r) -> int:
-        return 6 + 2 * self.chev.pos_index[r]
-
-    def q_idx(self, r) -> int:
-        return 7 + 2 * self.chev.pos_index[r]
 
     def _basis_vector(self, t: int) -> dict:
         """The basis vector as a Cyc-coefficient vector over the table of

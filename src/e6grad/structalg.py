@@ -353,16 +353,17 @@ class RealForm:
         w = self.complex.mul_vec(self.complex_basis[i], self.complex_basis[j])
         return {k: c for k, c in enumerate(self.to_real_coords(w)) if c}
 
-    def real_matrix_of(self, cols: list[dict]) -> list[list[Fraction]]:
-        """Real-basis matrix of a complex-linear map given by its columns
-        (sparse images of the complex coordinate vectors)."""
-        out_cols = []
+    def real_matrix_of(self, cols: list[dict]) -> list[dict]:
+        """Sparse real-basis columns of a complex-linear map given by its
+        columns (sparse images of the complex coordinate vectors)."""
+        out = []
         for v in self.complex_basis:
             img: dict = {}
             for a, c in v.items():
                 vec_add_scaled(img, cols[a], c)
-            out_cols.append(self.to_real_coords(img))
-        return [list(row) for row in zip(*out_cols)]
+            out.append({k: c for k, c in enumerate(self.to_real_coords(img))
+                        if c})
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +424,19 @@ def _mat_compose(a: dict, b: dict) -> dict:
     return out
 
 
+def _mat_apply(mat: dict, v: Vec) -> Vec:
+    """mat v for a sparse {(row, col): val} matrix and a sparse vector."""
+    out: Vec = {}
+    for (k, l), c in mat.items():
+        if l in v:
+            s = out.get(k, 0) + c * v[l]
+            if is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
 def mat_commutator(a: dict, b: dict) -> dict:
     ab = _mat_compose(a, b)
     for key, v in _mat_compose(b, a).items():
@@ -458,15 +472,7 @@ class Derivations:
         return len(self.mats)
 
     def apply(self, idx: int, v: Vec) -> Vec:
-        out: Vec = {}
-        for (k, l), c in self.mats[idx].items():
-            if l in v:
-                s = out.get(k, 0) + c * v[l]
-                if is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
+        return _mat_apply(self.mats[idx], v)
 
     def coords_in_block(self, mat: dict, g) -> list:
         """Global coordinates of a block-g matrix in the derivation basis."""
@@ -641,24 +647,12 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
 def leibniz_residual(table: AlgebraTable, mat: dict) -> bool:
     """True iff mat is exactly a derivation of the table."""
     n = table.dim
-
-    def apply(v: Vec) -> Vec:
-        out: Vec = {}
-        for (k, l), c in mat.items():
-            if l in v:
-                s = out.get(k, 0) + c * v[l]
-                if is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
-
     for i in range(n):
         for j in range(n):
-            lhs = apply(table.prod[i][j])
+            lhs = _mat_apply(mat, table.prod[i][j])
             rhs: Vec = {}
-            di = apply({i: Fraction(1)})
-            dj = apply({j: Fraction(1)})
+            di = _mat_apply(mat, {i: Fraction(1)})
+            dj = _mat_apply(mat, {j: Fraction(1)})
             for m, c in di.items():
                 vec_add_scaled(rhs, table.prod[m][j], c)
             for m, c in dj.items():

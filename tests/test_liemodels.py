@@ -96,7 +96,8 @@ def test_corollary_basis_report(chevalley):
     # is nonzero, and one with a Q(zeta_12) coefficient
     def tiny(prod):
         return lm.Model("tiny", sa.AlgebraTable(3, ["a", "b", "c"], prod), {},
-                        {"killing": la.identity(3)})
+                        {"killing": [[Fraction(int(i == j)) for j in range(3)]
+                                     for i in range(3)]})
 
     prod = [[{} for _ in range(3)] for _ in range(3)]
     prod[1][0] = {2: Fraction(1)}  # [b, a] = c, [a, b] = 0

@@ -17,8 +17,31 @@ def frac_mat(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def cols(m):
+    """The sparse columns of a dense matrix."""
+    return [{k: row[l] for k, row in enumerate(m) if not is_zero(row[l])}
+            for l in range(len(m[0]))]
+
+
+# Dense products, identities and equality, for the row-list matrices of
+# elimination and forms and for the dense reference eigensplit below.
+
+def _dense_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _dense_mul(a, b):
+    return [[sum((x * row[j] for x, row in zip(ra, b)), Fraction(0))
+             for j in range(len(b[0]))] for ra in a]
+
+
+def _dense_eq(a, b):
+    return len(a) == len(b) and all(
+        all(is_zero(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def test_kernel_basics():
-    assert la.kernel(la.identity(3)) == []
+    assert la.kernel(_dense_identity(3)) == []
     k = la.kernel([[Fraction(0)] * 3, [Fraction(0)] * 3])
     assert len(k) == 3
     m = frac_mat([[1, 2, 3], [2, 4, 6]])
@@ -110,8 +133,8 @@ def test_inverse_of_cyc_matrix():
         m = [[_sparse_entry(rng, True) for _ in range(n)] for _ in range(n)]
         if la.rank(m) == n:
             break
-    prod = la.mat_mul(la.inverse(m), m)
-    assert la.mat_eq(prod, la.identity(n))
+    prod = _dense_mul(la.inverse(m), m)
+    assert _dense_eq(prod, _dense_identity(n))
 
 
 def test_signature_examples_and_congruence():
@@ -127,7 +150,7 @@ def test_signature_examples_and_congruence():
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         if la.rank([row[:] for row in t]) < n:
             continue
-        g2 = la.mat_mul(la.transpose(t), la.mat_mul(g, t))
+        g2 = _dense_mul(la.transpose(t), _dense_mul(g, t))
         assert la.signature(g2) == sig
 
 
@@ -212,20 +235,20 @@ def test_smith_normal_form():
 
 
 def test_eigensplit_identity():
-    ops = [la.identity(4)]
+    ops = [cols(_dense_identity(4))]
     sp = la.simultaneous_eigensplit(ops, [[Fraction(1)]], 4)
     assert len(sp) == 1 and len(sp[0][1]) == 4
 
 
 def test_eigensplit_noncommuting_rejected():
-    a = frac_mat([[0, 1], [0, 0]])
-    b = frac_mat([[0, 0], [1, 0]])
+    a = cols(frac_mat([[0, 1], [0, 0]]))
+    b = cols(frac_mat([[0, 0], [1, 0]]))
     with pytest.raises(la.EigensplitError):
         la.simultaneous_eigensplit([a, b], [[Fraction(0)], [Fraction(0)]], 2)
 
 
 def test_eigensplit_wrong_annihilator_rejected():
-    a = frac_mat([[2, 0], [0, 3]])
+    a = cols(frac_mat([[2, 0], [0, 3]]))
     with pytest.raises(la.EigensplitError):
         la.simultaneous_eigensplit([a], [[Fraction(2)]], 2)
 
@@ -233,7 +256,7 @@ def test_eigensplit_wrong_annihilator_rejected():
 def test_eigensplit_cube_roots_of_unity():
     # the cyclic permutation has eigenvalues {1, w, w^2} in Q(zeta_12)
     z, o = Cyc(0), Cyc(1)
-    perm = [[z, z, o], [o, z, z], [z, o, z]]
+    perm = cols([[z, z, o], [o, z, z], [z, o, z]])
     eig = [Cyc(1), OMEGA, OMEGA * OMEGA]
     sp = la.simultaneous_eigensplit([perm], [eig], 3)
     assert sorted(len(b) for _, b in sp) == [1, 1, 1]
@@ -242,8 +265,8 @@ def test_eigensplit_cube_roots_of_unity():
 
 
 def test_eigensplit_two_commuting():
-    a = frac_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    b = frac_mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    a = cols(frac_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+    b = cols(frac_mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
     pm = [Fraction(1), Fraction(-1)]
     sp = la.simultaneous_eigensplit([a, b], [pm, pm], 3)
     got = {t: len(v) for t, v in sp}
@@ -254,26 +277,27 @@ def test_eigensplit_two_commuting():
 
 def test_eigensplit_rejects_a_jordan_block():
     with pytest.raises(la.EigensplitError, match="is not 1"):
-        la.simultaneous_eigensplit([frac_mat([[1, 1], [0, 1]])],
+        la.simultaneous_eigensplit([cols(frac_mat([[1, 1], [0, 1]]))],
                                    [[Fraction(1)]], 2)
 
 
 def test_eigensplit_rejects_a_repeated_eigenvalue():
     for lams in ([Fraction(1), Fraction(1)], [Fraction(-1), Cyc(-1)]):
         with pytest.raises(la.EigensplitError, match="repeated"):
-            la.simultaneous_eigensplit([la.identity(2)], [lams], 2)
+            la.simultaneous_eigensplit([cols(_dense_identity(2))], [lams],
+                                       2)
 
 
 def test_eigensplit_rejects_noncommuting_involutions():
-    a = frac_mat([[1, 0], [0, -1]])
-    b = frac_mat([[0, 1], [1, 0]])
+    a = cols(frac_mat([[1, 0], [0, -1]]))
+    b = cols(frac_mat([[0, 1], [1, 0]]))
     pm = [Fraction(1), Fraction(-1)]
     with pytest.raises(la.EigensplitError, match="do not commute"):
         la.simultaneous_eigensplit([a, b], [pm, pm], 2)
 
 
 def test_eigensplit_rejects_a_moved_start_bucket():
-    swap = frac_mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    swap = cols(frac_mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     pm = [Fraction(1), Fraction(-1)]
     with pytest.raises(la.EigensplitError, match="moves start bucket"):
         la.simultaneous_eigensplit([swap], [pm], 3,
@@ -284,6 +308,27 @@ def test_eigensplit_rejects_a_moved_start_bucket():
                                     start=[((0,), [0, 1]), ((1,), [2])])
     assert [(t, len(b)) for t, b in sp] == [((0, 1), 1), ((0, -1), 1),
                                             ((1, 1), 1)]
+
+
+def test_eigensplit_rejects_a_wrong_shape():
+    pm = [Fraction(1), Fraction(-1)]
+    for op in ([{0: Fraction(1)}], [{0: Fraction(1)}, {2: Fraction(1)}]):
+        with pytest.raises(la.EigensplitError, match="wrong shape"):
+            la.simultaneous_eigensplit([op], [pm], 2)
+
+
+def test_mat_mul_matches_the_dense_product():
+    rng = random.Random(37)
+    for cyc in (False, True):
+        for _ in range(40):
+            r, m, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            a = [[_sparse_entry(rng, cyc) for _ in range(m)] for _ in range(r)]
+            b = [[_sparse_entry(rng, cyc) for _ in range(c)] for _ in range(m)]
+            got = la.mat_mul(cols(a), cols(b))
+            want = cols(_dense_mul(a, b))
+            assert [set(x) for x in got] == [set(y) for y in want]
+            assert all(is_zero(x[k] - y[k]) for x, y in zip(got, want)
+                       for k in x)
 
 
 # The dense eigensplit that the sparse projector split replaced, kept as the
@@ -321,18 +366,18 @@ def _dense_restrict(op, basis):
 def _dense_eigensplit(ops, eigenvalues, dim):
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if not la.mat_eq(la.mat_mul(ops[i], ops[j]),
-                             la.mat_mul(ops[j], ops[i])):
+            if not _dense_eq(_dense_mul(ops[i], ops[j]),
+                             _dense_mul(ops[j], ops[i])):
                 raise la.EigensplitError("operators do not commute")
     for a, lams in zip(ops, eigenvalues):
-        prod = la.identity(dim)
+        prod = _dense_identity(dim)
         for lam in lams:
             shifted = [[a[r][c] - (lam if r == c else 0) for c in range(dim)]
                        for r in range(dim)]
-            prod = la.mat_mul(prod, shifted)
+            prod = _dense_mul(prod, shifted)
         if any(not is_zero(x) for row in prod for x in row):
             raise la.EigensplitError("not annihilated")
-    spaces = [((), la.identity(dim))]
+    spaces = [((), _dense_identity(dim))]
     for a, lams in zip(ops, eigenvalues):
         nxt = []
         for tag, basis in spaces:
@@ -385,7 +430,7 @@ def _commuting_ops(rng, n, blocks):
                 else [Fraction(v) for v in range(-2, 3)])
         d = [[rng.choice(lams) if i == j else Fraction(0) for j in range(n)]
              for i in range(n)]
-        ops.append(la.mat_mul(la.mat_mul(p, d), pinv))
+        ops.append(_dense_mul(_dense_mul(p, d), pinv))
         eigs.append(lams)
     return ops, eigs
 
@@ -395,7 +440,7 @@ def test_eigensplit_matches_the_dense_reference():
     for _ in range(40):
         n = rng.randint(1, 8)
         ops, eigs = _commuting_ops(rng, n, [range(n)])
-        got = la.simultaneous_eigensplit(ops, eigs, n)
+        got = la.simultaneous_eigensplit([cols(a) for a in ops], eigs, n)
         want = _dense_eigensplit(ops, eigs, n)
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, basis), (_, ref) in zip(got, want):
@@ -413,7 +458,8 @@ def test_eigensplit_from_start_buckets_intersects_the_reference():
                  for b in range(3)]
         ops, eigs = _commuting_ops(rng, n, [idx for _, idx in start])
         got = {t: basis for t, basis in
-               la.simultaneous_eigensplit(ops, eigs, n, start=start)}
+               la.simultaneous_eigensplit([cols(a) for a in ops], eigs, n,
+                                          start=start)}
         want = {}
         for tag, ref in _dense_eigensplit(ops, eigs, n):
             for (b,), idx in start:

@@ -80,14 +80,17 @@ def test_z_grading_from_weights(chev):
     assert len(triv.components) == 1
 
 
+IDENTITY_78 = [{k: 1} for k in range(78)]
+
+
 def test_torus_and_omega(chev):
-    assert all(rs.torus_auto(chev, (1,) * 6)[i][i] == 1 for i in range(78))
+    assert rs.torus_auto(chev, (1,) * 6) == IDENTITY_78
     tm = rs.torus_auto(chev, (-1, 1, 1, 1, 1, 1))
     om = rs.omega_auto(chev)
     assert rs.is_table_automorphism(chev.table, tm)
     assert rs.is_table_automorphism(chev.table, om)
-    assert la.mat_eq(la.mat_mul(om, om), la.identity(78))
-    assert la.mat_eq(la.mat_mul(om, tm), la.mat_mul(tm, om))
+    assert la.mat_mul(om, om) == IDENTITY_78
+    assert la.mat_mul(om, tm) == la.mat_mul(tm, om)
     with pytest.raises(ValueError):
         rs.torus_auto(chev, (2, 1, 1, 1, 1, 1))
 
@@ -116,7 +119,16 @@ def test_real_form_contract(compact, chevalley, flag):
             with pytest.raises(ValueError):
                 rf.to_real_coords({k: CYC_I * c for k, c in v.items()})
         ident = [{k: Fraction(1)} for k in range(n)]
-        assert rf.real_matrix_of(ident) == la.identity(n)
+        assert rf.real_matrix_of(ident) == ident
+
+
+def test_is_table_automorphism_rejects_a_cartan_rotation(compact):
+    # ih'1 -> ih'2, ih'2 -> -ih'1, the identity elsewhere: it preserves the
+    # brackets inside the Cartan subalgebra but not those with root vectors
+    rot = [{k: Fraction(1)} for k in range(78)]
+    rot[0], rot[1] = {1: Fraction(1)}, {0: Fraction(-1)}
+    assert not rs.is_table_automorphism(compact.table, rot)
+    assert rs.is_table_automorphism(compact.table, IDENTITY_78)
 
 
 def test_real_form_rejects_a_repeated_vector(chev, compact):
