@@ -199,6 +199,30 @@ def build_tits(split: bool = False) -> Model:
         m_unit_vecs.append(v)
     r_ops_m = [m.r_operator(m_unit_vecs[t]) for t in range(9)]
 
+    # The tensor-tensor bracket from factor products taken once per pair:
+    # d_{a,b} coordinates, [a, b] and t(ab) per octonion pair, and tr(x.y),
+    # x*y and the [R_x, R_y] coordinates per M pair.
+    o_pair = {}
+    for i in range(1, 8):
+        for i2 in range(1, 8):
+            av, bv = composition.unit(i), composition.unit(i2)
+            dmat = composition.d_ab(av, bv, split)
+            dd = {(r, c): dmat[r][c] for r in range(8) for c in range(8)
+                  if dmat[r][c]}
+            cs = ders_o.coords_in_block(dd, g23.add(o_degs[i], o_degs[i2]))
+            o_pair[i, i2] = (
+                [(k, c) for k, c in enumerate(cs) if c],
+                dense_to_sparse(composition.commutator(av, bv, split)),
+                composition.trace_o(composition.oct_mul(av, bv, split)))
+    m_pair = {}
+    for t in m0_idx:
+        for t2 in m0_idx:
+            xv, yv = m_unit_vecs[t], m_unit_vecs[t2]
+            rcomm = mat_commutator(r_ops_m[t], r_ops_m[t2])
+            cs = ders_m.coords_in_block(rcomm, g33.add(m_degs[t], m_degs[t2]))
+            m_pair[t, t2] = (m.trace_of(m.mul_dense(xv, yv)),
+                             dense_to_sparse(m.star(xv, yv)),
+                             [(k, c) for k, c in enumerate(cs) if c])
     third = Fraction(1, 3)
 
     def mul(a, b):
@@ -226,39 +250,22 @@ def build_tits(split: bool = False) -> Model:
             return {k: -c for k, c in mul(b, a).items()}
         # both tensors
         (i, t), (i2, t2) = tensor[a - n_do], tensor[b - n_do]
-        av, bv = composition.unit(i), composition.unit(i2)
-        xv, yv = m_unit_vecs[t], m_unit_vecs[t2]
+        d_cs, comm, tab = o_pair[i, i2]
+        trxy, star, r_cs = m_pair[t, t2]
         out: dict = {}
         # (1/3) tr(x.y) d_{a,b}
-        xy = m.mul_dense(xv, yv)
-        trxy = m.trace_of(xy)
         if trxy:
-            dmat = composition.d_ab(av, bv, split)
-            dd = {(r, c): dmat[r][c] for r in range(8) for c in range(8)
-                  if dmat[r][c]}
-            g = g23.add(o_degs[i], o_degs[i2])
-            cs = ders_o.coords_in_block(dd, g)
-            for k, c in enumerate(cs):
-                if c:
-                    out[k] = out.get(k, 0) + third * trxy * c
+            for k, c in d_cs:
+                out[k] = out.get(k, 0) + third * trxy * c
         # [a,b] x (x*y)
-        comm = composition.commutator(av, bv, split)
-        if any(comm):
-            star = m.star(xv, yv)
-            if any(star):
-                for k, c in tensor_vec(dense_to_sparse(comm),
-                                       dense_to_sparse(star)).items():
-                    out[k] = out.get(k, 0) + c
+        if comm and star:
+            for k, c in tensor_vec(comm, star).items():
+                out[k] = out.get(k, 0) + c
         # 2 t_O(ab) [R_x, R_y]
-        tab = composition.trace_o(composition.oct_mul(av, bv, split))
         if tab:
-            rcomm = mat_commutator(r_ops_m[t], r_ops_m[t2])
-            g = g33.add(m_degs[t], m_degs[t2])
-            cs = ders_m.coords_in_block(rcomm, g)
-            for k, c in enumerate(cs):
-                if c:
-                    key = n_do + n_t + k
-                    out[key] = out.get(key, 0) + 2 * tab * c
+            for k, c in r_cs:
+                key = n_do + n_t + k
+                out[key] = out.get(key, 0) + 2 * tab * c
         return {k: c for k, c in out.items() if c}
 
     names = [f"dO{t}" for t in range(14)]

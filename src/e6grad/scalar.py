@@ -164,6 +164,10 @@ class Cyc:
         c = self.c
         return not (c[0] or c[1] or c[2] or c[3])
 
+    def __bool__(self) -> bool:
+        c = self.c
+        return bool(c[0] or c[1] or c[2] or c[3])
+
     def is_real(self) -> bool:
         """True iff self equals its complex conjugate."""
         c0, c1, c2, c3 = self.c

@@ -7,17 +7,23 @@ the linearized Jordan identity) run over a common-denominator integer scaling
 of the table, so the exhaustive loops stay in machine/bigint arithmetic.
 
 Derivation algebras are computed as the kernel of the Leibniz linear system
-over all ordered basis pairs.  When the algebra carries a group grading with
-homogeneous basis, the system splits into independent blocks indexed by the
-degree shift of the unknown matrix entries, which both speeds the kernel up
-by orders of magnitude and yields the induced grading on Der(A) for free.
+over all ordered basis pairs, assembled in one pass over the integer-scaled
+table.  When the algebra carries a group grading with homogeneous basis, the
+system splits into independent blocks indexed by the degree shift of the
+unknown matrix entries, which both speeds the kernel up by orders of
+magnitude and yields the induced grading on Der(A) for free; an equation
+whose unknowns leave its block shows that the degrees do not grade the
+table, and raises.  Each basis derivation is also held as a primitive
+integer matrix.  The coordinates of a matrix in the derivation basis are its
+entries at the free unknowns of the Leibniz kernel, confirmed by a residual
+in integers, and the commutator table of Der(A) is computed in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import inverse, kernel_from_rref, rref
 from .linalg import kernel as dense_kernel
@@ -451,19 +457,34 @@ def mat_commutator(a: dict, b: dict) -> dict:
 class Derivations:
     """Basis of Der(A) as sparse matrices, with its commutator Lie table.
 
-    ``blocks[t]`` is the degree shift of the t-th basis derivation under the
-    grading used to split the Leibniz system (all equal for ungraded input);
-    these are exactly the degrees of the induced grading on Der(A).
+    ``mats[t]`` is the t-th basis derivation as {(k, l): Fraction}, the
+    coefficient of b_k in D_t(b_l).  The same derivation is held as a
+    primitive integer matrix ``int_mats[t]`` (entries with gcd 1) and a
+    positive integer ``denoms[t]``, with mats[t] = int_mats[t] / denoms[t].
+    ``blocks[t]`` is the degree shift of D_t under the grading used to split
+    the Leibniz system (all equal for ungraded input); these are exactly the
+    degrees of the induced grading on Der(A).
+
+    Each basis derivation of a block is a kernel vector read off the RREF:
+    it is 1 at its own free unknown and 0 at the block's other free
+    unknowns.  So the coordinates of a matrix M of the block are its entries
+    at the free unknowns, and M lies in the span iff the integer residual
+    lcm(d) M - sum_r c_r (lcm(d) / d_r) w_r vanishes (a rational M is scaled
+    to integers first).  The commutator table is taken on the integer forms,
+    once per unordered pair, because [D_j, D_i] = -[D_i, D_j] for matrices.
     """
 
-    def __init__(self, algebra: AlgebraTable, mats: list, blocks: list,
-                 group, block_data: dict, degrees: list):
+    def __init__(self, algebra: AlgebraTable, mats: list, int_mats: list,
+                 denoms: list, blocks: list, group, block_data: dict,
+                 shifts: dict):
         self.algebra = algebra
         self.mats = mats          # list of {(k, l): Fraction}
+        self.int_mats = int_mats  # list of primitive {(k, l): int}
+        self.denoms = denoms      # mats[t] = int_mats[t] / denoms[t]
         self.blocks = blocks      # block key per basis derivation
         self.group = group
-        self._degrees = degrees
-        # block key -> (unknown order, free columns, kernel vectors, offset)
+        self._shifts = shifts     # (k, l) -> block key
+        # block key -> (free unknowns, offset, lcm of the denoms, lcm / denom)
         self._block_data = block_data
         self.table = self._commutator_table()
 
@@ -474,174 +495,164 @@ class Derivations:
     def apply(self, idx: int, v: Vec) -> Vec:
         return _mat_apply(self.mats[idx], v)
 
-    def coords_in_block(self, mat: dict, g) -> list:
-        """Global coordinates of a block-g matrix in the derivation basis."""
+    def _int_coords(self, mat: dict, g) -> tuple[int, list]:
+        """(offset, coordinates) of an integer block-g matrix, in ints."""
+        for key in mat:
+            if self._shifts.get(key) != g:
+                raise ValueError(f"entry {key} lies outside block {g!r}")
         data = self._block_data.get(g)
         if data is None:
             if mat:
                 raise ValueError("matrix is not in the derivation span")
-            return [Fraction(0)] * self.dim
-        unknowns, free, kvecs, offset = data
-        uidx = {kl: t for t, kl in enumerate(unknowns)}
-        dense = [Fraction(0)] * len(unknowns)
-        for key, v in mat.items():
-            t = uidx.get(key)
-            if t is None:
-                raise ValueError("matrix is not in the derivation span")
-            dense[t] = Fraction(v)
-        cs = [dense[fc] for fc in free]
-        # residual check against the kernel basis
-        for t in range(len(unknowns)):
-            s = dense[t]
-            for c, kv in zip(cs, kvecs):
-                if not is_zero(c) and not is_zero(kv[t]):
-                    s = s - c * kv[t]
-            if not is_zero(s):
-                raise ValueError("matrix is not in the derivation span")
+            return 0, []
+        free, offset, big, mults = data
+        cs = [mat.get(kl, 0) for kl in free]
+        resid = {key: big * v for key, v in mat.items()}
+        for r, c in enumerate(cs):
+            if c:
+                f = c * mults[r]
+                for key, x in self.int_mats[offset + r].items():
+                    resid[key] = resid.get(key, 0) - f * x
+        if any(resid.values()):
+            raise ValueError("matrix is not in the derivation span")
+        return offset, cs
+
+    def coords_in_block(self, mat: dict, g) -> list:
+        """Global coordinates of a block-g matrix in the derivation basis."""
+        fr = {key: Fraction(v) for key, v in mat.items()}
+        scale = lcm(*(v.denominator for v in fr.values()))
+        offset, cs = self._int_coords(
+            {key: v.numerator * (scale // v.denominator)
+             for key, v in fr.items()}, g)
         out = [Fraction(0)] * self.dim
         for r, c in enumerate(cs):
-            out[offset + r] = c
-        return out
-
-    def coords(self, mat: dict) -> list:
-        """Coordinates of an arbitrary derivation matrix (raises if outside)."""
-        parts: dict = {}
-        for key, v in mat.items():
-            g = self._shift_of(key)
-            parts.setdefault(g, {})[key] = v
-        out = [Fraction(0)] * self.dim
-        for g, sub in parts.items():
-            for t, c in enumerate(self.coords_in_block(sub, g)):
-                if not is_zero(c):
-                    out[t] = out[t] + c
+            out[offset + r] = Fraction(c, scale)
         return out
 
     def _shift_of(self, kl):
-        k, l = kl
-        return self.group.sub(self._degrees[k], self._degrees[l])
+        return self._shifts[kl]
 
     def _commutator_table(self) -> AlgebraTable:
         n = self.dim
-        prod = []
+        w, d = self.int_mats, self.denoms
+        prod = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
-            prow = []
-            gi = self.blocks[i]
-            for j in range(n):
-                if i == j:
-                    prow.append({})
-                    continue
-                g = self.group.add(gi, self.blocks[j])
-                comm = mat_commutator(self.mats[i], self.mats[j])
-                cs = self.coords_in_block(comm, g)
-                prow.append({t: c for t, c in enumerate(cs) if not is_zero(c)})
-            prod.append(prow)
+            for j in range(i + 1, n):
+                g = self.group.add(self.blocks[i], self.blocks[j])
+                offset, cs = self._int_coords(mat_commutator(w[i], w[j]), g)
+                den = d[i] * d[j]
+                cell = {offset + r: Fraction(c, den)
+                        for r, c in enumerate(cs) if c}
+                prod[i][j] = cell
+                prod[j][i] = {t: -c for t, c in cell.items()}
         names = [f"D{t}" for t in range(n)]
         return AlgebraTable(n, names, prod)
+
+
+class _TrivialGroup:
+    @staticmethod
+    def sub(a, b):
+        return 0
+
+    @staticmethod
+    def add(a, b):
+        return 0
 
 
 def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     """Der(A): kernel of the Leibniz system over all ordered basis pairs.
 
-    With ``degrees`` (one group element per basis vector, ``group`` providing
-    add/sub) the system splits into independent blocks: an unknown entry
-    D[k][l] belongs to the block deg(k) - deg(l), and every scalar Leibniz
-    equation touches exactly one block.  The block keys of the returned basis
-    are the degrees of the induced grading on Der(A).
+    The unknown D[k][l] is the coefficient of b_k in D(b_l).  Equation
+    (i, j, k) is coordinate k of D(b_i b_j) - D(b_i) b_j - b_i D(b_j) over
+    the integer-scaled table, and one pass over the n^2 basis pairs
+    assembles them all.  With ``degrees`` (one group element per basis
+    vector, ``group`` providing add/sub) the unknown D[k][l] belongs to the
+    block deg(k) - deg(l) and equation (i, j, k) to the block
+    deg(k) - deg(i) - deg(j).  An equation with an unknown outside its block
+    raises ValueError: the degrees are not a grading of the table.  Each
+    block is row-reduced on its own, and its block key is the degree of its
+    derivations in the induced grading on Der(A).
     """
     n = table.dim
     iprod, _ = table.int_scaled()
     if degrees is None:
         degrees = [0] * n
-
-        class _Trivial:
-            @staticmethod
-            def sub(a, b):
-                return 0
-
-            @staticmethod
-            def add(a, b):
-                return 0
-        group = _Trivial()
-
-    shift = {}
-    for k in range(n):
-        for l in range(n):
-            shift[(k, l)] = group.sub(degrees[k], degrees[l])
-    blocks: dict = {}
-    for k in range(n):
-        for l in range(n):
-            blocks.setdefault(shift[(k, l)], []).append((k, l))
-
-    # colindex[j][k] = [(m, c[m][j][k])], rowindex[i][k] = [(m, c[i][m][k])]
-    colindex = [dict() for _ in range(n)]
-    rowindex = [dict() for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for k, c in iprod[a][b]:
-                colindex[b].setdefault(k, []).append((a, c))
-                rowindex[a].setdefault(k, []).append((b, c))
-
-    mats = []
-    block_keys = []
+        group = _TrivialGroup
+    shifts = {(k, l): group.sub(degrees[k], degrees[l])
+              for k in range(n) for l in range(n)}
+    unknowns: dict = {}  # block key -> unknowns (k, l) in row-major order
+    for kl, g in shifts.items():
+        unknowns.setdefault(g, []).append(kl)
+    col = {kl: t for us in unknowns.values() for t, kl in enumerate(us)}
+    rows: dict = {g: {} for g in unknowns}
+    block_of: dict = {}  # (k, deg i + deg j) -> block of equation (i, j, k)
+    for i in range(n):
+        for j in range(n):
+            eqs: dict = {}
+            for l, c in iprod[i][j]:
+                for k in range(n):
+                    e = eqs.setdefault(k, {})
+                    e[k, l] = e.get((k, l), 0) + c
+            for m in range(n):
+                for k, c in iprod[m][j]:
+                    e = eqs.setdefault(k, {})
+                    e[m, i] = e.get((m, i), 0) - c
+                for k, c in iprod[i][m]:
+                    e = eqs.setdefault(k, {})
+                    e[m, j] = e.get((m, j), 0) - c
+            dij = group.add(degrees[i], degrees[j])
+            for k, e in eqs.items():
+                g = block_of.get((k, dij))
+                if g is None:
+                    g = block_of[k, dij] = group.sub(degrees[k], dij)
+                row = []
+                for kl, c in e.items():
+                    if c:
+                        if shifts[kl] != g:
+                            raise ValueError(
+                                f"degrees are not a grading of the table: "
+                                f"equation {(i, j, k)} has unknown {kl} "
+                                f"outside block {g!r}")
+                        row.append((col[kl], c))
+                if not row:
+                    continue
+                row.sort()
+                h = gcd(*(c for _, c in row))
+                if row[0][1] < 0:
+                    h = -h
+                rows[g][tuple((t, c // h) for t, c in row)] = None
+    mats, int_mats, denoms, block_keys = [], [], [], []
     block_data = {}
-    for g in sorted(blocks, key=repr):
-        unknowns = blocks[g]
-        uidx = {kl: t for t, kl in enumerate(unknowns)}
-        ks_for = [[] for _ in range(n)]  # ks_for[l] = rows k with (k,l) in block
-        for (k, l) in unknowns:
-            ks_for[l].append(k)
-        rows = {}
-        for i in range(n):
-            for j in range(n):
-                prodij = iprod[i][j]
-                # candidate output coordinates k contributing to this block
-                cand = set()
-                for l, _c in prodij:
-                    cand.update(ks_for[l])
-                for k, mc in colindex[j].items():
-                    if any((m, i) in uidx for m, _c in mc):
-                        cand.add(k)
-                for k, mc in rowindex[i].items():
-                    if any((m, j) in uidx for m, _c in mc):
-                        cand.add(k)
-                for k in cand:
-                    row = {}
-                    for l, c in prodij:
-                        t = uidx.get((k, l))
-                        if t is not None:
-                            row[t] = row.get(t, 0) + c
-                    for m, c in colindex[j].get(k, ()):
-                        t = uidx.get((m, i))
-                        if t is not None:
-                            row[t] = row.get(t, 0) - c
-                    for m, c in rowindex[i].get(k, ()):
-                        t = uidx.get((m, j))
-                        if t is not None:
-                            row[t] = row.get(t, 0) - c
-                    row = {t: v for t, v in row.items() if v}
-                    if row:
-                        key = tuple(sorted(row.items()))
-                        rows[key] = row
+    for g in sorted(unknowns, key=repr):
+        us = unknowns[g]
         dense = []
-        for row in rows.values():
-            d = [Fraction(0)] * len(unknowns)
-            for t, v in row.items():
-                d[t] = Fraction(v)
+        for row in rows[g]:
+            d = [0] * len(us)
+            for t, v in row:
+                d[t] = v
             dense.append(d)
-        if dense:
-            red, pivots = rref(dense)
-        else:
-            red, pivots = [], []
-        ker = kernel_from_rref(red, pivots, len(unknowns))
-        if ker:
-            pivset = set(pivots)
-            free = [c for c in range(len(unknowns)) if c not in pivset]
-            block_data[g] = (unknowns, free, ker, len(mats))
-            for v in ker:
-                mat = {unknowns[t]: x for t, x in enumerate(v) if not is_zero(x)}
-                mats.append(mat)
-                block_keys.append(g)
-    return Derivations(table, mats, block_keys, group, block_data, degrees)
+        red, pivots = rref(dense) if dense else ([], [])
+        ker = kernel_from_rref(red, pivots, len(us))
+        if not ker:
+            continue
+        pivset = set(pivots)
+        free = [us[c] for c in range(len(us)) if c not in pivset]
+        ds = []
+        for v in ker:
+            mat = {us[t]: Fraction(x) for t, x in enumerate(v) if x}
+            scale = lcm(*(x.denominator for x in mat.values()))
+            w = {kl: x.numerator * (scale // x.denominator)
+                 for kl, x in mat.items()}
+            h = gcd(*w.values())
+            mats.append(mat)
+            int_mats.append({kl: x // h for kl, x in w.items()})
+            ds.append(scale // h)
+            block_keys.append(g)
+        big = lcm(*ds)
+        block_data[g] = (free, len(denoms), big, [big // d for d in ds])
+        denoms.extend(ds)
+    return Derivations(table, mats, int_mats, denoms, block_keys, group,
+                       block_data, shifts)
 
 
 def leibniz_residual(table: AlgebraTable, mat: dict) -> bool:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from e6grad import jsonio
 from e6grad.cli import main
 
@@ -58,3 +63,15 @@ def test_grade_rejects_mismatched_pair(capsys):
 def test_grade_rejects_unknown_grading(capsys):
     rc = main(["grade", "tits", "gamma99"])
     assert rc == 2
+
+
+def test_module_entry_point_exit_status():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "e6grad", "grade", "tits",
+                           "nosuch"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "unknown grading 'nosuch'" in proc.stderr

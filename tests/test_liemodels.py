@@ -1,15 +1,46 @@
+import hashlib
+import json
 from fractions import Fraction
 
+import pytest
+
+from e6grad import jsonio
 from e6grad import liemodels as lm
 from e6grad import linalg as la
 from e6grad import rootsys as rs
 from e6grad import structalg as sa
 from e6grad.scalar import I as CYC_I
+from e6grad.scalar import is_zero
 
 
 def sig(form):
     p, m, _ = la.signature(form)
     return p - m
+
+
+# SHA-256 of json.dumps(jsonio.table_to_json(table), sort_keys=True): every
+# structure constant of the six models, pinned across refactors of the builds.
+TABLE_SHA256 = {
+    "albert":
+        "cfa07e4c90c62673616e1b0f04c298aa21602f65ae88f2894c020aa6195773e4",
+    "albert_plus":
+        "a41cfd233aa3731d109e157b413e0a7c1fe14b1a00224e5e609e230eb1e7c040",
+    "tits":
+        "161ed1b203e9b1ce0952aac686e9f70010c0bc8ff5f6adf489f16a56a5f76e62",
+    "tits_split":
+        "389ca116c39e72df978552f20ec087000812825093e00d87ca404b458d4c54ec",
+    "flag":
+        "e21d1914e81eb35d552fbaa13811db15dc9ed17ba1e1cfdae27d76733357a91c",
+    "chevalley":
+        "ca5e93db9c5371a546f6d14e51596ebe3128cb27b6ecb4e1e468f474ab559e98",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SHA256))
+def test_model_table_pinned(ws, name):
+    doc = jsonio.table_to_json(ws.model(name).table)
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == TABLE_SHA256[name]
 
 
 def test_albert_model(albert):
@@ -128,6 +159,15 @@ def test_flag_model(flag):
         block = [[k[a][b] for b in idx] for a in idx]
         p, m, z = la.signature(block)
         assert z == 0 and p == m
+
+
+def test_flag_complex_products_have_no_zero_entries(flag):
+    rf = flag.meta["real_form"]
+    basis = rf.complex_basis
+    for i in range(78):
+        for j in range(78):
+            w = rf.complex.mul_vec(basis[i], basis[j])
+            assert not any(is_zero(c) for c in w.values()), (i, j)
 
 
 def test_flag_eigenspace(flag):

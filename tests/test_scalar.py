@@ -64,6 +64,18 @@ def test_is_zero_on_computed_zeros():
         assert not Cyc(*coords).is_zero()
 
 
+def test_truth_value_is_nonzero():
+    assert not bool(Cyc(0))
+    assert bool(Cyc(0, 1))
+    x = Cyc(Fraction(2, 3), -1, Fraction(5, 7), 4)
+    for z in (ZETA ** 4 - ZETA ** 2 + 1, x - x, OMEGA ** 3 - 1):
+        assert not z
+    for k in range(4):
+        coords = [0, 0, 0, 0]
+        coords[k] = Fraction(-1, 9)
+        assert Cyc(*coords)
+
+
 def _convolution(a, b):
     """Product in the power basis, reduced by z^4 = z^2 - 1, z^5 = z^3 - z,
     z^6 = -1."""

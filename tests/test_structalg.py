@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from e6grad import composition as co
 from e6grad import jordan as jo
 from e6grad import linalg as la
 from e6grad import structalg as sa
+from e6grad.abgroup import FgAbelianGroup
 
 
 def zero_algebra(n=1):
@@ -103,11 +105,15 @@ def test_subalgebra_table_rejects_nonclosed():
         sa.subalgebra_table(t, sub)
 
 
-def test_derivations_of_jordan_j():
+@pytest.fixture(scope="module")
+def der_j():
     j = jo.build_j()
-    from e6grad.abgroup import FgAbelianGroup
-    ders = sa.derivations(j.table, jo.octonion_z2_degrees(j),
-                          FgAbelianGroup(0, (2,) * 5))
+    return j, sa.derivations(j.table, jo.octonion_z2_degrees(j),
+                             FgAbelianGroup(0, (2,) * 5))
+
+
+def test_derivations_of_jordan_j(der_j):
+    j, ders = der_j
     assert ders.dim == 52
     # spot-verify returned kernel vectors satisfy the Leibniz system
     for m in ders.mats[::10]:
@@ -123,6 +129,113 @@ def test_derivations_of_m():
     assert ders.dim == 8
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == 0
+
+
+def reference_commutator_table(ders):
+    """The commutator table by the Fraction path: [D_i, D_j] of the rational
+    matrices for every ordered pair, coordinates read at the free unknowns,
+    and a dense Fraction residual against the block's kernel vectors."""
+    n = ders.dim
+    by_block = {}
+    for t, g in enumerate(ders.blocks):
+        by_block.setdefault(g, []).append(t)
+    free = {}  # derivation -> its unknown: 1 there, 0 in the block's others
+    for g, ts in by_block.items():
+        for t in ts:
+            free[t] = next(kl for kl, x in ders.mats[t].items() if x == 1
+                           and all(kl not in ders.mats[s] for s in ts
+                                   if s != t))
+    prod = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append({})
+                continue
+            comm = sa.mat_commutator(ders.mats[i], ders.mats[j])
+            g = ders.group.add(ders.blocks[i], ders.blocks[j])
+            ts = by_block.get(g, [])
+            unknowns = sorted({kl for t in ts for kl in ders.mats[t]} |
+                              set(comm))
+            cs = [Fraction(comm.get(free[t], 0)) for t in ts]
+            for kl in unknowns:
+                s = Fraction(comm.get(kl, 0))
+                for c, t in zip(cs, ts):
+                    s -= c * ders.mats[t].get(kl, 0)
+                assert s == 0, (i, j, kl)
+            row.append({t: c for t, c in zip(ts, cs) if c})
+        prod.append(row)
+    return prod
+
+
+def assert_same_cells(got, want):
+    assert [[list(c.items()) for c in row] for row in got] == \
+        [[list(c.items()) for c in row] for row in want]
+    assert all(type(x) is Fraction
+               for row in got for c in row for x in c.values())
+
+
+def test_integer_commutator_table_matches_fraction_path(der_j):
+    m = jo.build_m()
+    for ders in (der_j[1],
+                 sa.derivations(co.octonion_table(), co.octonion_degrees(),
+                                FgAbelianGroup(0, (2, 2, 2))),
+                 sa.derivations(m.table, m.meta["degrees"],
+                                FgAbelianGroup(0, (3, 3))),
+                 sa.derivations(m.table)):
+        assert_same_cells(ders.table.prod, reference_commutator_table(ders))
+        for t, w in enumerate(ders.int_mats):
+            assert math.gcd(*w.values()) == 1 and ders.denoms[t] > 0
+            assert {kl: Fraction(x, ders.denoms[t]) for kl, x in w.items()} \
+                == ders.mats[t]
+
+
+def test_coords_in_block_reads_free_unknowns(der_j):
+    _, ders = der_j
+    for t in (0, 17, 51):
+        g = ders.blocks[t]
+        mat = {kl: Fraction(2, 3) * x for kl, x in ders.mats[t].items()}
+        cs = ders.coords_in_block(mat, g)
+        assert cs == [Fraction(2, 3) if s == t else 0
+                      for s in range(ders.dim)]
+
+
+def test_coords_in_block_rejects_other_blocks():
+    ders = sa.derivations(co.octonion_table(), co.octonion_degrees(),
+                          FgAbelianGroup(0, (2, 2, 2)))
+    g = ders.blocks[0]
+    other = next(h for h in ders.blocks if h != g)
+    with pytest.raises(ValueError, match="outside block"):
+        ders.coords_in_block(ders.mats[0], other)
+    mixed = dict(ders.mats[0])
+    mixed.update(ders.mats[ders.blocks.index(other)])
+    with pytest.raises(ValueError, match="outside block"):
+        ders.coords_in_block(mixed, g)
+
+
+def test_coords_in_block_rejects_non_derivations():
+    ders = sa.derivations(co.octonion_table(), co.octonion_degrees(),
+                          FgAbelianGroup(0, (2, 2, 2)))
+    # the identity map is block (0, 0, 0) and is not a derivation
+    ident = {(k, k): Fraction(1) for k in range(8)}
+    with pytest.raises(ValueError, match="not in the derivation span"):
+        ders.coords_in_block(ident, (0, 0, 0))
+    # Der(O) is skew for the norm, so no derivation plus a multiple of one
+    # matrix unit is a derivation
+    g = ders.blocks[0]
+    for kl in ders.mats[0]:
+        bad = dict(ders.mats[0])
+        bad[kl] += Fraction(1, 2)
+        with pytest.raises(ValueError, match="not in the derivation span"):
+            ders.coords_in_block(bad, g)
+
+
+def test_derivations_rejects_degrees_that_do_not_grade():
+    degs = list(co.octonion_degrees())
+    degs[1] = tuple(1 - x for x in degs[1][:1]) + degs[1][1:]
+    with pytest.raises(ValueError, match="not a grading"):
+        sa.derivations(co.octonion_table(), degs,
+                       FgAbelianGroup(0, (2, 2, 2)))
 
 
 def test_subspace_coords():
