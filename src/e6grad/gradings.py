@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abgroup import FgAbelianGroup, presented_group
-from .linalg import inverse, kernel, rref, simultaneous_eigensplit
+from .linalg import kernel, rank, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I, is_zero
-from .structalg import (AlgebraTable, CheckReport, Subspace, dense_to_sparse,
-                        derivations, form_restrict, sparse_to_dense)
+from .structalg import (AlgebraTable, CheckReport, Subspace, derivations,
+                        form_restrict, vec_add_scaled)
 
 
 class GradedDecomposition:
@@ -46,14 +46,8 @@ class GradedDecomposition:
     def from_degree_map(cls, table: AlgebraTable, group, degrees,
                         name: str = "") -> "GradedDecomposition":
         """Grading whose components group basis vectors by assigned degree."""
-        comps = []
-        for d, idxs in degree_buckets(group, degrees):
-            vecs = []
-            for i in idxs:
-                v = [Fraction(0)] * table.dim
-                v[i] = Fraction(1)
-                vecs.append(v)
-            comps.append((d, vecs))
+        comps = [(d, [{i: Fraction(1)} for i in idxs])
+                 for d, idxs in degree_buckets(group, degrees)]
         return cls(table, group, comps, name)
 
     @property
@@ -83,24 +77,21 @@ def check_grading(gd: GradedDecomposition) -> CheckReport:
     if len(stacked) != n:
         return CheckReport("grading", False, None,
                            f"components span dimension {len(stacked)} != {n}")
-    _, piv = rref([list(v) for v in stacked])
-    if len(piv) != n:
+    if rank(stacked) != n:
         return CheckReport("grading", False, None, "components are not independent")
-    sparse = [(d, [dense_to_sparse(v) for v in sub.basis])
-              for d, sub in gd.components]
-    for g, sg in sparse:
-        for h, sh in sparse:
+    for g, sub_g in gd.components:
+        for h, sub_h in gd.components:
             target_deg = gd.group.add(g, h)
             target = gd.component(target_deg)
-            for sa in sg:
-                for sb in sh:
+            for sa in sub_g.basis:
+                for sb in sub_h.basis:
                     w = table.mul_vec(sa, sb)
                     if not w:
                         continue
                     if target is None:
                         return CheckReport("grading", False, (g, h),
                                            "product lands in empty component")
-                    if target.coords(sparse_to_dense(w, n)) is None:
+                    if target.coords(w) is None:
                         return CheckReport("grading", False, (g, h),
                                            "product escapes target component")
     return CheckReport("grading", True)
@@ -124,16 +115,14 @@ def universal_group(gd: GradedDecomposition) -> FgAbelianGroup:
     supp = gd.support
     index = {d: i for i, d in enumerate(supp)}
     table = gd.table
-    sparse = [(d, [dense_to_sparse(v) for v in sub.basis])
-              for d, sub in gd.components]
     relations = []
-    for gi, (g, sg) in enumerate(sparse):
-        for hi, (h, sh) in enumerate(sparse):
+    for gi, (g, sub_g) in enumerate(gd.components):
+        for hi, (h, sub_h) in enumerate(gd.components):
             if hi < gi:
                 continue
             nonzero = False
-            for sa in sg:
-                for sb in sh:
+            for sa in sub_g.basis:
+                for sb in sub_h.basis:
                     if table.mul_vec(sa, sb):
                         nonzero = True
                         break
@@ -196,19 +185,19 @@ def refine(g1: GradedDecomposition, g2: GradedDecomposition,
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace, n: int) -> Subspace:
+    """From the kernel of (a_1 .. a_r | -b_1 .. -b_s): sum_j x_j a_j for
+    each kernel vector x."""
     a, b = s1.basis, s2.basis
-    if not a or not b:
-        return Subspace(n, [])
-    cols = len(a) + len(b)
-    m = [[(a[j][i] if j < len(a) else -b[j - len(a)][i]) for j in range(cols)]
-         for i in range(n)]
-    ker = kernel(m, cols)
+    rows: dict = {}  # coordinate i -> {column j: entry}
+    for j, v in enumerate(a + [{i: -x for i, x in u.items()} for u in b]):
+        for i, x in v.items():
+            rows.setdefault(i, {})[j] = x
     vecs = []
-    for k in ker:
-        v = [Fraction(0)] * n
-        for j in range(len(a)):
-            if not is_zero(k[j]):
-                v = [x + k[j] * y for x, y in zip(v, a[j])]
+    for k in kernel(list(rows.values()), len(a) + len(b)):
+        v: dict = {}
+        for j, c in k.items():
+            if j < len(a):
+                vec_add_scaled(v, a[j], c)
         vecs.append(v)
     return Subspace(n, vecs)
 
@@ -237,8 +226,7 @@ def induced_derivation_grading(gd: GradedDecomposition):
     degrees = [None] * table.dim
     for d, sub in gd.components:
         for v in sub.basis:
-            nz = [i for i, x in enumerate(v) if not is_zero(x)]
-            for i in nz:
+            for i in v:
                 if degrees[i] is not None and degrees[i] != d:
                     raise ValueError("components are not spanned by basis vectors")
                 degrees[i] = d
@@ -458,40 +446,37 @@ def sp8_lemma() -> dict:
     rows = []
     for i in range(8):
         for j in range(8):
-            row = [Fraction(0)] * 64
+            row: dict = {}
+            # (x C)[i][j] = sum_k x[i][k] C[k][j] and
+            # (C x^t)[i][j] = sum_k C[i][k] x[j][k]
             for k in range(8):
-                # (x C)[i][j] = sum_k x[i][k] C[k][j]
-                if not c_mat[k][j].is_zero():
-                    row[i * 8 + k] += c_mat[k][j].as_fraction()
-                # (C x^t)[i][j] = sum_k C[i][k] x[j][k]
-                if not c_mat[i][k].is_zero():
-                    row[j * 8 + k] += c_mat[i][k].as_fraction()
+                for key, c in ((i * 8 + k, c_mat[k][j]),
+                               (j * 8 + k, c_mat[i][k])):
+                    if c:
+                        row[key] = row.get(key, 0) + c.as_fraction()
             rows.append(row)
     basis = kernel(rows, 64)  # 36 vectors, rational
     if len(basis) != 36:
         raise AssertionError(f"dim sp8 = {len(basis)} != 36")
     sp = Subspace(64, basis)
 
-    def ad_fix_dim(m):
-        minv = invert8(m)
+    def ad_fix_dim(m, minv):
         # operator x -> m x m^{-1} on sp8, in coordinates, verifying that
         # each image lies in sp8; then take the +1 eigenspace
-        coords = []
-        for b in sp.basis:
-            x = [[Cyc(b[i * 8 + j]) for j in range(8)] for i in range(8)]
+        d = sp.dim
+        shifted = [{} for _ in range(d)]  # row r, column l: (Ad - 1)[r][l]
+        for l, b in enumerate(sp.basis):
+            x = [[Cyc(b.get(i * 8 + j, 0)) for j in range(8)] for i in range(8)]
             y = mmul(mmul(m, x), minv)
-            cs = sp.coords([y[i][j] for i in range(8) for j in range(8)])
+            cs = sp.coords({i * 8 + j: y[i][j] for i in range(8)
+                            for j in range(8) if y[i][j]})
             if cs is None:
                 raise AssertionError("Ad does not preserve sp8")
-            coords.append(cs)
-        d = len(sp.basis)
-        shifted = [[coords[l][r] - (1 if r == l else 0) for l in range(d)]
-                   for r in range(d)]
-        return d - len(rref(shifted)[1])
-
-    def invert8(m):
-        inv = inverse([row[:] for row in m])
-        return [[x if isinstance(x, Cyc) else Cyc(x) for x in row] for row in inv]
+            for r, c in cs.items():
+                shifted[r][l] = c
+        for r in range(d):
+            shifted[r][r] = shifted[r].get(r, 0) - 1
+        return d - rank(shifted)
 
     results = []
     for e1 in range(2):
@@ -516,7 +501,10 @@ def sp8_lemma() -> dict:
                     ca2 = mmul(ca, ca)
                     if not is_scalar(ca2):
                         raise AssertionError("Ad(CA) is not an involution")
-                    fix = ad_fix_dim(ca)
+                    # (CA)^2 = s 1, so (CA)^{-1} = s^{-1} CA
+                    s_inv = ca2[0][0].inv()
+                    fix = ad_fix_dim(ca, [[x * s_inv for x in row]
+                                          for row in ca])
                     results.append({
                         "word": (e1, e2, s, r),
                         "dim_fix": fix,
@@ -586,14 +574,12 @@ def killing_orthogonality_check(gd: GradedDecomposition,
                                 killing: list[list]) -> CheckReport:
     """kappa(A_g, A_h) = 0 whenever g + h != e."""
     e = gd.group.zero()
-    sparse = [(d, [dense_to_sparse(v) for v in sub.basis])
-              for d, sub in gd.components]
-    for g, sg in sparse:
-        for h, sh in sparse:
+    for g, sub_g in gd.components:
+        for h, sub_h in gd.components:
             if gd.group.add(g, h) == e:
                 continue
-            for sa in sg:
-                for sb in sh:
+            for sa in sub_g.basis:
+                for sb in sub_h.basis:
                     s = Fraction(0)
                     for i, x in sa.items():
                         row = killing[i]

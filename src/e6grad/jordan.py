@@ -28,7 +28,7 @@ from .abgroup import FgAbelianGroup
 from .gradings import GradedDecomposition
 from .linalg import kernel
 from .scalar import Cyc, OMEGA
-from .structalg import AlgebraTable, RealForm, dense_to_sparse, sparse_to_dense
+from .structalg import AlgebraTable, RealForm, vec_add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,8 @@ _POS = {1: (1, 2), 2: (2, 0), 3: (0, 1)}
 @dataclass
 class JordanH3:
     table: AlgebraTable
-    trace: list            # trace of each basis element
-    unit: list             # coordinates of the identity
+    trace: dict            # sparse: trace of each basis element
+    unit: dict             # sparse coordinates of the identity
     kind: str
     meta: dict = field(default_factory=dict)
 
@@ -89,8 +89,9 @@ class JordanH3:
     def dim(self):
         return self.table.dim
 
-    def trace_of(self, v: list) -> Fraction:
-        return sum(c * t for c, t in zip(v, self.trace))
+    def trace_of(self, v: dict) -> Fraction:
+        return sum((c * self.trace[k] for k, c in v.items()
+                    if k in self.trace), Fraction(0))
 
     def trace_form(self) -> list[list[Fraction]]:
         """Gram matrix of (x, y) -> tr(x . y) on the basis."""
@@ -100,37 +101,31 @@ class JordanH3:
             for j in range(i, n):
                 s = Fraction(0)
                 for k, c in self.table.prod[i][j].items():
-                    s += c * self.trace[k]
+                    s += c * self.trace.get(k, 0)
                 out[i][j] = s
                 out[j][i] = s
         return out
 
-    def r_operator(self, x: list) -> dict:
+    def r_operator(self, x: dict) -> dict:
         """Sparse matrix {(k, l): c} of y -> x . y."""
-        sx = dense_to_sparse(x)
         out = {}
         for l in range(self.dim):
-            w = self.table.mul_vec(sx, {l: Fraction(1)})
+            w = self.table.mul_vec(x, {l: Fraction(1)})
             for k, c in w.items():
                 out[(k, l)] = c
         return out
 
-    def mul_dense(self, x: list, y: list) -> list:
-        return sparse_to_dense(
-            self.table.mul_vec(dense_to_sparse(x), dense_to_sparse(y)), self.dim)
-
-    def star(self, x: list, y: list) -> list:
+    def star(self, x: dict, y: dict) -> dict:
         """x * y = x.y - (1/3) tr(x.y) 1, for traceless x, y."""
         if self.trace_of(x) != 0 or self.trace_of(y) != 0:
             raise ValueError("star requires traceless arguments")
-        z = self.mul_dense(x, y)
-        t = self.trace_of(z) / 3
-        return [a - t * u for a, u in zip(z, self.unit)]
+        z = self.table.mul_vec(x, y)
+        vec_add_scaled(z, self.unit, -self.trace_of(z) / 3)
+        return z
 
-    def traceless_basis(self) -> list[list]:
+    def traceless_basis(self) -> list[dict]:
         """A basis of the traceless part (dimension dim - 1)."""
-        rows = [self.trace]
-        return kernel(rows, self.dim)
+        return kernel([self.trace], self.dim)
 
 
 def _mat3_zero(c: Coeff):
@@ -187,10 +182,10 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
                 raise ValueError("diagonal entry is not a multiple of the unit")
         return scal
 
-    def coords_of(m):
-        v = [Fraction(0)] * dim
-        for i in range(3):
-            v[i] = unit_multiple(m[i][i])
+    def coords_of(m) -> dict:
+        """Sparse coordinates of a gamma-hermitian matrix of coefficient
+        coordinates."""
+        v = {i: unit_multiple(m[i][i]) for i in range(3)}
         for i in (1, 2, 3):
             r, s = _POS[i]
             a = m[r][s]
@@ -200,22 +195,22 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
             back = [sign * x for x in coeff.conj_vec(a)]
             if back != m[s][r]:
                 raise ValueError("matrix is not gamma-hermitian")
-        return v
+        return {k: x for k, x in v.items() if x}
 
     def mul(i, j):
         xy = _mat3_mul(coeff, mats[i], mats[j])
         yx = _mat3_mul(coeff, mats[j], mats[i])
         sym = [[[Fraction(x + y, 2) for x, y in zip(a, b)]
                 for a, b in zip(ra, rb)] for ra, rb in zip(xy, yx)]
-        return dense_to_sparse(coords_of(sym))
+        return coords_of(sym)
 
     names = [f"E{i+1}{i+1}" for i in range(3)]
     for i in (1, 2, 3):
         for b in range(nc):
             names.append(f"i{i}(c{b})")
     table = AlgebraTable.build(dim, names, mul)
-    trace = [Fraction(1)] * 3 + [Fraction(0)] * (3 * nc)
-    unit = [Fraction(1)] * 3 + [Fraction(0)] * (3 * nc)
+    trace = {i: Fraction(1) for i in range(3)}
+    unit = {i: Fraction(1) for i in range(3)}
     meta = {"gamma": gamma, "coeff": coeff,
             "diag_idx": [0, 1, 2],
             "iota_idx": {(i, b): 3 + (i - 1) * nc + b
@@ -309,7 +304,11 @@ def build_pauli_m() -> JordanH3:
     basis = [{3 * i + j: u[i][j] for i in range(3) for j in range(3)
               if not u[i][j].is_zero()} for u in mats]
     rf = RealForm(_mat3_plus(), basis, [f"u{a}{b}" for a, b in degs])
-    trace = [(u[0][0] + u[1][1] + u[2][2]).as_fraction() for u in mats]
+    trace = {}
+    for t, u in enumerate(mats):
+        tr = u[0][0] + u[1][1] + u[2][2]
+        if tr:
+            trace[t] = tr.as_fraction()
     unit_vec = rf.to_real_coords({0: Cyc(1), 4: Cyc(1), 8: Cyc(1)})
     meta = {"degrees": degs, "matrices": mats}
     return JordanH3(rf.table, trace, unit_vec, "M", meta)
@@ -388,12 +387,8 @@ def jordan_coarse_z23_grading(j: JordanH3) -> GradedDecomposition:
 
 def z_grading_derivation(j: JordanH3) -> dict:
     """The derivation 4 [R_{iota1(1)}, R_{E22}] of H3(O, diag(1,-1,1))."""
-    n = j.dim
-    x = [Fraction(0)] * n
-    x[j.meta["iota_idx"][(1, 0)]] = Fraction(1)
-    y = [Fraction(0)] * n
-    y[1] = Fraction(1)
-    rx, ry = j.r_operator(x), j.r_operator(y)
+    rx = j.r_operator({j.meta["iota_idx"][(1, 0)]: Fraction(1)})
+    ry = j.r_operator({1: Fraction(1)})
     from .structalg import mat_commutator
     comm = mat_commutator(rx, ry)
     return {k: 4 * v for k, v in comm.items()}

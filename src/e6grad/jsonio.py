@@ -8,11 +8,16 @@ Formats:
                     "entries": [[i, j, k, scalar], ...]}  (nonzero only)
   * grading: {"group": {"rank": r, "torsion": [...]},
               "components": [{"degree": [...], "basis_vectors": [[...], ...]}]}
+
+A grading's basis vectors are sparse in memory and written out in full, one
+scalar per table coordinate; reading drops the zero entries again.  Readers
+validate what they read and raise ValueError naming the bad value or field.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .abgroup import FgAbelianGroup
@@ -28,7 +33,15 @@ def scalar_to_json(x) -> list[str]:
     return [f"{f.numerator}/{f.denominator}", "0/1", "0/1", "0/1"]
 
 
+_PQ = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+
+
 def scalar_from_json(parts):
+    """The scalar of four "p/q" strings; raises ValueError on anything else."""
+    if type(parts) is not list or len(parts) != 4 or \
+            not all(type(x) is str and _PQ.fullmatch(x) for x in parts):
+        raise ValueError(f"scalar {parts!r}: expected a list of four "
+                         "'p/q' strings")
     c = Cyc.from_strings(parts)
     if c.is_rational():
         return c.as_fraction()
@@ -87,28 +100,58 @@ def grading_to_json(gd: GradedDecomposition) -> dict:
     for deg, sub in gd.components:
         comps.append({
             "degree": list(deg),
-            "basis_vectors": [[scalar_to_json(x) for x in v]
+            "basis_vectors": [[scalar_to_json(v.get(k, 0))
+                               for k in range(gd.table.dim)]
                               for v in sub.basis],
         })
     return {"group": group, "components": comps, "name": gd.name}
 
 
+def _field(d, key: str, ok, want: str, where: str):
+    """d[key] when d has it and ok(d[key]); else ValueError naming the field."""
+    if type(d) is not dict or key not in d:
+        raise ValueError(f"{where}: missing field {key!r}")
+    if not ok(d[key]):
+        raise ValueError(f"{where}: field {key!r} is {d[key]!r:.60}, "
+                         f"expected {want}")
+    return d[key]
+
+
+def _is_int_list(x) -> bool:
+    return type(x) is list and all(type(v) is int for v in x)
+
+
 def grading_from_json(d, table: AlgebraTable) -> GradedDecomposition:
     """The grading of ``d`` on ``table``; raises ValueError naming the first
-    degree or basis vector of the wrong length."""
-    group = FgAbelianGroup(d["group"]["rank"], tuple(d["group"]["torsion"]))
+    missing or mistyped field, or degree or basis vector of the wrong
+    length."""
+    g = _field(d, "group", lambda x: type(x) is dict, "an object", "grading")
+    rank = _field(g, "rank", lambda x: type(x) is int and x >= 0,
+                  "a non-negative int", "group")
+    torsion = _field(g, "torsion",
+                     lambda x: _is_int_list(x) and all(m >= 2 for m in x),
+                     "a list of ints >= 2", "group")
+    group = FgAbelianGroup(rank, tuple(torsion))
     comps = []
-    for n, c in enumerate(d["components"]):
-        if len(c["degree"]) != group.ncoords:
-            raise ValueError(f"component {n}: degree {c['degree']!r} has "
-                             f"length {len(c['degree'])}, the group has "
-                             f"{group.ncoords} coordinates")
-        for m, v in enumerate(c["basis_vectors"]):
+    for n, c in enumerate(_field(d, "components", lambda x: type(x) is list,
+                                 "a list", "grading")):
+        where = f"component {n}"
+        deg = _field(c, "degree", _is_int_list, "a list of ints", where)
+        if len(deg) != group.ncoords:
+            raise ValueError(f"{where}: degree {deg!r} has length "
+                             f"{len(deg)}, the group has {group.ncoords} "
+                             "coordinates")
+        vecs = []
+        for m, v in enumerate(_field(
+                c, "basis_vectors",
+                lambda x: type(x) is list and all(type(v) is list for v in x),
+                "a list of lists", where)):
             if len(v) != table.dim:
-                raise ValueError(f"component {n}, basis vector {m}: length "
+                raise ValueError(f"{where}, basis vector {m}: length "
                                  f"{len(v)}, the table has dim {table.dim}")
-        vecs = [[scalar_from_json(x) for x in v] for v in c["basis_vectors"]]
-        comps.append((tuple(c["degree"]), vecs))
+            vecs.append({k: x for k, x in enumerate(map(scalar_from_json, v))
+                         if x})
+        comps.append((tuple(deg), vecs))
     return GradedDecomposition(table, group, comps, d.get("name", ""))
 
 

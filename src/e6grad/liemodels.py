@@ -22,10 +22,10 @@ from itertools import combinations
 
 from . import composition, jordan, rootsys
 from .abgroup import FgAbelianGroup
-from .linalg import apply, mat_mul, signature
+from .linalg import apply, kernel, mat_mul, rank, rref, signature
 from .scalar import Cyc, I as CYC_I
-from .structalg import (AlgebraTable, RealForm, dense_to_sparse, derivations,
-                        killing_form, mat_commutator, sparse_to_dense)
+from .structalg import (AlgebraTable, RealForm, derivations, killing_form,
+                        mat_commutator)
 
 
 @dataclass
@@ -68,25 +68,21 @@ def build_albert(eps: int = -1) -> Model:
 
     nj = j.dim
     # traceless basis of J: E11-E22, E22-E33, then the 24 iota vectors
-    j0_vecs = []
-    v = [Fraction(0)] * nj
-    v[0], v[1] = Fraction(1), Fraction(-1)
-    j0_vecs.append(v)
-    v = [Fraction(0)] * nj
-    v[1], v[2] = Fraction(1), Fraction(-1)
-    j0_vecs.append(v)
-    for t in range(3, nj):
-        v = [Fraction(0)] * nj
-        v[t] = Fraction(1)
-        j0_vecs.append(v)
+    j0_vecs = [{0: Fraction(1), 1: Fraction(-1)},
+               {1: Fraction(1), 2: Fraction(-1)}]
+    j0_vecs += [{t: Fraction(1)} for t in range(3, nj)]
     j0_degrees = [degrees[0], degrees[1]] + [degrees[t] for t in range(3, nj)]
 
-    def j_to_j0(vec: list) -> list:
-        c0 = vec[0]
-        c1 = vec[0] + vec[1]
-        if vec[0] + vec[1] + vec[2] != 0:
+    def j_to_j0(vec: dict) -> dict:
+        """Model coordinates of a traceless vector of J: x52 and x53 for
+        the diagonal pair, then x(51 + t) for iota vector t."""
+        c0 = vec.get(0, 0)
+        c1 = c0 + vec.get(1, 0)
+        if c1 + vec.get(2, 0) != 0:
             raise AssertionError("vector is not traceless")
-        return [c0, c1] + list(vec[3:])
+        out = {52: c0, 53: c1}
+        out.update((51 + t, vec[t]) for t in sorted(vec) if t >= 3)
+        return {k: c for k, c in out.items() if c}
 
     r_ops = [j.r_operator(v) for v in j0_vecs]
 
@@ -98,17 +94,13 @@ def build_albert(eps: int = -1) -> Model:
         if a < 52 and b < 52:
             return ders.table.prod[a][b]
         if a < 52 <= b:
-            x = dense_to_sparse(j0_vecs[b - 52])
-            w = ders.apply(a, x)
-            out = j_to_j0(sparse_to_dense(w, nj))
-            return {52 + k: c for k, c in enumerate(out) if c}
+            return j_to_j0(ders.apply(a, j0_vecs[b - 52]))
         if b < 52 <= a:
             return {k: -c for k, c in mul(b, a).items()}
         xa, xb = a - 52, b - 52
         comm = mat_commutator(r_ops[xa], r_ops[xb])
         g = group.add(j0_degrees[xa], j0_degrees[xb])
-        cs = ders.coords_in_block(comm, g)
-        return {k: epsf * c for k, c in enumerate(cs) if c}
+        return {k: epsf * c for k, c in ders.coords_in_block(comm, g).items()}
 
     table = AlgebraTable.build(dim, names, mul)
     parity = [0] * 52 + [1] * 26
@@ -146,8 +138,7 @@ def albert_z_grading_operator(model: Model) -> list[dict]:
         elif blk != s:
             raise AssertionError("grading derivation is not homogeneous")
     cs = ders.coords_in_block(d, blk)
-    sparse_d = {t: c for t, c in enumerate(cs) if c}
-    return [model.table.mul_vec(sparse_d, {l: Fraction(1)})
+    return [model.table.mul_vec(cs, {l: Fraction(1)})
             for l in range(model.dim)]
 
 
@@ -192,12 +183,7 @@ def build_tits(split: bool = False) -> Model:
                 out[n_do + tpos[(i, t)]] = ca * cx
         return out
 
-    m_unit_vecs = []
-    for t in range(9):
-        v = [Fraction(0)] * 9
-        v[t] = Fraction(1)
-        m_unit_vecs.append(v)
-    r_ops_m = [m.r_operator(m_unit_vecs[t]) for t in range(9)]
+    r_ops_m = [m.r_operator({t: Fraction(1)}) for t in range(9)]
 
     # The tensor-tensor bracket from factor products taken once per pair:
     # d_{a,b} coordinates, [a, b] and t(ab) per octonion pair, and tr(x.y),
@@ -210,19 +196,18 @@ def build_tits(split: bool = False) -> Model:
             dd = {(r, c): dmat[r][c] for r in range(8) for c in range(8)
                   if dmat[r][c]}
             cs = ders_o.coords_in_block(dd, g23.add(o_degs[i], o_degs[i2]))
+            comm = composition.commutator(av, bv, split)
             o_pair[i, i2] = (
-                [(k, c) for k, c in enumerate(cs) if c],
-                dense_to_sparse(composition.commutator(av, bv, split)),
+                list(cs.items()), {k: c for k, c in enumerate(comm) if c},
                 composition.trace_o(composition.oct_mul(av, bv, split)))
     m_pair = {}
     for t in m0_idx:
         for t2 in m0_idx:
-            xv, yv = m_unit_vecs[t], m_unit_vecs[t2]
             rcomm = mat_commutator(r_ops_m[t], r_ops_m[t2])
             cs = ders_m.coords_in_block(rcomm, g33.add(m_degs[t], m_degs[t2]))
-            m_pair[t, t2] = (m.trace_of(m.mul_dense(xv, yv)),
-                             dense_to_sparse(m.star(xv, yv)),
-                             [(k, c) for k, c in enumerate(cs) if c])
+            m_pair[t, t2] = (m.trace_of(m.table.prod[t][t2]),
+                             m.star({t: Fraction(1)}, {t2: Fraction(1)}),
+                             list(cs.items()))
     third = Fraction(1, 3)
 
     def mul(a, b):
@@ -717,8 +702,9 @@ def flag_f_matrices(model: Model) -> list[list[dict]]:
     return [rf.real_matrix_of(rf.phi_cols(s)) for s in FLAG_F_SIGNS]
 
 
-def flag_conjugation_matrix() -> list[list[Fraction]]:
-    """The realified matrix of the twisted conjugation on wedge^3 V.
+def flag_conjugation_matrix() -> list[dict]:
+    """The realified matrix of the twisted conjugation on wedge^3 V, as
+    sparse rows.
 
     The hermitian form gives the conjugate-linear map phi(v) = b(-, v);
     composing phi with the pairing identifications yields the conjugate-
@@ -727,7 +713,7 @@ def flag_conjugation_matrix() -> list[list[Fraction]]:
     the 20 real parts first, then the 20 imaginary parts.
     """
     n = len(TRIPLES)
-    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    m = [{} for _ in range(2 * n)]
     for t_idx, t in enumerate(TRIPLES):
         tc = tuple(sorted(set(range(6)) - set(t)))
         s = 1
@@ -740,40 +726,33 @@ def flag_conjugation_matrix() -> list[list[Fraction]]:
     return m
 
 
+def _flag_plus_eigenspace() -> list[dict]:
+    """A basis of ker(Theta - id) on the realified wedge^3 V."""
+    rows = flag_conjugation_matrix()
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, 0) - 1
+    return kernel(rows, len(rows))
+
+
 def flag_plus_eigenspace_dim() -> int:
     """Dimension of ker(Theta - id) on the realified wedge^3 V."""
-    from .linalg import kernel
-    m = flag_conjugation_matrix()
-    n = len(m)
-    shifted = [[m[i][j] - (1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-    return len(kernel(shifted, n))
+    return len(_flag_plus_eigenspace())
 
 
 def flag_eigenspace_matches_basis(model: Model) -> bool:
     """The declared u_T, v_T vectors span exactly ker(Theta - id)."""
-    from .linalg import kernel, rref
-    m = flag_conjugation_matrix()
-    n = len(m)
-    shifted = [[m[i][j] - (1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-    ker = kernel(shifted, n)
     rf = model.meta["real_form"]
     vecs = []
     half = len(TRIPLES)
     for t in rf.t_with0:
         tc, gs = _complement_sign(t)
-        u = [Fraction(0)] * n
-        u[TRIPLE_IDX[t]] = Fraction(1)
-        u[TRIPLE_IDX[tc]] = Fraction(-gs)
-        v = [Fraction(0)] * n
-        v[half + TRIPLE_IDX[t]] = Fraction(1)
-        v[half + TRIPLE_IDX[tc]] = Fraction(gs)
-        vecs.extend([u, v])
-    red1, piv1 = rref([list(x) for x in ker])
-    red2, piv2 = rref([list(x) for x in vecs])
-    return len(piv1) == len(piv2) == 20 and \
-        red1[:len(piv1)] == red2[:len(piv2)]
+        vecs.append({TRIPLE_IDX[t]: Fraction(1),
+                     TRIPLE_IDX[tc]: Fraction(-gs)})
+        vecs.append({half + TRIPLE_IDX[t]: Fraction(1),
+                     half + TRIPLE_IDX[tc]: Fraction(gs)})
+    red1, piv1 = rref(_flag_plus_eigenspace())
+    red2, piv2 = rref(vecs)
+    return len(piv1) == len(piv2) == 20 and red1 == red2
 
 
 def flag_e_element_index(model: Model) -> int:
@@ -803,7 +782,7 @@ def _min_poly_ad(table: AlgebraTable, i: int) -> list[Fraction]:
         w = _poly_apply(poly, matvec, v)
         if not w:
             continue
-        local = _krylov_min_poly(matvec, v, n)
+        local = _krylov_min_poly(matvec, v)
         poly = _poly_lcm(poly, local)
     # verify poly(ad) = 0 on all seeds
     for seed in range(n):
@@ -812,31 +791,19 @@ def _min_poly_ad(table: AlgebraTable, i: int) -> list[Fraction]:
     return poly
 
 
-def _krylov_min_poly(matvec, v: dict, n: int):
-    from .linalg import rref
-    dense = []
-    vecs = []
-    cur = v
-    while True:
-        vec = [Fraction(0)] * n
-        for k, c in cur.items():
-            vec[k] = c
-        dense.append(vec)
-        red, piv = rref([row[:] for row in dense])
-        if len(piv) < len(dense):
-            break
-        vecs.append(cur)
-        cur = matvec(cur)
-    # the last vector is a combination of the previous ones
-    from .linalg import solve, transpose
-    m = transpose(dense[:-1])
-    rhs = dense[-1]
-    cs = solve(m, rhs)
-    if cs is None:
-        raise AssertionError("krylov dependence solve failed")
-    deg = len(dense) - 1
-    poly = [-c for c in cs] + [Fraction(1)]
-    return poly
+def _krylov_min_poly(matvec, v: dict):
+    """The monic p of least degree with p(A) v = 0, low degree first: the
+    first dependence of v, A v, A^2 v, ... read off as a kernel vector,
+    which is 1 at the last (free) column."""
+    vecs = [v]
+    while rank(vecs) == len(vecs):
+        vecs.append(matvec(vecs[-1]))
+    rows: dict = {}  # coordinate k -> {power: entry}
+    for p, u in enumerate(vecs):
+        for k, c in u.items():
+            rows.setdefault(k, {})[p] = c
+    (dep,) = kernel(list(rows.values()), len(vecs))
+    return [dep.get(p, Fraction(0)) for p in range(len(vecs))]
 
 
 def _poly_apply(poly, matvec, v: dict) -> dict:

@@ -1,12 +1,13 @@
 """Exact linear algebra over Fraction / Q(zeta_12) scalars.
 
-A linear map is a list of sparse columns: column l is the image of basis
-vector l, a dict from index to nonzero scalar.  Row lists are kept for what
-reads rows: Gaussian elimination over the field of the entries, Sylvester
-inertia of a symmetric form by congruence, and the invariant factors of an
-integer matrix (the diagonal of its Smith normal form).  The joint
-eigenspaces of commuting maps are split off by the images of their Lagrange
-projectors on sparse vectors.
+A vector is sparse: a dict from index to nonzero scalar.  A linear map is a
+list of sparse columns (column l is the image of basis vector l), and
+Gaussian elimination, kernels and inverses work on lists of sparse rows.
+Dense row lists are kept for what reads a whole square or integer matrix:
+Sylvester inertia of a symmetric form by congruence, and the invariant
+factors of an integer matrix (the diagonal of its Smith normal form).  The
+joint eigenspaces of commuting maps are split off by the images of their
+Lagrange projectors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .scalar import Cyc, is_zero, sign_exact
 
-Matrix = list  # list[list[scalar]]: rows, for elimination and forms
+Matrix = list  # list[list[scalar]]: dense rows, for forms and integer matrices
 
 
 def apply(cols: list[dict], v: dict, shift=0) -> dict:
@@ -37,94 +38,78 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if not is_zero(m[i][c])), None)
-        if piv is None:
+def rref(m: list[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rows; returns (R, pivot_columns).
+
+    R holds the nonzero reduced rows in order of their pivots, each a sparse
+    vector with ascending keys.  Rows are reduced one at a time against the
+    rows kept so far, each of which is 1 at its pivot, its least index, and
+    0 at every other pivot; so one pass over an incoming row's pivot entries
+    reduces it, and a new pivot is then cleared from the kept rows.
+    """
+    red: dict = {}  # pivot column -> reduced row
+    for row in m:
+        v = {k: x for k, x in row.items() if x}
+        for c in [c for c in v if c in red]:
+            f = v[c]
+            for k, x in red[c].items():
+                s = v.get(k, 0) - f * x
+                if s:
+                    v[k] = s
+                else:
+                    del v[k]
+        if not v:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        mr = m[r]
-        # Rows r.. are zero left of c, so the pivot row's support starts at
-        # c; entries where it is zero are left as they are.
-        nz = [j for j in range(c, cols) if not is_zero(mr[j])]
-        d = mr[c]
+        p = min(v)
+        d = v[p]
         if d != 1:
-            inv = (Fraction(1) / d) if not isinstance(d, Cyc) else d.inv()
-            for j in nz:
-                mr[j] = mr[j] * inv
-        for i in range(rows):
-            mi = m[i]
-            if i != r and not is_zero(mi[c]):
-                f = mi[c]
-                for j in nz:
-                    mi[j] = mi[j] - f * mr[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+            inv = d.inv() if isinstance(d, Cyc) else Fraction(1) / d
+            v = {k: x * inv for k, x in v.items()}
+        for r in red.values():
+            f = r.get(p)
+            if f:
+                for k, x in v.items():
+                    s = r.get(k, 0) - f * x
+                    if s:
+                        r[k] = s
+                    else:
+                        del r[k]
+        red[p] = v
+    pivots = sorted(red)
+    return [dict(sorted(red[p].items())) for p in pivots], pivots
 
 
-def rank(m: Matrix) -> int:
+def rank(m: list[dict]) -> int:
     return len(rref(m)[1])
 
 
-def kernel_from_rref(red: Matrix, pivots: list[int], cols: int) -> list[list]:
-    """Kernel basis read off an RREF: one vector per free column."""
+def kernel_from_rref(red: list[dict], pivots: list[int],
+                     cols: int) -> list[dict]:
+    """Kernel basis read off an RREF: one sparse vector per free column,
+    1 there and 0 at the other free columns."""
     pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    ker = {c: {c: Fraction(1)} for c in range(cols) if c not in pivset}
+    for row, pc in zip(red, pivots):
+        for c, x in row.items():
+            if c != pc:
+                ker[c][pc] = -x
+    return [dict(sorted(v.items())) for v in ker.values()]
 
 
-def kernel(m: Matrix, cols: int | None = None) -> list[list]:
-    """Basis of {v : m v = 0}.  Vectors are dense lists.
-
-    The basis is the standard one read off the RREF: one vector per free
-    column, with entry 1 at that column.
-    """
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    if not m:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(cols)]
-                for j in range(cols)]
+def kernel(m: list[dict], cols: int) -> list[dict]:
+    """Basis of {v : m v = 0} for ``cols`` unknowns, as sparse vectors."""
     red, pivots = rref(m)
     return kernel_from_rref(red, pivots, cols)
 
 
-def solve(m: Matrix, rhs: list) -> list | None:
-    """One solution of m x = rhs, or None if inconsistent."""
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    ncols = len(m[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
-def inverse(m: Matrix) -> Matrix:
+def inverse(m: list[dict]) -> list[dict]:
+    """The inverse of the square matrix with sparse rows ``m``, as sparse
+    rows."""
     n = len(m)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    red, pivots = rref([{**row, n + i: 1} for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red[:n]]
+    return [{k - n: x for k, x in row.items() if k >= n} for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +242,6 @@ class EigensplitError(ValueError):
     pass
 
 
-def _row_space(vecs: list[dict]) -> list[dict]:
-    """RREF basis of the span of sparse vectors, from ``rref`` on the
-    columns they touch (zero columns do not change the reduced rows)."""
-    support = sorted({k for v in vecs for k in v})
-    red, pivots = rref([[v.get(k, Fraction(0)) for k in support] for v in vecs])
-    return [{support[j]: x for j, x in enumerate(row) if not is_zero(x)}
-            for row in red[: len(pivots)]]
-
-
 def simultaneous_eigensplit(ops: list[list[dict]], eigenvalues: list[list],
                             dim: int, start=None) -> list[tuple[tuple, list]]:
     """Joint eigenspace decomposition for commuting exact operators, each
@@ -273,9 +249,9 @@ def simultaneous_eigensplit(ops: list[list[dict]], eigenvalues: list[list],
 
     ``eigenvalues[k]`` lists the distinct allowed eigenvalues of ``ops[k]``.
     ``start``, by default ``[((), range(dim))]``, lists (tag, basis indices)
-    buckets that partition range(dim).  Returns [(tag, RREF basis)] for the
-    nonzero joint eigenspaces in each bucket, in deterministic order; a tag
-    is its bucket's tag followed by one eigenvalue per operator.
+    buckets that partition range(dim).  Returns [(tag, sparse RREF basis)]
+    for the nonzero joint eigenspaces in each bucket, in deterministic order;
+    a tag is its bucket's tag followed by one eigenvalue per operator.
 
     Each operator A splits each current component C by the images of its
     Lagrange projectors prod_{mu != lam} (A - mu) / (lam - mu) on C's sparse
@@ -325,7 +301,7 @@ def simultaneous_eigensplit(ops: list[list[dict]], eigenvalues: list[list],
                 image = basis
                 for mu in lams[:i] + lams[i + 1:]:
                     image = [w for w in (apply(a, v, mu) for v in image) if w]
-                eig = _row_space(image)
+                eig, _ = rref(image)
                 if any(apply(a, v, lam) for v in eig):
                     raise EigensplitError(f"operator {n} is not {lam} on its "
                                           f"projector image in {tag}")
@@ -340,5 +316,4 @@ def simultaneous_eigensplit(ops: list[list[dict]], eigenvalues: list[list],
         for a, lam in zip(ops, tag[len(tag) - len(ops):]):
             if any(apply(a, v, lam) for v in basis):
                 raise EigensplitError("inexact eigenvector (internal)")
-    return [(tag, [[v.get(k, Fraction(0)) for k in range(dim)] for v in basis])
-            for tag, basis in spaces]
+    return spaces

@@ -5,6 +5,10 @@ scalars (Fractions; Cyc values are accepted but every concrete model in this
 package has rational constants).  Identity checks (anticommutativity, Jacobi,
 the linearized Jordan identity) run over a common-denominator integer scaling
 of the table, so the exhaustive loops stay in machine/bigint arithmetic.
+Vectors are sparse dicts (index -> nonzero scalar) throughout: a
+``Subspace`` holds the sparse RREF rows of a basis and reads coordinates off
+its pivots, with a residual over the vector's keys; only bilinear forms
+(Killing, Gram) are dense row lists.
 
 Derivation algebras are computed as the kernel of the Leibniz linear system
 over all ordered basis pairs, assembled in one pass over the integer-scaled
@@ -25,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import inverse, kernel_from_rref, rref
-from .linalg import kernel as dense_kernel
+from .linalg import inverse, kernel, kernel_from_rref, rref
 from .scalar import Cyc, as_fraction, is_zero
 
 Vec = dict  # sparse vector: index -> scalar
@@ -43,17 +46,6 @@ def vec_add_scaled(acc: Vec, v: Vec, c) -> None:
             acc[k] = s
         else:
             acc.pop(k, None)
-
-
-def dense_to_sparse(v: list) -> Vec:
-    return {i: x for i, x in enumerate(v) if not is_zero(x)}
-
-
-def sparse_to_dense(v: Vec, n: int) -> list:
-    out = [Fraction(0)] * n
-    for k, x in v.items():
-        out[k] = x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +315,7 @@ class RealForm:
         vecs: dict = {}
         for t, sup in enumerate(supports):
             vecs.setdefault(find(sup[0]), []).append(t)
-        # blocks: (basis indices, coordinates, inverse rows as (pos, scalar))
+        # blocks: (basis indices, inverse rows keyed by coordinate)
         self._blocks = []
         self._block_of = [0] * n
         for r, ks in coords.items():
@@ -331,33 +323,38 @@ class RealForm:
             if len(ts) != len(ks):
                 raise ValueError(f"basis vectors {ts} span coordinates {ks}: "
                                  "not a basis")
-            mat = [[complex_basis[t].get(k, Fraction(0)) for t in ts]
-                   for k in ks]
-            inv = [[(p, c) for p, c in enumerate(row) if not is_zero(c)]
-                   for row in inverse(mat)]
+            pos = {k: p for p, k in enumerate(ks)}
+            rows = [{} for _ in ks]  # row k, column t: coordinate k of b_t
+            for q, t in enumerate(ts):
+                for k, c in complex_basis[t].items():
+                    if c:
+                        rows[pos[k]][q] = c
+            inv = [{ks[p]: c for p, c in row.items()} for row in inverse(rows)]
             for k in ks:
                 self._block_of[k] = len(self._blocks)
-            self._blocks.append((ts, ks, inv))
+            self._blocks.append((ts, inv))
         self.table = AlgebraTable.build(n, names, self._mul)
 
-    def to_real_coords(self, w: dict) -> list[Fraction]:
-        """Rational coordinates of the complex vector w in the basis.
+    def to_real_coords(self, w: dict) -> dict:
+        """Rational coordinates of the complex vector w in the basis, as a
+        sparse vector with ascending keys.
 
         Raises ValueError when a coordinate is not rational, i.e. w is not
         in the real span.
         """
-        out = [Fraction(0)] * self.complex.dim
+        out = {}
         for b in {self._block_of[k] for k in w}:
-            ts, ks, inv = self._blocks[b]
-            wb = [w.get(k, 0) for k in ks]
+            ts, inv = self._blocks[b]
             for t, row in zip(ts, inv):
-                out[t] = as_fraction(sum((c * wb[p] for p, c in row),
-                                         Fraction(0)))
-        return out
+                x = as_fraction(sum((c * w[k] for k, c in row.items()
+                                     if k in w), Fraction(0)))
+                if x:
+                    out[t] = x
+        return dict(sorted(out.items()))
 
     def _mul(self, i: int, j: int) -> dict:
         w = self.complex.mul_vec(self.complex_basis[i], self.complex_basis[j])
-        return {k: c for k, c in enumerate(self.to_real_coords(w)) if c}
+        return self.to_real_coords(w)
 
     def real_matrix_of(self, cols: list[dict]) -> list[dict]:
         """Sparse real-basis columns of a complex-linear map given by its
@@ -367,8 +364,7 @@ class RealForm:
             img: dict = {}
             for a, c in v.items():
                 vec_add_scaled(img, cols[a], c)
-            out.append({k: c for k, c in enumerate(self.to_real_coords(img))
-                        if c})
+            out.append(self.to_real_coords(img))
         return out
 
 
@@ -377,32 +373,31 @@ class RealForm:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of an ambient coordinate space, held in RREF."""
+    """A subspace of an ambient coordinate space, held as the sparse RREF
+    rows of a basis."""
 
-    def __init__(self, ambient_dim: int, vectors: list[list]):
+    def __init__(self, ambient_dim: int, vectors: list[Vec]):
         self.ambient_dim = ambient_dim
-        red, piv = rref([list(v) for v in vectors]) if vectors else ([], [])
-        self.basis = red[: len(piv)]
-        self.pivots = piv
+        self.basis, self.pivots = rref(vectors)
+        if any(not 0 <= k < ambient_dim for v in self.basis for k in v):
+            raise ValueError(f"vector outside the {ambient_dim}-dim space")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, v: list):
-        """Coordinates of v in self.basis, or None if v is outside."""
-        cs = [v[p] for p in self.pivots]
-        terms = [(c, row) for c, row in zip(cs, self.basis) if not is_zero(c)]
-        for j in range(self.ambient_dim):
-            s = v[j]
-            for c, row in terms:
-                if not is_zero(row[j]):
-                    s = s - c * row[j]
-            if not is_zero(s):
-                return None
-        return cs
+    def coords(self, v: Vec) -> Vec | None:
+        """Sparse coordinates of v in self.basis, or None if v is outside.
 
-    def contains(self, v: list) -> bool:
+        The coordinates are v's entries at the pivots; v is inside iff the
+        residual v - sum_r c_r basis[r] vanishes at every key."""
+        cs = {r: v[p] for r, p in enumerate(self.pivots) if v.get(p)}
+        resid = dict(v)
+        for r, c in cs.items():
+            vec_add_scaled(resid, self.basis[r], -c)
+        return None if any(resid.values()) else cs
+
+    def contains(self, v: Vec) -> bool:
         return self.coords(v) is not None
 
     def __iter__(self):
@@ -517,17 +512,14 @@ class Derivations:
             raise ValueError("matrix is not in the derivation span")
         return offset, cs
 
-    def coords_in_block(self, mat: dict, g) -> list:
-        """Global coordinates of a block-g matrix in the derivation basis."""
+    def coords_in_block(self, mat: dict, g) -> Vec:
+        """Sparse coordinates of a block-g matrix in the derivation basis."""
         fr = {key: Fraction(v) for key, v in mat.items()}
         scale = lcm(*(v.denominator for v in fr.values()))
         offset, cs = self._int_coords(
             {key: v.numerator * (scale // v.denominator)
              for key, v in fr.items()}, g)
-        out = [Fraction(0)] * self.dim
-        for r, c in enumerate(cs):
-            out[offset + r] = Fraction(c, scale)
-        return out
+        return {offset + r: Fraction(c, scale) for r, c in enumerate(cs) if c}
 
     def _shift_of(self, kl):
         return self._shifts[kl]
@@ -625,13 +617,7 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     block_data = {}
     for g in sorted(unknowns, key=repr):
         us = unknowns[g]
-        dense = []
-        for row in rows[g]:
-            d = [0] * len(us)
-            for t, v in row:
-                d[t] = v
-            dense.append(d)
-        red, pivots = rref(dense) if dense else ([], [])
+        red, pivots = rref([dict(row) for row in rows[g]])
         ker = kernel_from_rref(red, pivots, len(us))
         if not ker:
             continue
@@ -639,7 +625,7 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
         free = [us[c] for c in range(len(us)) if c not in pivset]
         ds = []
         for v in ker:
-            mat = {us[t]: Fraction(x) for t, x in enumerate(v) if x}
+            mat = {us[t]: Fraction(x) for t, x in v.items()}
             scale = lcm(*(x.denominator for x in mat.values()))
             w = {kl: x.numerator * (scale // x.denominator)
                  for kl, x in mat.items()}
@@ -753,17 +739,16 @@ def killing_ad_invariance(table: AlgebraTable,
     return CheckReport("killing-invariance", True)
 
 
-def form_restrict(form: list[list], vectors: list[list]) -> list[list]:
-    """Gram matrix of a bilinear form on a family of vectors."""
+def form_restrict(form: list[list], vectors: list[Vec]) -> list[list]:
+    """Gram matrix of a bilinear form on a family of sparse vectors."""
     m = len(vectors)
     out = [[Fraction(0)] * m for _ in range(m)]
-    sparse = [dense_to_sparse(v) for v in vectors]
     for a in range(m):
         for b in range(a, m):
             s = Fraction(0)
-            for i, x in sparse[a].items():
+            for i, x in vectors[a].items():
                 row = form[i]
-                for j, y in sparse[b].items():
+                for j, y in vectors[b].items():
                     if not is_zero(row[j]):
                         s = s + x * y * row[j]
             out[a][b] = s
@@ -774,17 +759,14 @@ def form_restrict(form: list[list], vectors: list[list]) -> list[list]:
 def subalgebra_table(table: AlgebraTable, sub: Subspace,
                      names: list[str] | None = None) -> AlgebraTable:
     """The algebra induced on a product-closed subspace (raises if not closed)."""
-    n = table.dim
-    basis = [dense_to_sparse(v) for v in sub.basis]
     prod = []
-    for i in range(sub.dim):
+    for a in sub.basis:
         row = []
-        for j in range(sub.dim):
-            w = table.mul_vec(basis[i], basis[j])
-            cs = sub.coords(sparse_to_dense(w, n))
+        for b in sub.basis:
+            cs = sub.coords(table.mul_vec(a, b))
             if cs is None:
                 raise ValueError("subspace is not closed under the product")
-            row.append({k: c for k, c in enumerate(cs) if not is_zero(c)})
+            row.append(cs)
         prod.append(row)
     if names is None:
         names = [f"s{t}" for t in range(sub.dim)]
@@ -846,11 +828,11 @@ def twist_z2(table: AlgebraTable, parity: list[int], t) -> AlgebraTable:
 def derived_algebra(table: AlgebraTable, sub: Subspace | None = None) -> Subspace:
     n = table.dim
     if sub is None:
-        vecs = [sparse_to_dense(table.prod[i][j], n)
+        vecs = [table.prod[i][j]
                 for i in range(n) for j in range(i + 1, n) if table.prod[i][j]]
     else:
-        basis = [dense_to_sparse(v) for v in sub.basis]
-        vecs = [sparse_to_dense(table.mul_vec(a, b), n)
+        basis = sub.basis
+        vecs = [table.mul_vec(a, b)
                 for ai, a in enumerate(basis) for b in basis[ai + 1:]]
     return Subspace(n, vecs)
 
@@ -863,23 +845,20 @@ def center(table: AlgebraTable) -> Subspace:
         for i in range(n):
             for k, c in table.prod[i][j].items():
                 byk.setdefault(k, {})[i] = c
-        for k, row in byk.items():
-            rows.append([row.get(i, Fraction(0)) for i in range(n)])
-    ker = dense_kernel(rows, n)
-    return Subspace(n, ker)
+        rows.extend(byk.values())
+    return Subspace(n, kernel(rows, n))
 
 
-def closure(table: AlgebraTable, vectors: list[list]) -> Subspace:
+def closure(table: AlgebraTable, vectors: list[Vec]) -> Subspace:
     """Smallest product-closed subspace containing the given vectors."""
     n = table.dim
     sub = Subspace(n, vectors)
     while True:
-        basis = [dense_to_sparse(v) for v in sub.basis]
         new_vecs = list(sub.basis)
         grew = False
-        for ai, a in enumerate(basis):
-            for b in basis:
-                w = sparse_to_dense(table.mul_vec(a, b), n)
+        for a in sub.basis:
+            for b in sub.basis:
+                w = table.mul_vec(a, b)
                 if not sub.contains(w):
                     new_vecs.append(w)
                     grew = True

@@ -162,8 +162,7 @@ def criterion_4_ratios(ws: Workspace) -> list[Check]:
     n = tits.dim
 
     def coord_sub(rng):
-        return Subspace(n, [[Fraction(1 if i == t else 0) for i in range(n)]
-                            for t in rng])
+        return Subspace(n, [{t: Fraction(1)} for t in rng])
 
     r = killing_ratio(tits.table, coord_sub(range(14)), k)
     out.append(Check("Tits: Killing ratio on Der(O)", r == 3, r, 3))
@@ -179,9 +178,7 @@ def criterion_4_ratios(ws: Workspace) -> list[Check]:
         for b in range(56):
             i2, t2 = tensor[b]
             nab = Fraction(1) if i == i2 else Fraction(0)
-            xv = [Fraction(1 if s == t else 0) for s in range(9)]
-            yv = [Fraction(1 if s == t2 else 0) for s in range(9)]
-            trxy = m.trace_of(m.mul_dense(xv, yv))
+            trxy = m.trace_of(m.table.prod[t][t2])
             rhs = nab * trxy
             lhs = k[14 + a][14 + b]
             if rhs == 0:
@@ -330,8 +327,7 @@ def criterion_10_flag(ws: Workspace) -> list[Check]:
         auto = auto and rootsys.is_table_automorphism(flag.table, f)
     out.append(Check("flag: theta, F_i preserve L and its bracket", auto))
     from .structalg import center, derived_algebra
-    l0 = Subspace(78, [[Fraction(1 if i == t else 0) for i in range(78)]
-                       for t in range(36)])
+    l0 = Subspace(78, [{t: Fraction(1)} for t in range(36)])
     l0t = subalgebra_table(flag.table, l0)
     der = derived_algebra(l0t)
     out.append(Check("flag: dim [L_0, L_0]", der.dim == 35, der.dim, 35))

@@ -132,8 +132,7 @@ def _tits_tensor_constants(tits):
             for q in range(ders.dim):
                 _record_ratio(ratios[name], kappa_l[name][p][q], k_d[p][q])
 
-    unit = [[Fraction(int(s == t)) for s in range(9)] for t in range(9)]
-    tr_xy = [[m.trace_of(m.mul_dense(unit[t], unit[u])) for u in range(9)]
+    tr_xy = [[m.trace_of(m.table.prod[t][u]) for u in range(9)]
              for t in range(9)]
     constants = {"Der(O)": set(), "Der(M)": set()}
     for alpha, (i, t) in enumerate(tensor):

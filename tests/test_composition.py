@@ -90,7 +90,8 @@ def test_d_ab_spans_der_o():
     for i in range(1, 8):
         for j in range(i + 1, 8):
             d = co.d_ab(co.unit(i), co.unit(j))
-            mats.append([d[r][c] for r in range(8) for c in range(8)])
+            mats.append({8 * r + c: d[r][c] for r in range(8)
+                         for c in range(8) if d[r][c]})
     assert sa.Subspace(64, mats).dim == 14
 
 

@@ -10,12 +10,7 @@ from e6grad.abgroup import FgAbelianGroup, presented_group
 
 
 def unit_vecs(n, idxs):
-    out = []
-    for i in idxs:
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        out.append(v)
-    return out
+    return [{i: Fraction(1)} for i in idxs]
 
 
 def test_trivial_grading_passes():
@@ -142,8 +137,7 @@ def test_induced_derivation_grading_trivial():
     t = co.octonion_table()
     gd = gr.GradedDecomposition(
         t, FgAbelianGroup(0, (2,)),
-        [((0,), [[Fraction(1 if i == j else 0) for i in range(8)]
-                 for j in range(8)])])
+        [((0,), unit_vecs(8, range(8)))])
     ders, dgd = gr.induced_derivation_grading(gd)
     assert ders.dim == 14
     assert len(dgd.components) == 1

@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e6grad import composition as co
 from e6grad import jordan as jo
 from e6grad import jsonio
+from e6grad.abgroup import FgAbelianGroup
+from e6grad.gradings import GradedDecomposition
 from e6grad.scalar import Cyc, SQRT3
+from e6grad.structalg import AlgebraTable
 
 
 def test_scalar_round_trip():
@@ -37,14 +42,22 @@ def test_table_round_trip():
                for i in range(8) for j in range(8))
 
 
+def assert_same_grading(back, gd):
+    assert (back.group.rank, back.group.torsion) == \
+        (gd.group.rank, gd.group.torsion)
+    assert back.name == gd.name
+    assert [(d, s.basis) for d, s in back.components] == \
+        [(d, s.basis) for d, s in gd.components]
+
+
 def test_grading_round_trip():
     m = jo.build_m()
-    gd = jo.pauli_grading(m)
-    d = jsonio.grading_to_json(gd)
-    back = jsonio.grading_from_json(d, m.table)
-    assert back.support == gd.support
-    assert [s.dim for _, s in back.components] == \
-        [s.dim for _, s in gd.components]
+    j = jo.build_j()
+    gz = jo.jordan_z_grading(j)  # eigenvectors with several nonzero entries
+    assert any(len(v) > 1 for _, s in gz.components for v in s.basis)
+    for gd, table in ((jo.pauli_grading(m), m.table), (gz, j.table)):
+        back = jsonio.grading_from_json(jsonio.grading_to_json(gd), table)
+        assert_same_grading(back, gd)
 
 
 def test_dump_deterministic(tmp_path):
@@ -104,3 +117,127 @@ def test_grading_rejects_degree_length():
     d["components"][1]["degree"].append(0)
     with pytest.raises(ValueError, match="component 1: degree"):
         jsonio.grading_from_json(d, co.octonion_table())
+
+
+@pytest.mark.parametrize("parts", [
+    ["1/1", "0/1", "0/1"],                   # three parts
+    ["1/2"],                                 # one part
+    "1/2",                                   # a bare string
+    ["1/1", "0/1", "0/1", "0/1", "0/1"],     # five parts
+    3,                                       # an int
+    ["1/2", "0/1", "0/1", 0],                # a non-string part
+    ["1/0", "0/1", "0/1", "0/1"],            # a zero denominator
+    ["1/2 ", "0/1", "0/1", "0/1"],           # not of the form p/q
+])
+def test_scalar_rejects_anything_but_four_pq_strings(parts):
+    with pytest.raises(ValueError, match="expected a list of four 'p/q'") \
+            as err:
+        jsonio.scalar_from_json(parts)
+    assert repr(parts) in str(err.value)
+
+
+def test_table_rejects_a_malformed_scalar():
+    d = _octonion_table_json()
+    d["entries"][0][3] = ["1/1", "0/1", "0/1"]
+    with pytest.raises(ValueError, match="four 'p/q'"):
+        jsonio.table_from_json(d)
+
+
+def _drop(key):
+    def f(d):
+        del d[key]
+    return f
+
+
+def _set(key, value):
+    def f(d):
+        d[key] = value
+    return f
+
+
+def _in_group(f):
+    return lambda d: f(d["group"])
+
+
+def _in_component(f):
+    return lambda d: f(d["components"][1])
+
+
+@pytest.mark.parametrize("field, change", [
+    ("group", _drop("group")),
+    ("group", _set("group", [0, [2, 2, 2]])),
+    ("rank", _in_group(_drop("rank"))),
+    ("rank", _in_group(_set("rank", "0"))),
+    ("rank", _in_group(_set("rank", -1))),
+    ("torsion", _in_group(_drop("torsion"))),
+    ("torsion", _in_group(_set("torsion", "33"))),
+    ("torsion", _in_group(_set("torsion", [2, 2, 1]))),
+    ("components", _drop("components")),
+    ("components", _set("components", {"degree": [0, 0, 0]})),
+    ("degree", _in_component(_drop("degree"))),
+    ("degree", _in_component(_set("degree", ["a", "b", "c"]))),
+    ("basis_vectors", _in_component(_drop("basis_vectors"))),
+    ("basis_vectors", _in_component(_set("basis_vectors", "e1"))),
+    ("basis_vectors", _in_component(_set("basis_vectors", [3]))),
+])
+def test_grading_rejects_a_missing_or_mistyped_field(field, change):
+    d = _octonion_grading_json()
+    change(d)
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        jsonio.grading_from_json(d, co.octonion_table())
+
+
+# Round-trip properties on random scalars, tables and gradings.
+
+fractions = st.fractions(max_denominator=50)
+cycs = st.builds(Cyc, fractions, fractions, fractions, fractions)
+scalars = st.one_of(fractions, cycs)
+
+
+@settings(deadline=None)
+@given(scalars)
+def test_scalar_round_trip_property(x):
+    back = jsonio.scalar_from_json(jsonio.scalar_to_json(x))
+    assert back == x
+    rational = not isinstance(x, Cyc) or x.is_rational()
+    assert isinstance(back, Fraction) == rational
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 4))
+    nonzero = scalars.filter(bool)
+    prod = [[draw(st.dictionaries(st.integers(0, n - 1), nonzero,
+                                  max_size=n))
+             for _ in range(n)] for _ in range(n)]
+    names = [f"b{i}" for i in range(n)]
+    return AlgebraTable(n, names, prod)
+
+
+@settings(deadline=None, max_examples=50)
+@given(tables())
+def test_table_round_trip_property(table):
+    d = jsonio.table_to_json(table)
+    back = jsonio.table_from_json(d)
+    assert back.basis_names == table.basis_names
+    assert back.prod == table.prod
+    assert jsonio.table_to_json(back) == d
+
+
+@st.composite
+def gradings(draw):
+    rank = draw(st.integers(0, 2))
+    torsion = tuple(draw(st.lists(st.integers(2, 5), max_size=3)))
+    group = FgAbelianGroup(rank, torsion)
+    coord = [st.integers(-3, 3)] * rank + [st.integers(0, m - 1)
+                                           for m in torsion]
+    degrees = draw(st.lists(st.tuples(*coord), min_size=8, max_size=8))
+    return GradedDecomposition.from_degree_map(co.octonion_table(), group,
+                                               degrees, name="random")
+
+
+@settings(deadline=None, max_examples=50)
+@given(gradings())
+def test_grading_round_trip_property(gd):
+    back = jsonio.grading_from_json(jsonio.grading_to_json(gd), gd.table)
+    assert_same_grading(back, gd)

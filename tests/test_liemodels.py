@@ -78,13 +78,11 @@ def test_tits_model(tits):
     k = tits.killing()
     r = sa.killing_ratio(
         tits.table,
-        sa.Subspace(78, [[Fraction(1 if i == t else 0) for i in range(78)]
-                         for t in range(14)]), k)
+        sa.Subspace(78, [{t: Fraction(1)} for t in range(14)]), k)
     assert r == 3
     r = sa.killing_ratio(
         tits.table,
-        sa.Subspace(78, [[Fraction(1 if i == t else 0) for i in range(78)]
-                         for t in range(70, 78)]), k)
+        sa.Subspace(78, [{t: Fraction(1)} for t in range(70, 78)]), k)
     assert r == 8
 
 
@@ -183,7 +181,7 @@ def test_flag_ad_e(flag):
     assert dims == {-2: 1, -1: 20, 0: 36, 1: 20, 2: 1}
     top = next(b for t, b in spaces if t[0] == 2)[0]
     rf = flag.meta["real_form"]
-    nz = {rf.names[i] for i, c in enumerate(top) if c}
+    nz = {rf.names[i] for i in top}
     assert nz == {"X45", "D4"}  # i(E_44 - E_55) + E_45 + E_54, 0-indexed
 
 

@@ -23,6 +23,16 @@ def cols(m):
             for l in range(len(m[0]))]
 
 
+def rows(m):
+    """The sparse rows of a dense matrix."""
+    return [{k: x for k, x in enumerate(row) if not is_zero(x)} for row in m]
+
+
+def dense(sparse_rows, n):
+    """The dense n-column matrix of sparse rows."""
+    return [[r.get(k, Fraction(0)) for k in range(n)] for r in sparse_rows]
+
+
 # Dense products, identities and equality, for the row-list matrices of
 # elimination and forms and for the dense reference eigensplit below.
 
@@ -41,14 +51,14 @@ def _dense_eq(a, b):
 
 
 def test_kernel_basics():
-    assert la.kernel(_dense_identity(3)) == []
-    k = la.kernel([[Fraction(0)] * 3, [Fraction(0)] * 3])
-    assert len(k) == 3
+    assert la.kernel(rows(_dense_identity(3)), 3) == []
+    k = la.kernel([{}, {}], 3)
+    assert k == [{0: 1}, {1: 1}, {2: 1}]
     m = frac_mat([[1, 2, 3], [2, 4, 6]])
-    basis = la.kernel(m)
-    assert len(basis) == 2
+    basis = la.kernel(rows(m), 3)
+    assert basis == [{0: -2, 1: 1}, {0: -3, 2: 1}]
     for v in basis:
-        assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in m)
+        assert all(sum(r[i] * v.get(i, 0) for i in range(3)) == 0 for r in m)
 
 
 def test_rank_nullity():
@@ -56,7 +66,7 @@ def test_rank_nullity():
     for _ in range(20):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = frac_mat([[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)])
-        assert la.rank([row[:] for row in m]) + len(la.kernel(m)) == c
+        assert la.rank(rows(m)) + len(la.kernel(rows(m), c)) == c
 
 
 def _dense_rref(m):
@@ -115,13 +125,15 @@ def test_rref_matches_dense_gauss_jordan():
     deficient = set()
     for cyc in (False, True):
         for m in _sparse_cases(rng, cyc):
-            red, piv = la.rref(m)
+            red, piv = la.rref(rows(m))
             want, want_piv = _dense_rref(m)
             assert piv == want_piv
-            assert len(red) == len(want) and all(len(row) == len(m[0])
-                                                 for row in red)
-            for row, wrow in zip(red, want):
-                assert all(is_zero(x - y) for x, y in zip(row, wrow))
+            assert all(is_zero(x) for row in want[len(piv):] for x in row)
+            assert red == rows(want[:len(piv)])
+            # ascending keys, no zero entries, 1 at each row's pivot
+            for row, p in zip(red, piv):
+                assert list(row) == sorted(row) and min(row) == p
+                assert row[p] == 1 and not any(is_zero(x) for x in row.values())
             deficient.add(len(piv) < min(len(m), len(m[0])))
     assert deficient == {False, True}
 
@@ -131,10 +143,12 @@ def test_inverse_of_cyc_matrix():
     n = 6
     while True:
         m = [[_sparse_entry(rng, True) for _ in range(n)] for _ in range(n)]
-        if la.rank(m) == n:
+        if la.rank(rows(m)) == n:
             break
-    prod = _dense_mul(la.inverse(m), m)
+    prod = _dense_mul(dense(la.inverse(rows(m)), n), m)
     assert _dense_eq(prod, _dense_identity(n))
+    with pytest.raises(ValueError, match="not invertible"):
+        la.inverse(rows(frac_mat([[1, 2], [2, 4]])))
 
 
 def test_signature_examples_and_congruence():
@@ -148,7 +162,7 @@ def test_signature_examples_and_congruence():
         g = [[s[i][j] + s[j][i] for j in range(n)] for i in range(n)]
         sig = la.signature(g)
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if la.rank([row[:] for row in t]) < n:
+        if la.rank(rows(t)) < n:
             continue
         g2 = _dense_mul(la.transpose(t), _dense_mul(g, t))
         assert la.signature(g2) == sig
@@ -224,7 +238,7 @@ def test_smith_normal_form():
         assert len(dd) == min(r, c) and all(x >= 0 for x in dd)
         for x, y in zip(dd, dd[1:]):
             assert y == 0 or (x != 0 and y % x == 0)
-        k = la.rank(frac_mat(a))
+        k = la.rank(rows(frac_mat(a)))
         assert sum(1 for x in dd if x) == k
         # d1...dj is the j-th determinantal divisor, independent of the
         # elimination
@@ -347,7 +361,7 @@ def _dense_mat_vec(a, v):
 
 
 def _dense_restrict(op, basis):
-    red, pivots = la.rref(basis)
+    red, pivots = _dense_rref(basis)
     dim = len(pivots)
     cols = []
     for b in basis:
@@ -381,7 +395,7 @@ def _dense_eigensplit(ops, eigenvalues, dim):
     for a, lams in zip(ops, eigenvalues):
         nxt = []
         for tag, basis in spaces:
-            red, pivots = la.rref(basis)
+            red, pivots = _dense_rref(basis)
             red = red[: len(pivots)]
             sub = _dense_restrict(a, red)
             d = len(pivots)
@@ -389,15 +403,14 @@ def _dense_eigensplit(ops, eigenvalues, dim):
             for lam in lams:
                 shifted = [[m_op[r][c] - (lam if r == c else 0)
                             for c in range(d)] for r in range(d)]
-                ker = la.kernel(shifted, d)
+                ker = la.kernel(rows(shifted), d)
                 if not ker:
                     continue
                 vecs = []
                 for k in ker:
                     v = [Fraction(0)] * dim
-                    for coef, row in zip(k, red):
-                        if not is_zero(coef):
-                            v = [x + coef * y for x, y in zip(v, row)]
+                    for r, coef in k.items():
+                        v = [x + coef * y for x, y in zip(v, red[r])]
                     vecs.append(v)
                 nxt.append((tag + (lam,), vecs))
         spaces = nxt
@@ -407,8 +420,7 @@ def _dense_eigensplit(ops, eigenvalues, dim):
 
 
 def _reduced(vecs):
-    red, piv = la.rref(vecs)
-    return red[: len(piv)]
+    return la.rref(rows(vecs))[0]
 
 
 def _commuting_ops(rng, n, blocks):
@@ -421,9 +433,9 @@ def _commuting_ops(rng, n, blocks):
                 for j in b:
                     if rng.random() < 0.6:
                         p[i][j] = Fraction(rng.randint(-3, 3))
-        if la.rank(p) == n:
+        if la.rank(rows(p)) == n:
             break
-    pinv = la.inverse(p)
+    pinv = dense(la.inverse(rows(p)), n)
     ops, eigs = [], []
     for _ in range(rng.randint(1, 3)):
         lams = ([Fraction(1), Fraction(-1)] if rng.random() < 0.5
@@ -463,9 +475,8 @@ def test_eigensplit_from_start_buckets_intersects_the_reference():
         want = {}
         for tag, ref in _dense_eigensplit(ops, eigs, n):
             for (b,), idx in start:
-                units = [[Fraction(int(i == k)) for i in range(n)]
-                         for k in idx]
-                inter = subspace_intersection(Subspace(n, ref),
+                units = [{k: Fraction(1)} for k in idx]
+                inter = subspace_intersection(Subspace(n, rows(ref)),
                                               Subspace(n, units), n)
                 if inter.dim:
                     want[(b,) + tag] = inter.basis

@@ -115,7 +115,7 @@ def test_real_form_contract(compact, chevalley, flag):
     for rf in (compact, chevalley.meta["real_form"], flag.meta["real_form"]):
         n = len(rf.complex_basis)
         for t, v in enumerate(rf.complex_basis):
-            assert rf.to_real_coords(v) == [int(s == t) for s in range(n)]
+            assert rf.to_real_coords(v) == {t: 1}
             with pytest.raises(ValueError):
                 rf.to_real_coords({k: CYC_I * c for k, c in v.items()})
         ident = [{k: Fraction(1)} for k in range(n)]

@@ -62,8 +62,7 @@ def test_derived_and_closure_heisenberg():
     der = sa.derived_algebra(t)
     assert der.dim == 1
     assert sa.center(t).dim == 1
-    clo = sa.closure(t, [[Fraction(1), Fraction(0), Fraction(0)],
-                         [Fraction(0), Fraction(1), Fraction(0)]])
+    clo = sa.closure(t, [{0: Fraction(1)}, {1: Fraction(1)}])
     assert clo.dim == 3
 
 
@@ -80,8 +79,7 @@ def test_killing_ratio_whole_algebra_is_one():
     table = co.octonion_table()
     ders = sa.derivations(table)
     n = ders.table.dim
-    whole = sa.Subspace(n, [[Fraction(1 if i == t else 0) for i in range(n)]
-                            for t in range(n)])
+    whole = sa.Subspace(n, [{t: Fraction(1)} for t in range(n)])
     assert sa.killing_ratio(ders.table, whole) == 1
 
 
@@ -89,7 +87,7 @@ def test_killing_ratio_rejects_nonproportional():
     # direct sum sl2 + sl2: restriction to a diagonal-ish non-subalgebra
     prod = [[{} for _ in range(2)] for _ in range(2)]
     t = sa.AlgebraTable(2, ["a", "b"], prod)
-    sub = sa.Subspace(2, [[Fraction(1), Fraction(0)]])
+    sub = sa.Subspace(2, [{0: Fraction(1)}])
     with pytest.raises(ValueError):
         sa.killing_ratio(t, sub)  # abelian: Killing form vanishes
 
@@ -99,8 +97,7 @@ def test_subalgebra_table_rejects_nonclosed():
     prod[0][1] = {2: Fraction(1)}
     prod[1][0] = {2: Fraction(-1)}
     t = sa.AlgebraTable(3, ["x", "y", "z"], prod)
-    sub = sa.Subspace(3, [[Fraction(1), Fraction(0), Fraction(0)],
-                          [Fraction(0), Fraction(1), Fraction(0)]])
+    sub = sa.Subspace(3, [{0: Fraction(1)}, {1: Fraction(1)}])
     with pytest.raises(ValueError):
         sa.subalgebra_table(t, sub)
 
@@ -196,8 +193,7 @@ def test_coords_in_block_reads_free_unknowns(der_j):
         g = ders.blocks[t]
         mat = {kl: Fraction(2, 3) * x for kl, x in ders.mats[t].items()}
         cs = ders.coords_in_block(mat, g)
-        assert cs == [Fraction(2, 3) if s == t else 0
-                      for s in range(ders.dim)]
+        assert cs == {t: Fraction(2, 3)}
 
 
 def test_coords_in_block_rejects_other_blocks():
@@ -240,17 +236,27 @@ def test_derivations_rejects_degrees_that_do_not_grade():
 
 def test_subspace_coords():
     f = Fraction
-    v1 = [f(1), f(0), f(2), f(0), f(1)]
-    v2 = [f(0), f(1), f(-1), f(0), f(3)]
+    v1 = {0: f(1), 2: f(2), 4: f(1)}
+    v2 = {1: f(1), 2: f(-1), 4: f(3)}
     sp = sa.Subspace(5, [v1, v2])
     assert sp.pivots == [0, 1]
-    member = [3 * x - 2 * y for x, y in zip(v1, v2)]
-    assert sp.coords(member) == [3, -2]
-    # a zero coefficient: 2 v1 has coordinate 0 on v2
-    assert sp.coords([2 * x for x in v1]) == [2, 0]
+    member = {0: f(3), 1: f(-2), 2: f(8), 4: f(-3)}  # 3 v1 - 2 v2
+    assert sp.coords(member) == {0: 3, 1: -2}
+    # a zero coefficient: 2 v1 has no coordinate on v2
+    assert sp.coords({k: 2 * x for k, x in v1.items()}) == {0: 2}
+    assert sp.coords({}) == {}
     # the same pivot coordinates, changed at one coordinate off the pivots
-    for base in (member, [2 * x for x in v1], [f(0)] * 5):
+    for base in (member, {k: 2 * x for k, x in v1.items()}, {}):
         for j in (2, 3, 4):
-            w = base[:]
-            w[j] += f(1, 3)
+            w = dict(base)
+            w[j] = w.get(j, 0) + f(1, 3)
             assert sp.coords(w) is None, (base, j)
+
+
+def test_subspace_coords_rejects_entries_outside_the_space():
+    sp = sa.Subspace(2, [{1: Fraction(1)}])
+    assert sp.coords({1: Fraction(1)}) == {0: 1}
+    assert sp.coords({1: Fraction(1), 2: Fraction(5)}) is None
+    assert not sp.contains({0: Fraction(1), 5: Fraction(1)})
+    with pytest.raises(ValueError, match="outside the 2-dim space"):
+        sa.Subspace(2, [{2: Fraction(1)}])

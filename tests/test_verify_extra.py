@@ -1,4 +1,8 @@
-"""Cross-cutting grading invariants over all six named gradings."""
+"""Cross-cutting grading invariants over all six named gradings, and the
+pinned default report."""
+
+import hashlib
+import json
 
 from e6grad import gradings as gr
 from e6grad import verify
@@ -62,3 +66,16 @@ def test_universal_groups_computed_once_per_workspace(ws, monkeypatch):
     report = verify.run_all(fresh)
     assert sorted(calls) == sorted(NAMED_GRADINGS)
     assert [row["grading"] for row in report["table1"]] == list(NAMED_GRADINGS)
+
+
+# SHA-256 of json.dumps(run_all(ws), sort_keys=True) with the default
+# sections: the byte-for-byte oracle that a refactor must leave unchanged.
+RUN_ALL_SHA256 = \
+    "1b66befbb43b19c69796f8b506f6cbf7faf5e039ece8090f1fe3fdd9144eda6f"
+
+
+def test_default_report_is_pinned(ws):
+    report = verify.run_all(ws)
+    assert sum(len(g["checks"]) for g in report["groups"]) == 76
+    doc = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == RUN_ALL_SHA256
