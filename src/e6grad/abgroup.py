@@ -11,7 +11,7 @@ the invariant factors of its relation matrix.
 
 from __future__ import annotations
 
-from .linalg import smith_normal_form, transpose
+from .linalg import smith_normal_form
 
 
 class FgAbelianGroup:
@@ -133,13 +133,13 @@ def presented_group(n_generators: int, relations: list[list[int]],
     """Canonical form of <x_1..x_n | relations> (plus extra free factors).
 
     Each relation is a length-n integer vector meaning sum r_i x_i = 0.  The
-    invariant factors of the relation matrix give the torsion (those above 1)
-    and, by their count of nonzeros, the rank.
+    invariant factors of the relation matrix, one row per relation, give the
+    torsion (those above 1) and, by their count of nonzeros, the rank; its
+    transpose has the same factors.
     """
     if not relations:
         return FgAbelianGroup(n_generators + extra_rank)
-    m = transpose([list(r) for r in relations])  # n x k: columns are relations
-    factors = smith_normal_form(m)
+    factors = smith_normal_form(relations)
     rank = n_generators - sum(1 for x in factors if x != 0)
     torsion = tuple(x for x in factors if x > 1)
     return FgAbelianGroup(rank + extra_rank, torsion)

@@ -98,6 +98,8 @@ def build_albert(eps: int = -1) -> Model:
         if b < 52 <= a:
             return {k: -c for k, c in mul(b, a).items()}
         xa, xb = a - 52, b - 52
+        if xa >= xb:
+            return {} if xa == xb else {k: -c for k, c in mul(b, a).items()}
         comm = mat_commutator(r_ops[xa], r_ops[xb])
         g = group.add(j0_degrees[xa], j0_degrees[xb])
         return {k: epsf * c for k, c in ders.coords_in_block(comm, g).items()}
@@ -776,6 +778,7 @@ def _min_poly_ad(table: AlgebraTable, i: int) -> list[Fraction]:
 
     # Krylov minimal polynomials on basis seeds, combined by lcm
     poly = [Fraction(1)]
+    last = -1  # the seed of the last lcm update
     for seed in range(n):
         v = {seed: Fraction(1)}
         # apply current poly(ad) to the seed; if already zero, skip
@@ -784,8 +787,10 @@ def _min_poly_ad(table: AlgebraTable, i: int) -> list[Fraction]:
             continue
         local = _krylov_min_poly(matvec, v)
         poly = _poly_lcm(poly, local)
-    # verify poly(ad) = 0 on all seeds
-    for seed in range(n):
+        last = seed
+    # verify poly(ad) = 0 on the seeds up to the last update; the later
+    # ones were just found killed by the final poly
+    for seed in range(last + 1):
         if _poly_apply(poly, matvec, {seed: Fraction(1)}):
             raise AssertionError("minimal polynomial verification failed")
     return poly

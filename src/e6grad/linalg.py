@@ -5,13 +5,15 @@ list of sparse columns (column l is the image of basis vector l), and
 Gaussian elimination, kernels and inverses work on lists of sparse rows.
 Dense row lists are kept for what reads a whole square or integer matrix:
 Sylvester inertia of a symmetric form by congruence, and the invariant
-factors of an integer matrix (the diagonal of its Smith normal form).  The
-joint eigenspaces of commuting maps are split off by the images of their
+factors of an integer matrix (the diagonal of its Smith normal form), which
+are read off sparse rows by unit-pivot elimination before a small dense
+core is reduced.  The joint eigenspaces of commuting maps are split off by the images of their
 Lagrange projectors.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .scalar import Cyc, is_zero, sign_exact
@@ -32,10 +34,6 @@ def apply(cols: list[dict], v: dict, shift=0) -> dict:
 def mat_mul(a: list[dict], b: list[dict]) -> list[dict]:
     """The columns of the composite a b of two maps given by columns."""
     return [apply(a, c) for c in b]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def rref(m: list[dict]) -> tuple[list[dict], list[int]]:
@@ -168,17 +166,97 @@ def smith_normal_form(a: Matrix) -> list[int]:
     """Invariant factors d1 | d2 | ... of an integer matrix, one per index up
     to min(rows, cols), as non-negative ints with the zeros last.
 
-    Integer row and column elimination on the smallest nonzero pivot; the
-    unimodular transforms are not formed.  Entries of ``a`` must be ints
-    (Fractions with denominator 1 are accepted).
+    Entries of ``a`` must be ints (Fractions with denominator 1 are
+    accepted).  The unimodular transforms are not formed.  The matrix is
+    first reduced as sparse rows by unit-pivot (Tietze) elimination
+    (Havas, Holt and Rees 1993, "Recognizing badly presented Z-modules"):
+    zero rows are deleted; then, while some entry is +-1, one is taken from
+    the shortest live row (its column the one in fewest rows, to keep the
+    fill-in small), its column is cleared from every other row, and the
+    pivot row and column are dropped for one invariant factor 1.  With no
+    unit entry left, duplicate rows (up to sign) and zero columns are
+    dropped, and the small core goes to integer row and column elimination
+    on the smallest nonzero pivot, the only path for entries other than
+    +-1.
+
+    Every step keeps the determinantal divisors D_k (the gcd of the k x k
+    minors), and so the invariant factors d_k = D_k / D_{k-1}:
+    - adding an integer multiple of one row to another, or of one column
+      to another, is unimodular;
+    - once its column is cleared, the other entries of a pivot row with
+      pivot p = +-1 are cleared by column operations that change nothing
+      else, leaving diag(p, B), whose D_k is D_{k-1}(B) because D_{k-1}(B) | D_k(B); so
+      its factors are 1 followed by those of B;
+    - a row equal to another or to its negative becomes zero after one row
+      operation, and a zero row or column is in no nonzero minor.
+    Each dropped pivot takes one row and one column, so the units, the
+    core's factors and zeros up to min(rows, cols) are the whole chain.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [[int(x) for x in row] for row in a]
-    for row in a:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise ValueError("smith_normal_form requires integer entries")
+    width = len(a[0]) if a else 0
+    live = {}  # row index -> sparse row {column: nonzero int}
+    where = [set() for _ in range(width)]  # column -> live rows holding it
+    for i, row in enumerate(a):
+        r = {}
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                if Fraction(x).denominator != 1:
+                    raise ValueError("smith_normal_form requires integer "
+                                     "entries")
+                x = int(x)
+            if x:
+                r[j] = x
+                where[j].add(i)
+        if r:
+            live[i] = r
+
+    ones = 0
+    heap = [(len(r), i) for i, r in live.items()]
+    heapq.heapify(heap)
+    while heap:
+        n, i = heapq.heappop(heap)
+        r = live.get(i)
+        if r is None or len(r) != n:
+            continue  # stale entry: the row was cleared or changed
+        units = [j for j, x in r.items() if x == 1 or x == -1]
+        if not units:
+            continue  # pushed again if a row operation changes it
+        c = min(units, key=lambda j: (len(where[j]), j))
+        p = r[c]
+        for k in sorted(where[c]):
+            if k == i:
+                continue
+            s = live[k]
+            f = s[c] * p  # s -= (s[c] / p) r, and 1 / p = p
+            for j, x in r.items():
+                y = s.get(j, 0) - f * x
+                if y:
+                    if j not in s:
+                        where[j].add(k)
+                    s[j] = y
+                else:
+                    del s[j]
+                    where[j].discard(k)
+            if s:
+                heapq.heappush(heap, (len(s), k))
+            else:
+                del live[k]
+        for j in r:
+            where[j].discard(i)
+        del live[i]
+        ones += 1
+
+    seen = set()
+    core = []
+    for r in live.values():
+        key = tuple(sorted(r.items()))
+        if key[0][1] < 0:
+            key = tuple((j, -x) for j, x in key)
+        if key not in seen:
+            seen.add(key)
+            core.append(r)
+    kept = [j for j in range(width) if where[j]]
+    d = [[r.get(j, 0) for j in kept] for r in core]
+    rows, cols = len(d), len(kept)
 
     def row_op(i, j, q):  # row i -= q * row j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
@@ -231,7 +309,8 @@ def smith_normal_form(a: Matrix) -> list[int]:
         if fixed:
             continue
         t += 1
-    return [abs(d[i][i]) for i in range(min(rows, cols))]
+    factors = [1] * ones + [abs(d[i][i]) for i in range(min(rows, cols))]
+    return factors + [0] * (min(len(a), width) - len(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,26 @@ def test_presented_group():
     assert g.rank == 1 and not g.torsion
 
 
+def test_presented_group_reads_relations_as_rows(ws, monkeypatch):
+    """The group from the relation rows equals the one read off the
+    invariant factors of their transpose, on gamma3's relations."""
+    from e6grad.linalg import smith_normal_form
+    seen = []
+
+    def spy(n, relations):
+        seen.append((n, relations))
+        return presented_group(n, relations)
+
+    monkeypatch.setattr(gr, "presented_group", spy)
+    got = gr.universal_group(ws.grading("gamma3"))
+    ((n, rels),) = seen
+    factors = smith_normal_form([list(col) for col in zip(*rels)])
+    want = FgAbelianGroup(n - sum(1 for x in factors if x),
+                          tuple(x for x in factors if x > 1))
+    assert got == want == FgAbelianGroup(0, (2, 6, 6))
+    assert (len(rels), n) == (2229, 71)
+
+
 def test_group_descriptions():
     assert FgAbelianGroup(1, (2, 2, 2, 2)).describe() == "Z x Z2^4"
     assert FgAbelianGroup(0, (2, 2, 3)).describe() == "Z2^2 x Z3"

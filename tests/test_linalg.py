@@ -36,6 +36,10 @@ def dense(sparse_rows, n):
 # Dense products, identities and equality, for the row-list matrices of
 # elimination and forms and for the dense reference eigensplit below.
 
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
 def _dense_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -164,7 +168,7 @@ def test_signature_examples_and_congruence():
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         if la.rank(rows(t)) < n:
             continue
-        g2 = _dense_mul(la.transpose(t), _dense_mul(g, t))
+        g2 = _dense_mul(_transpose(t), _dense_mul(g, t))
         assert la.signature(g2) == sig
 
 
@@ -222,15 +226,65 @@ def _snf_in_child(a, seconds=30):
     return json.loads(out.stdout)
 
 
+def _relation_rows(rng, r, c):
+    """r rows with at most 3 nonzeros: g + h - k (coefficients 1, 1, -1,
+    or 2, -1 and 0 when indices meet) or 2 g - k."""
+    a = []
+    for _ in range(r):
+        row = [0] * c
+        if rng.random() < 0.3:
+            terms = [(rng.randrange(c), 2), (rng.randrange(c), -1)]
+        else:
+            terms = [(rng.randrange(c), 1), (rng.randrange(c), 1),
+                     (rng.randrange(c), -1)]
+        for j, x in terms:
+            row[j] += x
+        a.append(row)
+    return a
+
+
+def _unit_pivot_cases(rng):
+    """Matrices for the unit-pivot pre-pass: relation-shaped ones, ones
+    without a unit entry, and ones with duplicate, negated and zero rows."""
+    for _ in range(40):
+        yield _relation_rows(rng, rng.randint(1, 7), rng.randint(1, 5))
+    for n in range(30):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        if n % 2:
+            yield [[2 * rng.randint(-4, 4) for _ in range(c)]
+                   for _ in range(r)]
+        else:
+            yield [[rng.choice([0, 0, 2, -2, 3, -3, 6]) for _ in range(c)]
+                   for _ in range(r)]
+    for n in range(30):
+        c = rng.randint(1, 5)
+        if n % 2:
+            a = _relation_rows(rng, rng.randint(1, 3), c)
+        else:
+            a = [[rng.randint(-3, 3) for _ in range(c)]
+                 for _ in range(rng.randint(1, 3))]
+        a += [list(rng.choice(a)), [-x for x in rng.choice(a)], [0] * c]
+        rng.shuffle(a)
+        yield a
+
+
 def test_smith_normal_form():
     assert la.smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert la.smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    assert la.smith_normal_form([[2, 0], [0, 3], [0, 0]]) == [1, 6]
+    assert la.smith_normal_form([[4, 6], [6, 4]]) == [2, 10]
+    assert la.smith_normal_form([[1, 2], [-1, -2], [1, 2], [0, 0]]) == [1, 0]
+    assert la.smith_normal_form([[2, 4], [-2, -4], [0, 0]]) == [2, 0]
     rng = random.Random(5)
     cases = []
     for _ in range(30):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         cases.append((a, la.smith_normal_form(a)))
+    for a in _unit_pivot_cases(random.Random(11)):
+        dd = la.smith_normal_form(a)
+        assert la.smith_normal_form(_transpose(a)) == dd
+        cases.append((a, dd))
     cases += [(a, _snf_in_child(a)) for a in SNF_HARD]
     assert cases[-1][1] == [1, 1, 1, 1, 1, 1, 2]
     for a, dd in cases:
@@ -246,6 +300,26 @@ def test_smith_normal_form():
         for j in range(1, k + 1):
             prod *= dd[j - 1]
             assert prod == _determinantal_divisor(a, j)
+
+
+def test_smith_normal_form_edge_shapes():
+    assert la.smith_normal_form([[0]]) == [0]
+    assert la.smith_normal_form([[0] * 4 for _ in range(3)]) == [0, 0, 0]
+    assert la.smith_normal_form([[0, 4, -6]]) == [2]
+    assert la.smith_normal_form([[0], [4], [-6]]) == [2]
+    assert la.smith_normal_form([[3, 0, -1]]) == [1]
+    assert la.smith_normal_form([[-5]]) == [5]
+    assert la.smith_normal_form([]) == []
+    assert la.smith_normal_form([[]]) == []
+    assert la.smith_normal_form([[Fraction(4)], [Fraction(-6, 1)]]) == [2]
+    with pytest.raises(ValueError):
+        la.smith_normal_form([[1, Fraction(1, 2)]])
+    rng = random.Random(14)
+    for _ in range(10):
+        row = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        g = math.gcd(*row)
+        assert la.smith_normal_form([row]) == [g]
+        assert la.smith_normal_form([[x] for x in row]) == [g]
 
 
 def test_eigensplit_identity():
