@@ -34,6 +34,45 @@ def _coerce4(x) -> tuple:
     return (Fraction(x), _ZERO, _ZERO, _ZERO)
 
 
+def _one_term(c: tuple):
+    """k if every coordinate of c but coordinate k is zero, else None.
+
+    For c = 0 this is 3, so the caller scales by c[3] = 0."""
+    c0, c1, c2, c3 = c
+    if c0:
+        return None if c1 or c2 or c3 else 0
+    if c1:
+        return None if c2 or c3 else 1
+    if c2:
+        return None if c3 else 2
+    return 3
+
+
+def _plus(x: Fraction, y: Fraction) -> Fraction:
+    return x + y if x and y else x or y
+
+
+def _shift(b: tuple, s, k: int) -> "Cyc":
+    """(s * z^k) * b for rational s and 0 <= k < 4: scale, then shift k
+    times by z with z^4 = z^2 - 1, z^5 = z^3 - z and z^6 = -1."""
+    if not s:
+        return CYC_ZERO
+    b0, b1, b2, b3 = b
+    if s != 1:
+        b0 = b0 * s if b0 else b0
+        b1 = b1 * s if b1 else b1
+        b2 = b2 * s if b2 else b2
+        b3 = b3 * s if b3 else b3
+    if k == 0:
+        return Cyc._make((b0, b1, b2, b3))
+    if k == 1:  # z * b
+        return Cyc._make((-b3, b0, _plus(b1, b3), b2))
+    if k == 2:  # z^2 * b
+        return Cyc._make((-b2, -b3, _plus(b0, b2), _plus(b1, b3)))
+    # z^3 * b
+    return Cyc._make((-_plus(b1, b3), -b2, b1, _plus(b0, b2)))
+
+
 class Cyc:
     """An element of Q(zeta_12) in the power basis {1, z, z^2, z^3}."""
 
@@ -73,20 +112,19 @@ class Cyc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return CYC_ZERO
-            a = self.c
-            return Cyc._make((a[0] * other, a[1] * other, a[2] * other, a[3] * other))
+            return _shift(self.c, other, 0)
         if not isinstance(other, Cyc):
             return NotImplemented
         a, b = self.c, other.c
-        # A rational operand scales the coordinates of the other.
-        if not (b[1] or b[2] or b[3]):
-            s = b[0]
-            return Cyc._make((a[0] * s, a[1] * s, a[2] * s, a[3] * s))
-        if not (a[1] or a[2] or a[3]):
-            s = a[0]
-            return Cyc._make((s * b[0], s * b[1], s * b[2], s * b[3]))
+        # Two fast paths skip the convolution.  A rational operand s scales
+        # the coordinates of the other; a one-term operand s*z^k scales them
+        # and shifts them k times.  Neither multiplies a zero coordinate.
+        k = _one_term(b)
+        if k is not None:
+            return _shift(a, b[k], k)
+        k = _one_term(a)
+        if k is not None:
+            return _shift(b, a[k], k)
         # Convolution up to degree 6, then reduce with z^4 = z^2 - 1,
         # z^5 = z^3 - z, z^6 = -1.
         d0 = a[0] * b[0]

@@ -282,6 +282,14 @@ class RealForm:
     and each block must be a square, invertible matrix over Q(zeta_12).
     ``table`` is the restricted algebra: entry (i, j) holds the rational
     coordinates of the complex product of basis vectors i and j.
+
+    When ``complex_table`` is anticommutative (a Lie table) or commutative
+    (a Jordan table), checked over all pairs, only the products with i <= j
+    are formed, and entry (j, i) is entry (i, j) times -1 or +1.  This is
+    exact: if e_b e_a = s e_a e_b for all coordinates a, b (s = -1 or +1),
+    then by bilinearity b_j b_i = s b_i b_j, and the real coordinates of
+    s w are s times those of w, since ``to_real_coords`` is linear.  Any
+    other table has all n^2 products formed.
     """
 
     def __init__(self, complex_table: AlgebraTable, complex_basis: list[dict],
@@ -333,7 +341,19 @@ class RealForm:
             for k in ks:
                 self._block_of[k] = len(self._blocks)
             self._blocks.append((ts, inv))
-        self.table = AlgebraTable.build(n, names, self._mul)
+        sign = (-1 if complex_table.check_anticommutative()
+                else 1 if complex_table.check_commutative() else None)
+        if sign is None:
+            self.table = AlgebraTable.build(n, names, self._mul)
+        else:
+            prod = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    cell = self._mul(i, j)
+                    prod[i][j] = cell
+                    if j != i:
+                        prod[j][i] = {k: sign * v for k, v in cell.items()}
+            self.table = AlgebraTable(n, names, prod)
 
     def to_real_coords(self, w: dict) -> dict:
         """Rational coordinates of the complex vector w in the basis, as a

@@ -96,6 +96,32 @@ def test_product_with_a_rational_operand():
         assert (q * q).c == _convolution(q, q)
 
 
+def _one_term(rng, k):
+    coords = [0, 0, 0, 0]
+    coords[k] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                         rng.randint(1, 5))
+    return Cyc(*coords)
+
+
+def test_product_matches_the_convolution_on_every_path():
+    # zero, one-term s*z^k for each k (k = 0 is rational; s = 1 and s != 1),
+    # two-term and general operands, on both sides of the product
+    rng = random.Random(43)
+    fixed = [Cyc(0), CYC_ONE, ZETA, Cyc(0, 0, 1), I, -I, SQRT3, OMEGA]
+    for _ in range(25):
+        xs = fixed + [_one_term(rng, k) for k in range(4)] + \
+            [rand_cyc(rng) for _ in range(3)]
+        for a in xs:
+            for b in xs:
+                p = a * b
+                assert p.c == _convolution(a, b), (a, b)
+                assert all(type(v) is Fraction for v in p.c), (a, b)
+            for q in (0, 1, -2, Fraction(-3, 4)):
+                for p in (a * q, q * a):
+                    assert p.c == _convolution(a, Cyc(q)), (a, q)
+                    assert all(type(v) is Fraction for v in p.c), (a, q)
+
+
 def test_inverse_of_rational_and_irrational():
     rng = random.Random(37)
     for _ in range(50):

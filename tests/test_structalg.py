@@ -5,9 +5,11 @@ import pytest
 
 from e6grad import composition as co
 from e6grad import jordan as jo
+from e6grad import liemodels as lm
 from e6grad import linalg as la
 from e6grad import structalg as sa
 from e6grad.abgroup import FgAbelianGroup
+from e6grad.scalar import CYC_ONE, ZETA
 
 
 def zero_algebra(n=1):
@@ -260,3 +262,62 @@ def test_subspace_coords_rejects_entries_outside_the_space():
     assert not sp.contains({0: Fraction(1), 5: Fraction(1)})
     with pytest.raises(ValueError, match="outside the 2-dim space"):
         sa.Subspace(2, [{2: Fraction(1)}])
+
+
+def _count_products(monkeypatch) -> list:
+    """Record every (i, j) whose product a RealForm forms."""
+    calls = []
+    mul = sa.RealForm._mul
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return mul(self, i, j)
+
+    monkeypatch.setattr(sa.RealForm, "_mul", counted)
+    return calls
+
+
+def test_real_form_mirrors_anticommutative_and_commutative_tables(monkeypatch):
+    calls = _count_products(monkeypatch)
+    flag = lm.FlagRealForm()
+    assert len(calls) == 78 * 79 // 2 == 3081
+    assert set(calls) == {(i, j) for i in range(78) for j in range(i, 78)}
+    assert flag.table.check_anticommutative()
+    calls.clear()
+    m = jo.build_pauli_m()
+    assert len(calls) == 9 * 10 // 2 == 45
+    assert m.table.check_commutative()
+
+
+def test_real_form_forms_every_product_of_other_tables(monkeypatch, flag):
+    rf = flag.meta["real_form"]
+    cx = rf.complex
+    # [h, w] made equal to [w, h] instead of its negative: one cell breaks
+    # antisymmetry, and every other cell breaks symmetry.  The products
+    # stay real: (iw)(ih) = (ih)(iw) = (1/3) I6.
+    prod = [[dict(cell) for cell in row] for row in cx.prod]
+    assert prod[76][77]
+    prod[77][76] = dict(prod[76][77])
+    odd = sa.AlgebraTable(cx.dim, cx.basis_names, prod)
+    assert not odd.check_anticommutative() and not odd.check_commutative()
+    calls = _count_products(monkeypatch)
+    orf = sa.RealForm(odd, rf.complex_basis, rf.names)
+    assert len(calls) == 78 ** 2
+    basis = rf.complex_basis
+    ref = [[rf.to_real_coords(odd.mul_vec(u, v)) for v in basis]
+           for u in basis]
+    assert orf.table.prod == ref
+    assert ref[77][76] == ref[76][77] != {}
+    # the mirrored flag table agrees with these products off that cell
+    ref[77][76] = {k: -v for k, v in ref[76][77].items()}
+    assert rf.table.prod == ref
+
+
+def test_real_form_still_rejects_irrational_mirrored_products():
+    # b0 b1 = z b0 is formed whether b1 b0 is its negative or itself, and
+    # it is not in the real span
+    basis, names = [{0: CYC_ONE}, {1: CYC_ONE}], ["b0", "b1"]
+    for sign in (-1, 1):
+        prod = [[{}, {0: ZETA}], [{0: sign * ZETA}, {}]]
+        with pytest.raises(ValueError, match="not rational"):
+            sa.RealForm(sa.AlgebraTable(2, names, prod), basis, names)
