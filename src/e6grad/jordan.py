@@ -41,13 +41,14 @@ class Coeff:
     dim: int
     mul: object          # mul(i, j) -> dict
     conj_sign: list      # conj acts diagonally except for RR (handled below)
-    unit: list           # dense coordinates of 1
+    unit: dict           # sparse coordinates of 1
     swap: bool = False   # RR exchange involution
 
-    def conj_vec(self, v: list) -> list:
+    def conj_vec(self, v: dict) -> dict:
+        """Conjugate of a sparse coefficient vector."""
         if self.swap:
-            return [v[1], v[0]]
-        return [s * x for s, x in zip(self.conj_sign, v)]
+            return {1 - p: x for p, x in v.items()}
+        return {p: self.conj_sign[p] * x for p, x in v.items()}
 
 
 def coeff_octonions(split: bool = False) -> Coeff:
@@ -56,16 +57,16 @@ def coeff_octonions(split: bool = False) -> Coeff:
     def mul(i, j):
         return table.prod[i][j]
 
-    unit = [Fraction(1)] + [Fraction(0)] * 7
     return Coeff("Os" if split else "O", 8, mul,
-                 [Fraction(1)] + [Fraction(-1)] * 7, unit)
+                 [Fraction(1)] + [Fraction(-1)] * 7, {0: Fraction(1)})
 
 
 def coeff_rr() -> Coeff:
     def mul(i, j):
         return {i: Fraction(1)} if i == j else {}
 
-    return Coeff("R+R", 2, mul, [], [Fraction(1), Fraction(1)], swap=True)
+    return Coeff("R+R", 2, mul, [], {0: Fraction(1), 1: Fraction(1)},
+                 swap=True)
 
 
 # ---------------------------------------------------------------------------
@@ -128,87 +129,92 @@ class JordanH3:
         return kernel([self.trace], self.dim)
 
 
-def _mat3_zero(c: Coeff):
-    return [[[Fraction(0)] * c.dim for _ in range(3)] for _ in range(3)]
-
-
-def _mat3_mul(c: Coeff, x, y):
-    out = _mat3_zero(c)
-    for i in range(3):
-        for j in range(3):
-            acc = [Fraction(0)] * c.dim
-            for k in range(3):
-                a, b = x[i][k], y[k][j]
-                for p, ap in enumerate(a):
-                    if ap == 0:
-                        continue
-                    for q, bq in enumerate(b):
-                        if bq == 0:
-                            continue
-                        for r, cr in c.mul(p, q).items():
-                            acc[r] += ap * bq * cr
-            out[i][j] = acc
+def _sparse_mat3_mul(c: Coeff, x: dict, y: dict) -> dict:
+    """Product of two sparse 3x3 matrices {(r, s): sparse coefficient
+    vector}, formed from their nonzero entries only."""
+    rows_y: dict = {}
+    for (k, s), b in y.items():
+        rows_y.setdefault(k, []).append((s, b))
+    out: dict = {}
+    for (r, k), a in x.items():
+        for s, b in rows_y.get(k, ()):
+            acc = out.setdefault((r, s), {})
+            for p, ap in a.items():
+                for q, bq in b.items():
+                    vec_add_scaled(acc, c.mul(p, q), ap * bq)
     return out
 
 
 def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
                   kind: str) -> JordanH3:
-    """H3(C, diag(gamma)) on the basis {E_ii, iota_i(c_b)}."""
+    """H3(C, diag(gamma)) on the basis {E_ii, iota_i(c_b)}.
+
+    Each basis element is a sparse 3x3 matrix {(r, s): sparse coefficient
+    vector}: E_ii has the single entry 1 at (i, i), and iota_i(c_b) has c_b
+    at its slot and gamma_r gamma_s conj(c_b) at the transposed slot.  Only
+    the nonzero entries are multiplied.  The product x . y = (xy + yx)/2 is
+    symmetric by its definition, so it is formed for i <= j only and cell
+    (j, i) is a copy of cell (i, j).  Every product formed is read back
+    through two guards: each diagonal entry must be a multiple of the unit,
+    and each off-diagonal pair must be gamma-hermitian; a coefficient
+    algebra that breaks either raises ValueError.
+    """
     nc = coeff.dim
     dim = 3 + 3 * nc
+    half = Fraction(1, 2)
+
+    def partner(r, s, a):
+        # the entry at (s, r) of a gamma-hermitian matrix with a at (r, s)
+        sign = gamma[r] * gamma[s]
+        return {p: sign * x for p, x in coeff.conj_vec(a).items()}
 
     def matrix_of(idx):
-        m = _mat3_zero(coeff)
         if idx < 3:
-            m[idx][idx] = list(coeff.unit)
-            return m
+            return {(idx, idx): dict(coeff.unit)}
         slot, b = divmod(idx - 3, nc)
-        i = slot + 1
-        r, s = _POS[i]
-        a = [Fraction(0)] * nc
-        a[b] = Fraction(1)
-        m[r][s] = a
-        sign = gamma[r] * gamma[s]
-        m[s][r] = [sign * x for x in coeff.conj_vec(a)]
-        return m
+        r, s = _POS[slot + 1]
+        c_b = {b: Fraction(1)}
+        return {(r, s): c_b, (s, r): partner(r, s, c_b)}
 
     mats = [matrix_of(i) for i in range(dim)]
+    ref = min(coeff.unit)
 
     def unit_multiple(vec):
-        ref = next((t for t, u in enumerate(coeff.unit) if u != 0))
-        scal = vec[ref] / coeff.unit[ref]
-        for x, u in zip(vec, coeff.unit):
-            if x != scal * u:
+        scal = vec.get(ref, 0) / coeff.unit[ref]
+        for p in vec.keys() | coeff.unit.keys():
+            if vec.get(p, 0) != scal * coeff.unit.get(p, 0):
                 raise ValueError("diagonal entry is not a multiple of the unit")
         return scal
 
     def coords_of(m) -> dict:
-        """Sparse coordinates of a gamma-hermitian matrix of coefficient
-        coordinates."""
-        v = {i: unit_multiple(m[i][i]) for i in range(3)}
+        """Sparse coordinates of a gamma-hermitian sparse matrix."""
+        v = {i: unit_multiple(m.get((i, i), {})) for i in range(3)}
         for i in (1, 2, 3):
             r, s = _POS[i]
-            a = m[r][s]
+            a = m.get((r, s), {})
             for b in range(nc):
-                v[3 + (i - 1) * nc + b] = a[b]
-            sign = gamma[r] * gamma[s]
-            back = [sign * x for x in coeff.conj_vec(a)]
-            if back != m[s][r]:
+                v[3 + (i - 1) * nc + b] = a.get(b, 0)
+            if partner(r, s, a) != m.get((s, r), {}):
                 raise ValueError("matrix is not gamma-hermitian")
         return {k: x for k, x in v.items() if x}
 
-    def mul(i, j):
-        xy = _mat3_mul(coeff, mats[i], mats[j])
-        yx = _mat3_mul(coeff, mats[j], mats[i])
-        sym = [[[Fraction(x + y, 2) for x, y in zip(a, b)]
-                for a, b in zip(ra, rb)] for ra, rb in zip(xy, yx)]
-        return coords_of(sym)
+    prod = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            sym: dict = {}
+            for x, y in ((mats[i], mats[j]), (mats[j], mats[i])):
+                for key, w in _sparse_mat3_mul(coeff, x, y).items():
+                    vec_add_scaled(sym.setdefault(key, {}), w, half)
+            cell = coords_of(sym)
+            prod[i][j] = cell
+            if j != i:
+                prod[j][i] = dict(cell)
 
     names = [f"E{i+1}{i+1}" for i in range(3)]
     for i in (1, 2, 3):
         for b in range(nc):
             names.append(f"i{i}(c{b})")
-    table = AlgebraTable.build(dim, names, mul)
+    table = AlgebraTable(dim, names, prod)
     trace = {i: Fraction(1) for i in range(3)}
     unit = {i: Fraction(1) for i in range(3)}
     meta = {"gamma": gamma, "coeff": coeff,

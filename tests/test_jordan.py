@@ -26,6 +26,107 @@ def test_unsupported_pair_rejected():
         jo.build_h3("C", "g1")
 
 
+def dense_h3_diag_prod(coeff, gamma):
+    """All n^2 products of H3(C, diag(gamma)) from dense 3x3 matrices of
+    dense coefficient lists, each xy and yx formed in full."""
+    nc = coeff.dim
+    dim = 3 + 3 * nc
+    unit = [coeff.unit.get(p, Fraction(0)) for p in range(nc)]
+
+    def conj(v):
+        if coeff.swap:
+            return [v[1], v[0]]
+        return [s * x for s, x in zip(coeff.conj_sign, v)]
+
+    def zero():
+        return [[[Fraction(0)] * nc for _ in range(3)] for _ in range(3)]
+
+    def mat3_mul(x, y):
+        out = zero()
+        for i in range(3):
+            for j in range(3):
+                acc = [Fraction(0)] * nc
+                for k in range(3):
+                    for p, ap in enumerate(x[i][k]):
+                        if ap == 0:
+                            continue
+                        for q, bq in enumerate(y[k][j]):
+                            if bq == 0:
+                                continue
+                            for r, cr in coeff.mul(p, q).items():
+                                acc[r] += ap * bq * cr
+                out[i][j] = acc
+        return out
+
+    def matrix_of(idx):
+        m = zero()
+        if idx < 3:
+            m[idx][idx] = list(unit)
+            return m
+        slot, b = divmod(idx - 3, nc)
+        r, s = jo._POS[slot + 1]
+        a = [Fraction(0)] * nc
+        a[b] = Fraction(1)
+        m[r][s] = a
+        m[s][r] = [gamma[r] * gamma[s] * x for x in conj(a)]
+        return m
+
+    def coords_of(m):
+        ref = next(t for t, u in enumerate(unit) if u)
+        v = {}
+        for i in range(3):
+            scal = m[i][i][ref] / unit[ref]
+            assert m[i][i] == [scal * u for u in unit]
+            v[i] = scal
+        for i in (1, 2, 3):
+            r, s = jo._POS[i]
+            for b in range(nc):
+                v[3 + (i - 1) * nc + b] = m[r][s][b]
+            assert m[s][r] == [gamma[r] * gamma[s] * x for x in conj(m[r][s])]
+        return {k: x for k, x in v.items() if x}
+
+    mats = [matrix_of(i) for i in range(dim)]
+    prod = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            xy = mat3_mul(mats[i], mats[j])
+            yx = mat3_mul(mats[j], mats[i])
+            row.append(coords_of([[[(x + y) / 2 for x, y in zip(a, b)]
+                                   for a, b in zip(ra, rb)]
+                                  for ra, rb in zip(xy, yx)]))
+        prod.append(row)
+    return prod
+
+
+@pytest.mark.parametrize("build, coeff, gamma", [
+    (jo.build_j, jo.coeff_octonions, (1, -1, 1)),
+    (jo.build_jc, jo.coeff_octonions, (1, 1, 1)),
+    (jo.build_ms, jo.coeff_rr, (1, 1, 1)),
+])
+def test_h3_tables_match_dense_matrix_products(build, coeff, gamma):
+    got = build().table.prod
+    want = dense_h3_diag_prod(coeff(), gamma)
+    assert len(got) == len(want)
+    for i, (grow, wrow) in enumerate(zip(got, want)):
+        for j, (g, w) in enumerate(zip(grow, wrow)):
+            assert g == w, (i, j)
+            assert all(type(x) is Fraction for x in g.values()), (i, j)
+
+
+def test_h3_rejects_broken_coefficient_algebras():
+    # octonions whose "conjugation" fixes every unit
+    broken = jo.coeff_octonions()
+    broken.conj_sign = [Fraction(1)] * 8
+    with pytest.raises(ValueError, match="not a multiple of the unit"):
+        jo.build_h3_diag(broken, (1, -1, 1), "J")
+    # R+R with (1, 0) in place of its unit (1, 1)
+    broken = jo.coeff_rr()
+    broken.unit = {0: Fraction(1)}
+    with pytest.raises(ValueError, match="not gamma-hermitian"):
+        jo.build_h3_diag(broken, (1, 1, 1), "Ms")
+
+
 def test_jordan_identity_all_four():
     for build in (jo.build_j, jo.build_jc, jo.build_m, jo.build_ms):
         j = build()

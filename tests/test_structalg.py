@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -321,3 +322,100 @@ def test_real_form_still_rejects_irrational_mirrored_products():
         prod = [[{}, {0: ZETA}], [{0: sign * ZETA}, {}]]
         with pytest.raises(ValueError, match="not rational"):
             sa.RealForm(sa.AlgebraTable(2, names, prod), basis, names)
+
+
+def reference_jordan_witness(table):
+    """The Jordan identity column by column: for each triple a <= b <= c and
+    each basis vector y, sum_x R_x(R_m y) - R_m(R_x y) over the pairs
+    (x, m) = (a, b.c), (b, c.a), (c, a.b) of the integer-scaled table.
+    Returns the first (a, b, c, y) with a nonzero sum, or None."""
+    iprod, _ = table.int_scaled()
+    n = table.dim
+
+    def imul_vec(u, v):
+        out = {}
+        for i, a in u.items():
+            row = iprod[i]
+            for j, b in v.items():
+                for k, c in row[j]:
+                    s = out.get(k, 0) + a * b * c
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return out
+
+    basis = [{i: 1} for i in range(n)]
+    pairprod = [[dict(iprod[i][j]) for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(b, n):
+                trip = ((a, pairprod[b][c]), (b, pairprod[c][a]),
+                        (c, pairprod[a][b]))
+                for y in range(n):
+                    acc = {}
+                    for x, m in trip:
+                        t1 = imul_vec(basis[x], imul_vec(m, basis[y]))
+                        t2 = imul_vec(m, imul_vec(basis[x], basis[y]))
+                        sa.vec_add_scaled(acc, t1, 1)
+                        sa.vec_add_scaled(acc, t2, -1)
+                    if acc:
+                        return (a, b, c, y)
+    return None
+
+
+@pytest.fixture(scope="module")
+def jordan_j_table():
+    return jo.build_j().table
+
+
+def corrupted_copy(table, cells):
+    """A copy of ``table`` with b_i b_j's coordinate k raised by delta for
+    each (i, j, k, delta) in ``cells``; the shared table is not touched."""
+    prod = [[dict(cell) for cell in row] for row in table.prod]
+    for i, j, k, delta in cells:
+        cell = prod[i][j]
+        cell[k] = cell.get(k, 0) + delta
+        if not cell[k]:
+            del cell[k]
+    return sa.AlgebraTable(table.dim, table.basis_names, prod)
+
+
+def jordan_corruptions(table, count, seed):
+    """Seeded changes of one structure constant together with its (b, a)
+    partner, so that the table stays commutative.  The first fills a cell
+    that has no entry and the second changes the square b_0 b_0."""
+    rng = random.Random(seed)
+    n = table.dim
+    empty = [(i, j) for i in range(n) for j in range(i, n)
+             if not table.prod[i][j]]
+    out = [rng.choice(empty), (0, 0)]
+    out += [(rng.randrange(n), rng.randrange(n)) for _ in range(count - 2)]
+    cells = []
+    for i, j in out:
+        k = rng.randrange(n)
+        delta = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+        change = [(i, j, k, delta)]
+        if i != j:
+            change.append((j, i, k, delta))
+        cells.append(change)
+    return cells
+
+
+def test_check_jordan_rejects_commutative_corruptions(jordan_j_table):
+    cells = jordan_corruptions(jordan_j_table, 8, seed=17)
+    assert not jordan_j_table.prod[cells[0][0][0]][cells[0][0][1]]
+    for change in cells:
+        bad = corrupted_copy(jordan_j_table, change)
+        rep = bad.check_jordan()
+        assert not rep.ok and rep.name == "jordan", change
+        assert rep.witness == reference_jordan_witness(bad), change
+    assert jordan_j_table.check_jordan().ok
+    assert reference_jordan_witness(jo.build_ms().table) is None
+
+
+def test_check_jordan_rejects_non_commutative_change(jordan_j_table):
+    bad = corrupted_copy(jordan_j_table, [(3, 12, 0, Fraction(1))])
+    rep = bad.check_jordan()
+    assert not rep.ok and rep.name == "commutative"
+    assert rep.witness == (3, 12, 0)
