@@ -34,14 +34,21 @@ def scalar_to_json(x) -> list[str]:
 
 
 _PQ = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+_RATIONAL_TAIL = ["0/1"] * 3
 
 
 def scalar_from_json(parts):
-    """The scalar of four "p/q" strings; raises ValueError on anything else."""
+    """The scalar of four "p/q" strings; raises ValueError on anything else.
+
+    Rational values come back as Fractions and the others as Cyc; the
+    common "p/q", "0/1", "0/1", "0/1" form is read without a Cyc."""
     if type(parts) is not list or len(parts) != 4 or \
             not all(type(x) is str and _PQ.fullmatch(x) for x in parts):
         raise ValueError(f"scalar {parts!r}: expected a list of four "
                          "'p/q' strings")
+    if parts[1:] == _RATIONAL_TAIL:
+        p, _, q = parts[0].partition("/")
+        return Fraction(int(p), int(q))
     c = Cyc.from_strings(parts)
     if c.is_rational():
         return c.as_fraction()
@@ -75,22 +82,31 @@ def _is_index(x, dim: int) -> bool:
 
 
 def table_from_json(d) -> AlgebraTable:
-    """The table of ``d``; raises ValueError naming the first bad entry."""
+    """The table of ``d``; raises ValueError naming the first bad entry.
+
+    Zero entries are accepted and dropped, as ``AlgebraTable.build`` drops
+    them, so that no cell holds an explicit zero; ``table_to_json`` never
+    writes one."""
     dim = d["dim"]
     if type(dim) is not int or dim < 0:
         raise ValueError(f"dim {dim!r} is not a non-negative int")
     if len(d["basis_names"]) != dim:
         raise ValueError(f"{len(d['basis_names'])} basis_names for dim {dim}")
     prod = [[{} for _ in range(dim)] for _ in range(dim)]
+    zeros = set()  # (i, j, k) of the zero entries, which are dropped
     for e in d["entries"]:
         if len(e) != 4 or not all(_is_index(x, dim) for x in e[:3]):
             raise ValueError(f"entry {e!r}: expected [i, j, k, scalar] with "
                              f"ints i, j, k in range({dim})")
         i, j, k, c = e
-        if k in prod[i][j]:
+        if k in prod[i][j] or (i, j, k) in zeros:
             raise ValueError(f"entry {e!r}: duplicate (i, j, k) = "
                              f"{(i, j, k)}")
-        prod[i][j][k] = scalar_from_json(c)
+        x = scalar_from_json(c)
+        if x:
+            prod[i][j][k] = x
+        else:
+            zeros.add((i, j, k))
     return AlgebraTable(dim, d["basis_names"], prod)
 
 

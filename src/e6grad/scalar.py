@@ -92,8 +92,14 @@ class Cyc:
     def __add__(self, other):
         if not isinstance(other, (Cyc, int, Fraction)):
             return NotImplemented
-        a, b = self.c, _coerce4(other)
-        return Cyc._make((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        # A zero coordinate on either side adds nothing, so only pairs of
+        # nonzero coordinates go through Fraction addition.
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = _coerce4(other)
+        return Cyc._make((a0 + b0 if a0 and b0 else a0 or b0,
+                          a1 + b1 if a1 and b1 else a1 or b1,
+                          a2 + b2 if a2 and b2 else a2 or b2,
+                          a3 + b3 if a3 and b3 else a3 or b3))
 
     __radd__ = __add__
 
@@ -104,8 +110,12 @@ class Cyc:
     def __sub__(self, other):
         if not isinstance(other, (Cyc, int, Fraction)):
             return NotImplemented
-        a, b = self.c, _coerce4(other)
-        return Cyc._make((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = _coerce4(other)
+        return Cyc._make((a0 - b0 if a0 and b0 else a0 or -b0,
+                          a1 - b1 if a1 and b1 else a1 or -b1,
+                          a2 - b2 if a2 and b2 else a2 or -b2,
+                          a3 - b3 if a3 and b3 else a3 or -b3))
 
     def __rsub__(self, other):
         return (-self) + other

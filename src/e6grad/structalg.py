@@ -5,6 +5,11 @@ scalars (Fractions; Cyc values are accepted but every concrete model in this
 package has rational constants).  Identity checks (anticommutativity, Jacobi,
 the linearized Jordan identity) run over a common-denominator integer scaling
 of the table, so the exhaustive loops stay in machine/bigint arithmetic.
+The Jacobi check packs each cell of that table into one int, one slot of
+``bits`` bits per coordinate, with 2^(bits - 1) above 3 n M^2 (M the largest
+|constant|), the most any coordinate of a Jacobi vector can reach in
+absolute value; so a packed Jacobi vector is zero exactly when every
+coordinate is, and each triple costs a few int products, not a dict.
 Vectors are sparse dicts (index -> nonzero scalar) throughout: a
 ``Subspace`` holds the sparse RREF rows of a basis and reads coordinates off
 its pivots, with a residual over the vector's keys; only bilinear forms
@@ -169,38 +174,43 @@ class AlgebraTable:
         return CheckReport("commutative", True)
 
     def check_jacobi(self) -> CheckReport:
+        """The Jacobi identity on every basis triple i < j < k, exactly.
+
+        With c the integer-scaled constants, the Jacobi vector of (i, j, k)
+        is sum_l c_jk^l b_i b_l + c_ki^l b_j b_l + c_ij^l b_k b_l.  Each of
+        its n coordinates is a sum of at most 3n products of two constants,
+        so its absolute value is at most 3 n M^2, with M the largest
+        |constant|.  Take bits = bit_length(3 n M^2) + 1 and pack each cell
+        b_i b_l of the table into one int, P[i][l] = sum_m c_il^m 2^(bits m).
+        Packing is linear, so sum_l c_jk^l P[i][l] + c_ki^l P[j][l] +
+        c_ij^l P[k][l] is the packed Jacobi vector.  It is also injective on
+        vectors whose coordinates are below 2^bits in absolute value: if the
+        lowest nonzero coordinate is d at slot m, the packed int is
+        d 2^(bits m) plus a multiple of 2^(bits (m + 1)), and 0 < |d| <
+        2^bits, so it is not zero.  So the packed int is zero exactly when
+        the Jacobi vector is.  The witness of a failure is the first triple
+        (i, j, k) in lexicographic order whose Jacobi vector is not zero.
+        """
         iprod, _ = self.int_scaled()
-
-        def imul(i, v):
-            out = {}
-            row = iprod[i]
-            for l, c in v.items():
-                for k, d in row[l]:
-                    s = out.get(k, 0) + c * d
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-            return out
-
         n = self.dim
+        big = max((abs(c) for row in iprod for cell in row for _, c in cell),
+                  default=0)
+        bits = (3 * n * big * big).bit_length() + 1
+        packed = [[sum(c << (bits * m) for m, c in cell) for cell in row]
+                  for row in iprod]
         for i in range(n):
+            pi = packed[i]
             for j in range(i + 1, n):
+                pj, row_j, c_ij = packed[j], iprod[j], iprod[i][j]
                 for k in range(j + 1, n):
-                    acc = imul(i, dict(iprod[j][k]))
-                    for key, val in imul(j, dict(iprod[k][i])).items():
-                        s = acc.get(key, 0) + val
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
-                    for key, val in imul(k, dict(iprod[i][j])).items():
-                        s = acc.get(key, 0) + val
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
-                    if acc:
+                    s = 0
+                    for l, c in row_j[k]:
+                        s += c * pi[l]
+                    for l, c in iprod[k][i]:
+                        s += c * pj[l]
+                    for l, c in c_ij:
+                        s += c * packed[k][l]
+                    if s:
                         return CheckReport("jacobi", False, (i, j, k))
         return CheckReport("jacobi", True)
 

@@ -94,6 +94,55 @@ def test_table_rejects_duplicate_entry():
         jsonio.table_from_json(d)
 
 
+def _sl2_json():
+    # h, e, f with [h, e] = 2e, [h, f] = -2f, [e, f] = h
+    t = AlgebraTable(3, ["h", "e", "f"], [
+        [{}, {1: Fraction(2)}, {2: Fraction(-2)}],
+        [{1: Fraction(-2)}, {}, {0: Fraction(1)}],
+        [{2: Fraction(2)}, {0: Fraction(-1)}, {}]])
+    return jsonio.table_to_json(t)
+
+
+def test_table_drops_explicit_zero_entries():
+    d = _sl2_json()
+    zero = ["0/1", "0/1", "0/1", "0/1"]
+    d["entries"] += [[0, 0, 1, zero], [1, 2, 2, ["0/5", "0/1", "0/1", "0/1"]],
+                     [2, 1, 1, ["-0/3", "0/1", "0/1", "0/1"]]]
+    t = jsonio.table_from_json(d)
+    assert t.prod[0][0] == {} and t.prod[1][2] == {0: 1}
+    assert t.prod[2][1] == {0: -1}
+    assert t.check_lie().ok
+    assert jsonio.table_to_json(t) == _sl2_json()
+
+
+def test_table_rejects_duplicate_zero_entry():
+    zero = ["0/1", "0/1", "0/1", "0/1"]
+    for extra in ([[0, 0, 1, zero], [0, 0, 1, zero]],
+                  [[1, 2, 0, zero]],                  # after a nonzero one
+                  [[0, 0, 1, zero], [0, 0, 1, ["3/1", "0/1", "0/1", "0/1"]]]):
+        d = _sl2_json()
+        d["entries"] += extra
+        with pytest.raises(ValueError, match="duplicate"):
+            jsonio.table_from_json(d)
+    d = _sl2_json()
+    d["entries"].insert(0, [1, 2, 0, zero])           # before a nonzero one
+    with pytest.raises(ValueError, match=r"duplicate \(i, j, k\) = \(1, 2, 0\)"):
+        jsonio.table_from_json(d)
+
+
+@pytest.mark.parametrize("parts", [
+    ["3/7", "0/1", "0/1", "0/1"], ["-4/6", "0/1", "0/1", "0/1"],
+    ["0/1", "0/1", "0/1", "0/1"], ["-0/9", "0/1", "0/1", "0/1"],
+    ["12/1", "0/1", "0/1", "0/1"], ["5/3", "0/2", "-0/1", "0/1"],
+    ["5/3", "1/2", "0/1", "0/1"], ["0/1", "0/1", "0/1", "-1/3"],
+])
+def test_scalar_rational_form_matches_the_cyc_reading(parts):
+    c = Cyc.from_strings(parts)
+    want = c.as_fraction() if c.is_rational() else c
+    got = jsonio.scalar_from_json(parts)
+    assert got == want and type(got) is type(want)
+
+
 def test_table_rejects_basis_names_length():
     d = _octonion_table_json()
     d["basis_names"].pop()

@@ -122,6 +122,31 @@ def test_product_matches_the_convolution_on_every_path():
                     assert all(type(v) is Fraction for v in p.c), (a, q)
 
 
+def _sparse_cyc(rng):
+    """A Cyc with each coordinate zero or not at random."""
+    return Cyc(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 if rng.random() < 0.5 else 0 for _ in range(4)))
+
+
+def test_sum_and_difference_match_coordinatewise_fractions():
+    # zero and nonzero coordinates mixed on both sides, Cyc and rational
+    # operands on both sides, and sums that cancel to zero
+    rng = random.Random(53)
+    xs = [Cyc(0), CYC_ONE, -ZETA, SQRT3] + \
+        [_sparse_cyc(rng) for _ in range(30)]
+    for a in xs:
+        for b in xs + [0, 2, Fraction(-3, 4)]:
+            bc = b.c if isinstance(b, Cyc) else (Fraction(b), 0, 0, 0)
+            want_sum = tuple(Fraction(x) + y for x, y in zip(a.c, bc))
+            want_diff = tuple(Fraction(x) - y for x, y in zip(a.c, bc))
+            for got, want in ((a + b, want_sum), (b + a, want_sum),
+                              (a - b, want_diff),
+                              (b - a, tuple(-x for x in want_diff))):
+                assert got.c == want, (a, b)
+                assert all(type(v) is Fraction for v in got.c), (a, b)
+        assert (a - a).is_zero() and a + (-a) == 0
+
+
 def test_inverse_of_rational_and_irrational():
     rng = random.Random(37)
     for _ in range(50):

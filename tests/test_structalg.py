@@ -419,3 +419,135 @@ def test_check_jordan_rejects_non_commutative_change(jordan_j_table):
     rep = bad.check_jordan()
     assert not rep.ok and rep.name == "commutative"
     assert rep.witness == (3, 12, 0)
+
+
+def reference_jacobi_vector(table, i, j, k):
+    """[b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] over the
+    integer-scaled table, as a sparse dict; the oracle for the packed ints
+    of ``check_jacobi``."""
+    iprod, _ = table.int_scaled()
+    acc = {}
+    for x, cell in ((i, iprod[j][k]), (j, iprod[k][i]), (k, iprod[i][j])):
+        for l, c in cell:
+            for m, d in iprod[x][l]:
+                s = acc.get(m, 0) + c * d
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+    return acc
+
+
+def reference_jacobi_witness(table):
+    """The first triple i < j < k with a nonzero Jacobi vector, or None."""
+    n = table.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if reference_jacobi_vector(table, i, j, k):
+                    return (i, j, k)
+    return None
+
+
+def anticommutative_table(n, cells):
+    """The table with b_i b_j = v and b_j b_i = -v for each (i, j, v) in
+    ``cells`` (i != j), and every other product zero."""
+    prod = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j, v in cells:
+        prod[i][j] = {k: Fraction(c) for k, c in v.items() if c}
+        prod[j][i] = {k: -Fraction(c) for k, c in v.items() if c}
+    return sa.AlgebraTable(n, [f"b{i}" for i in range(n)], prod)
+
+
+def test_check_jacobi_rejects_corrupted_sl2():
+    # [h, e] = 2e, [h, f] = -2f and [e, f] = h + e: the constant [e, f]_e
+    # and its partner [f, e]_e changed from 0, so the table stays
+    # anticommutative and the Jacobi vector of (h, e, f) is 2e
+    sl2 = anticommutative_table(3, [(0, 1, {1: 2}), (0, 2, {2: -2}),
+                                    (1, 2, {0: 1})])
+    assert sl2.check_lie().ok
+    bad = anticommutative_table(3, [(0, 1, {1: 2}), (0, 2, {2: -2}),
+                                    (1, 2, {0: 1, 1: 1})])
+    assert bad.check_anticommutative().ok
+    rep = bad.check_lie()
+    assert not rep.ok and rep.name == "jacobi" and rep.witness == (0, 1, 2)
+    assert reference_jacobi_vector(bad, 0, 1, 2) == {1: 2}
+
+
+def test_check_jacobi_sees_a_borrow_across_slots():
+    # A negative low coordinate under a positive higher one, which slots
+    # that are too narrow pack to zero.  The first table is anticommutative
+    # with M = 2, and its b_0 is central, so the first three triples pass;
+    # its Jacobi vector -8 b_1 + b_2 needs slots of more than 3 bits, the
+    # width that holds every constant.  The second has n = 3 and M = 3, and
+    # its vector -64 b_0 + b_1 needs more than 6 bits, the width of slots
+    # sized by n M^2 = 27 or by 3 n M = 27 in place of 3 n M^2 = 81.
+    t = anticommutative_table(4, [(2, 3, {1: -2, 2: -2}),
+                                  (3, 1, {1: -1, 2: 2, 3: 1}),
+                                  (1, 2, {1: 2, 2: -1, 3: 2})])
+    assert t.check_anticommutative().ok
+    assert reference_jacobi_vector(t, 1, 2, 3) == {1: -8, 2: 1}
+    rep = t.check_lie()
+    assert not rep.ok and rep.name == "jacobi" and rep.witness == (1, 2, 3)
+    assert reference_jacobi_witness(t) == (1, 2, 3)
+    cells = {(0, 0): (3, -1, 1), (0, 1): (3, -3, -1), (0, 2): (3, 0, 0),
+             (1, 0): (3, 0, 0), (1, 1): (3, 0, 0), (1, 2): (-3, -3, -3),
+             (2, 0): (-3, -3, 1), (2, 1): (2, 0, 0), (2, 2): (1, -1, 0)}
+    prod = [[{m: Fraction(v) for m, v in enumerate(cells[x, y]) if v}
+             for y in range(3)] for x in range(3)]
+    t = sa.AlgebraTable(3, ["a", "b", "c"], prod)
+    assert reference_jacobi_vector(t, 0, 1, 2) == {0: -64, 1: 1}
+    rep = t.check_jacobi()
+    assert not rep.ok and rep.witness == (0, 1, 2)
+
+
+def test_check_jacobi_at_the_bound():
+    # b_x b_y = sum_m M r_y r_m b_m with r = (1, 1, 1, -1): the Jacobi vector
+    # of (i, j, k) is n M^2 (r_i + r_j + r_k) r, so that of (0, 1, 2) has
+    # every coordinate at +-3 n M^2, the bound the slot width is taken from.
+    # The table is not anticommutative; check_jacobi alone is asked.
+    n, big, r = 4, 3, (1, 1, 1, -1)
+    prod = [[{m: Fraction(big * r[y] * r[m]) for m in range(n)}
+             for y in range(n)] for _ in range(n)]
+    t = sa.AlgebraTable(n, [f"b{i}" for i in range(n)], prod)
+    bound = 3 * n * big * big
+    assert reference_jacobi_vector(t, 0, 1, 2) == \
+        {m: bound * r[m] for m in range(n)}
+    rep = t.check_jacobi()
+    assert not rep.ok and rep.witness == (0, 1, 2)
+    # the other triples have r_i + r_j + r_k = 1: vectors at a third of it
+    assert reference_jacobi_vector(t, 1, 2, 3) == \
+        {m: bound // 3 * r[m] for m in range(n)}
+
+
+MODEL_NAMES = ["albert", "albert_plus", "tits", "tits_split", "flag",
+               "chevalley"]
+
+
+def lie_corruptions(table, count, seed):
+    """Seeded changes of one structure constant b_i b_j, coordinate k,
+    together with its partner b_j b_i, so that the table stays
+    anticommutative."""
+    rng = random.Random(seed)
+    n = table.dim
+    cells = []
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randrange(n)
+        delta = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+        cells.append([(i, j, k, delta), (j, i, k, -delta)])
+    return cells
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_check_jacobi_agrees_with_the_triple_loop_on_corruptions(ws, name):
+    table = ws.model(name).table
+    assert table.check_lie().ok
+    for change in lie_corruptions(table, 8, seed=f"jacobi/{name}"):
+        bad = corrupted_copy(table, change)
+        assert bad.check_anticommutative().ok, change
+        rep = bad.check_lie()
+        want = reference_jacobi_witness(bad)
+        assert (rep.ok, rep.witness) == (want is None, want), change
+        assert rep.ok or rep.name == "jacobi", change
+    assert table.check_lie().ok  # the session's table was not touched
