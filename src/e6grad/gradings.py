@@ -17,7 +17,7 @@ from .abgroup import FgAbelianGroup, presented_group
 from .linalg import kernel, rank, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import (AlgebraTable, CheckReport, Subspace, derivations,
-                        form_restrict, vec_add_scaled)
+                        form_restrict, mat_compose, vec_add_scaled)
 
 
 class GradedDecomposition:
@@ -365,64 +365,39 @@ def build_named_grading(name: str, model) -> GradedDecomposition:
 # the sp8 fixed-point computation backing the Z4 x Z2^4 exclusion
 # ---------------------------------------------------------------------------
 
-def sp8_generators() -> tuple[list, list]:
+def sp8_generators() -> tuple[dict, list]:
     """The standard symplectic matrix C and the generators A1..A4 of the
-    subgroup of PSp8 behind the sp8 lemma, as 8 x 8 matrices over Q(zeta_12).
+    subgroup of PSp8 behind the sp8 lemma, as sparse 8 x 8 matrices
+    {(r, c): Cyc} over Q(zeta_12).
 
     Returns ``(C, [A1, A2, A3, A4])``.
     """
-    zero, one = Cyc(0), Cyc(1)
+    one = Cyc(1)
 
     def diag(entries):
-        return [[entries[i] if i == j else zero for j in range(8)]
-                for i in range(8)]
+        return {(i, i): x for i, x in enumerate(entries)}
 
-    c_mat = [[zero] * 8 for _ in range(8)]
+    c_mat = {}
     for i in range(4):
-        c_mat[i][4 + i] = one
-        c_mat[4 + i][i] = -one
-
-    a1 = [[zero] * 8 for _ in range(8)]
-    for i in range(2):  # I2 blocks
-        a1[i][4 + i] = CYC_I
-        a1[4 + i][i] = CYC_I
-    # sigma1 blocks at positions (2..3, 6..7)
-    a1[2][7] = CYC_I
-    a1[3][6] = CYC_I
-    a1[6][3] = CYC_I
-    a1[7][2] = CYC_I
+        c_mat[i, 4 + i] = one
+        c_mat[4 + i, i] = -one
+    # I2 blocks at (0..1, 4..5) and sigma1 blocks at (2..3, 6..7)
+    a1 = {key: CYC_I for key in ((0, 4), (1, 5), (4, 0), (5, 1),
+                                 (2, 7), (3, 6), (6, 3), (7, 2))}
     a2 = diag([CYC_I] * 4 + [-CYC_I] * 4)
     # four sigma1 blocks on the diagonal
-    a3 = [[one if j == i ^ 1 else zero for j in range(8)] for i in range(8)]
+    a3 = {(i, i ^ 1): one for i in range(8)}
     a4 = diag([one, -one, -CYC_I, CYC_I, one, -one, CYC_I, -CYC_I])
     return c_mat, [a1, a2, a3, a4]
 
 
-def mmul(a: list, b: list) -> list:
-    """The product of two matrices over Q(zeta_12), skipping zero entries."""
-    zero = Cyc(0)
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[zero] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(p):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[k][j]
-    return out
-
-
-def is_scalar(a: list) -> bool:
-    """Whether the square matrix ``a`` over Q(zeta_12) is a nonzero scalar."""
-    d, zero = a[0][0], Cyc(0)
-    for i in range(len(a)):
-        for j in range(len(a)):
-            want = d if i == j else zero
-            if not (a[i][j] - want).is_zero():
-                return False
-    return not d.is_zero()
+def scalar_of(a: dict):
+    """d if the sparse 8 x 8 matrix ``a`` is d * 1 with d != 0, else None."""
+    d = a.get((0, 0))
+    if not d or any(a.get((i, i)) != d for i in range(8)) \
+            or any(x for (r, c), x in a.items() if r != c):
+        return None
+    return d
 
 
 def sp8_lemma() -> dict:
@@ -432,14 +407,9 @@ def sp8_lemma() -> dict:
     matrix, the four generators A1..A4 of the relevant subgroup of PSp8
     (``sp8_generators``), and for every coset representative A with
     conj(A) A scalar computes the complex fixed-space dimension of Ad(CA)
-    and the signature 36 - 2 dim.
+    and the signature 36 - 2 dim.  Matrices are sparse {(r, c): Cyc} and
+    multiplied with ``mat_compose``.
     """
-    one = Cyc(1)
-    zero = Cyc(0)
-
-    def mconj(a):
-        return [[x.conj() for x in row] for row in a]
-
     c_mat, (a1, a2, a3, a4) = sp8_generators()
 
     # basis of sp8(C): kernel of x -> x C + C x^t over the 64 entries
@@ -450,8 +420,8 @@ def sp8_lemma() -> dict:
             # (x C)[i][j] = sum_k x[i][k] C[k][j] and
             # (C x^t)[i][j] = sum_k C[i][k] x[j][k]
             for k in range(8):
-                for key, c in ((i * 8 + k, c_mat[k][j]),
-                               (j * 8 + k, c_mat[i][k])):
+                for key, c in ((i * 8 + k, c_mat.get((k, j))),
+                               (j * 8 + k, c_mat.get((i, k)))):
                     if c:
                         row[key] = row.get(key, 0) + c.as_fraction()
             rows.append(row)
@@ -466,10 +436,9 @@ def sp8_lemma() -> dict:
         d = sp.dim
         shifted = [{} for _ in range(d)]  # row r, column l: (Ad - 1)[r][l]
         for l, b in enumerate(sp.basis):
-            x = [[Cyc(b.get(i * 8 + j, 0)) for j in range(8)] for i in range(8)]
-            y = mmul(mmul(m, x), minv)
-            cs = sp.coords({i * 8 + j: y[i][j] for i in range(8)
-                            for j in range(8) if y[i][j]})
+            x = {divmod(k, 8): v for k, v in b.items()}
+            y = mat_compose(mat_compose(m, x), minv)
+            cs = sp.coords({i * 8 + j: v for (i, j), v in y.items()})
             if cs is None:
                 raise AssertionError("Ad does not preserve sp8")
             for r, c in cs.items():
@@ -492,19 +461,20 @@ def sp8_lemma() -> dict:
                         word.append(a3)
                     for _ in range(r):
                         word.append(a4)
-                    a = [[one if i == j else zero for j in range(8)] for i in range(8)]
+                    a = {(i, i): Cyc(1) for i in range(8)}
                     for w in word:
-                        a = mmul(a, w)
-                    if not is_scalar(mmul(mconj(a), a)):
+                        a = mat_compose(a, w)
+                    conj_a = {key: x.conj() for key, x in a.items()}
+                    if scalar_of(mat_compose(conj_a, a)) is None:
                         continue
-                    ca = mmul(c_mat, a)
-                    ca2 = mmul(ca, ca)
-                    if not is_scalar(ca2):
+                    ca = mat_compose(c_mat, a)
+                    sq = scalar_of(mat_compose(ca, ca))
+                    if sq is None:
                         raise AssertionError("Ad(CA) is not an involution")
-                    # (CA)^2 = s 1, so (CA)^{-1} = s^{-1} CA
-                    s_inv = ca2[0][0].inv()
-                    fix = ad_fix_dim(ca, [[x * s_inv for x in row]
-                                          for row in ca])
+                    # (CA)^2 = sq 1, so (CA)^{-1} = sq^{-1} CA
+                    s_inv = sq.inv()
+                    fix = ad_fix_dim(ca, {key: x * s_inv
+                                          for key, x in ca.items()})
                     results.append({
                         "word": (e1, e2, s, r),
                         "dim_fix": fix,

@@ -28,7 +28,7 @@ from .abgroup import FgAbelianGroup
 from .gradings import GradedDecomposition
 from .linalg import kernel
 from .scalar import Cyc, OMEGA
-from .structalg import AlgebraTable, RealForm, vec_add_scaled
+from .structalg import AlgebraTable, RealForm, mat_compose, vec_add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -228,58 +228,45 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
 # M = H3(C, E11 + E23 + E32) on its Pauli-homogeneous basis
 # ---------------------------------------------------------------------------
 
-def _gamma3():
-    z, o = Cyc(0), Cyc(1)
-    return [[o, z, z], [z, z, o], [z, o, z]]
-
-
-def _cmat_mul(x, y):
-    return [[sum((x[i][k] * y[k][j] for k in range(3)), Cyc(0))
-             for j in range(3)] for i in range(3)]
-
-
-def _cmat_conj_t(x):
-    return [[x[j][i].conj() for j in range(3)] for i in range(3)]
-
-
-def _pauli_matrices() -> dict[tuple[int, int], list]:
-    """Homogeneous unit of M for each degree (a, b) in Z3^2.
+def _pauli_matrices() -> dict[tuple[int, int], dict]:
+    """Homogeneous unit of M for each degree (a, b) in Z3^2, as a sparse
+    3 x 3 matrix {(r, c): Cyc}.
 
     For w = X^a Z^b one has gamma conj(w)^t gamma = mu * w with mu a cube
     root of unity; the unit is lambda * w with lambda = mu^2 (so that
     conj(lambda) mu = lambda), which lies in M.
     """
-    z, o = Cyc(0), Cyc(1)
-    x_mat = [[z, z, o], [o, z, z], [z, o, z]]
-    z_mat = [[o, z, z], [z, OMEGA, z], [z, z, OMEGA * OMEGA]]
-    gam = _gamma3()
+    one = Cyc(1)
+    x_mat = {(0, 2): one, (1, 0): one, (2, 1): one}
+    z_mat = {(0, 0): one, (1, 1): OMEGA, (2, 2): OMEGA * OMEGA}
+    gam = {(0, 0): one, (1, 2): one, (2, 1): one}
+
+    def twist(w):  # gamma conj(w)^t gamma
+        conj_t = {(c, r): x.conj() for (r, c), x in w.items()}
+        return mat_compose(mat_compose(gam, conj_t), gam)
+
     out = {}
     for a in range(3):
         for b in range(3):
-            w = [[o if i == j else z for j in range(3)] for i in range(3)]
+            w = {(i, i): one for i in range(3)}
             for _ in range(a):
-                w = _cmat_mul(x_mat, w)
+                w = mat_compose(x_mat, w)
             for _ in range(b):
-                w = _cmat_mul(z_mat, w)
-            tw = _cmat_mul(_cmat_mul(gam, _cmat_conj_t(w)), gam)
+                w = mat_compose(z_mat, w)
+            tw = twist(w)
             # mu with tw = mu * w
             mu = None
-            for i in range(3):
-                for j in range(3):
-                    if not w[i][j].is_zero():
-                        q = tw[i][j] * w[i][j].inv()
-                        if mu is None:
-                            mu = q
-                        elif not (mu - q).is_zero():
-                            raise AssertionError("not a scalar multiple")
+            for key, x in w.items():
+                q = tw.get(key, Cyc(0)) * x.inv()
+                if mu is None:
+                    mu = q
+                elif mu != q:
+                    raise AssertionError("not a scalar multiple")
             lam = mu * mu
-            u = [[lam * w[i][j] for j in range(3)] for i in range(3)]
+            u = {key: lam * x for key, x in w.items()}
             # membership: gamma conj(u)^t gamma == u
-            tu = _cmat_mul(_cmat_mul(gam, _cmat_conj_t(u)), gam)
-            for i in range(3):
-                for j in range(3):
-                    if not (tu[i][j] - u[i][j]).is_zero():
-                        raise AssertionError("homogeneous unit escapes M")
+            if twist(u) != u:
+                raise AssertionError("homogeneous unit escapes M")
             out[(a, b)] = u
     return out
 
@@ -307,16 +294,15 @@ def build_pauli_m() -> JordanH3:
     units = _pauli_matrices()
     degs = sorted(units)
     mats = [units[d] for d in degs]
-    basis = [{3 * i + j: u[i][j] for i in range(3) for j in range(3)
-              if not u[i][j].is_zero()} for u in mats]
+    basis = [{3 * i + j: x for (i, j), x in sorted(u.items())} for u in mats]
     rf = RealForm(_mat3_plus(), basis, [f"u{a}{b}" for a, b in degs])
     trace = {}
     for t, u in enumerate(mats):
-        tr = u[0][0] + u[1][1] + u[2][2]
+        tr = sum((u.get((i, i), 0) for i in range(3)), Cyc(0))
         if tr:
             trace[t] = tr.as_fraction()
     unit_vec = rf.to_real_coords({0: Cyc(1), 4: Cyc(1), 8: Cyc(1)})
-    meta = {"degrees": degs, "matrices": mats}
+    meta = {"degrees": degs}
     return JordanH3(rf.table, trace, unit_vec, "M", meta)
 
 

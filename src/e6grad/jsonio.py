@@ -29,8 +29,7 @@ from .structalg import AlgebraTable
 def scalar_to_json(x) -> list[str]:
     if isinstance(x, Cyc):
         return x.to_strings()
-    f = Fraction(x)
-    return [f"{f.numerator}/{f.denominator}", "0/1", "0/1", "0/1"]
+    return [f"{x.numerator}/{x.denominator}", "0/1", "0/1", "0/1"]
 
 
 _PQ = re.compile(r"-?[0-9]+/[1-9][0-9]*")

@@ -25,7 +25,7 @@ from .abgroup import FgAbelianGroup
 from .linalg import apply, kernel, mat_mul, rank, rref, signature
 from .scalar import Cyc, I as CYC_I
 from .structalg import (AlgebraTable, RealForm, derivations, killing_form,
-                        mat_commutator)
+                        mat_commutator, vec_add_scaled)
 
 
 @dataclass
@@ -193,15 +193,12 @@ def build_tits(split: bool = False) -> Model:
     o_pair = {}
     for i in range(1, 8):
         for i2 in range(1, 8):
-            av, bv = composition.unit(i), composition.unit(i2)
-            dmat = composition.d_ab(av, bv, split)
-            dd = {(r, c): dmat[r][c] for r in range(8) for c in range(8)
-                  if dmat[r][c]}
+            dd = composition.d_ab({i: Fraction(1)}, {i2: Fraction(1)}, split)
             cs = ders_o.coords_in_block(dd, g23.add(o_degs[i], o_degs[i2]))
-            comm = composition.commutator(av, bv, split)
-            o_pair[i, i2] = (
-                list(cs.items()), {k: c for k, c in enumerate(comm) if c},
-                composition.trace_o(composition.oct_mul(av, bv, split)))
+            comm = dict(o_table.prod[i][i2])
+            vec_add_scaled(comm, o_table.prod[i2][i], -1)
+            o_pair[i, i2] = (list(cs.items()), comm,
+                             2 * o_table.prod[i][i2].get(0, 0))
     m_pair = {}
     for t in m0_idx:
         for t2 in m0_idx:

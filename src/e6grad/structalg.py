@@ -441,7 +441,7 @@ class Subspace:
 # derivations
 # ---------------------------------------------------------------------------
 
-def _mat_compose(a: dict, b: dict) -> dict:
+def mat_compose(a: dict, b: dict) -> dict:
     """(a b)[k][m] = sum_l a[k][l] b[l][m] for sparse {(row, col): val}."""
     byrow_b: dict = {}
     for (l, m), d in b.items():
@@ -472,8 +472,8 @@ def _mat_apply(mat: dict, v: Vec) -> Vec:
 
 
 def mat_commutator(a: dict, b: dict) -> dict:
-    ab = _mat_compose(a, b)
-    for key, v in _mat_compose(b, a).items():
+    ab = mat_compose(a, b)
+    for key, v in mat_compose(b, a).items():
         s = ab.get(key, 0) - v
         if s:
             ab[key] = s
@@ -485,10 +485,10 @@ def mat_commutator(a: dict, b: dict) -> dict:
 class Derivations:
     """Basis of Der(A) as sparse matrices, with its commutator Lie table.
 
-    ``mats[t]`` is the t-th basis derivation as {(k, l): Fraction}, the
-    coefficient of b_k in D_t(b_l).  The same derivation is held as a
-    primitive integer matrix ``int_mats[t]`` (entries with gcd 1) and a
-    positive integer ``denoms[t]``, with mats[t] = int_mats[t] / denoms[t].
+    The t-th basis derivation D_t is held once, as a primitive integer
+    matrix ``int_mats[t]`` {(k, l): int} (entries with gcd 1) and a positive
+    integer ``denoms[t]``: the coefficient of b_k in D_t(b_l) is
+    int_mats[t][k, l] / denoms[t].
     ``blocks[t]`` is the degree shift of D_t under the grading used to split
     the Leibniz system (all equal for ungraded input); these are exactly the
     degrees of the induced grading on Der(A).
@@ -502,13 +502,11 @@ class Derivations:
     once per unordered pair, because [D_j, D_i] = -[D_i, D_j] for matrices.
     """
 
-    def __init__(self, algebra: AlgebraTable, mats: list, int_mats: list,
-                 denoms: list, blocks: list, group, block_data: dict,
-                 shifts: dict):
+    def __init__(self, algebra: AlgebraTable, int_mats: list, denoms: list,
+                 blocks: list, group, block_data: dict, shifts: dict):
         self.algebra = algebra
-        self.mats = mats          # list of {(k, l): Fraction}
         self.int_mats = int_mats  # list of primitive {(k, l): int}
-        self.denoms = denoms      # mats[t] = int_mats[t] / denoms[t]
+        self.denoms = denoms      # D_t = int_mats[t] / denoms[t]
         self.blocks = blocks      # block key per basis derivation
         self.group = group
         self._shifts = shifts     # (k, l) -> block key
@@ -518,10 +516,12 @@ class Derivations:
 
     @property
     def dim(self):
-        return len(self.mats)
+        return len(self.int_mats)
 
     def apply(self, idx: int, v: Vec) -> Vec:
-        return _mat_apply(self.mats[idx], v)
+        inv = Fraction(1, self.denoms[idx])
+        return {k: inv * x
+                for k, x in _mat_apply(self.int_mats[idx], v).items()}
 
     def _int_coords(self, mat: dict, g) -> tuple[int, list]:
         """(offset, coordinates) of an integer block-g matrix, in ints."""
@@ -646,7 +646,7 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
                 if row[0][1] < 0:
                     h = -h
                 rows[g][tuple((t, c // h) for t, c in row)] = None
-    mats, int_mats, denoms, block_keys = [], [], [], []
+    int_mats, denoms, block_keys = [], [], []
     block_data = {}
     for g in sorted(unknowns, key=repr):
         us = unknowns[g]
@@ -663,14 +663,13 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
             w = {kl: x.numerator * (scale // x.denominator)
                  for kl, x in mat.items()}
             h = gcd(*w.values())
-            mats.append(mat)
             int_mats.append({kl: x // h for kl, x in w.items()})
             ds.append(scale // h)
             block_keys.append(g)
         big = lcm(*ds)
         block_data[g] = (free, len(denoms), big, [big // d for d in ds])
         denoms.extend(ds)
-    return Derivations(table, mats, int_mats, denoms, block_keys, group,
+    return Derivations(table, int_mats, denoms, block_keys, group,
                        block_data, shifts)
 
 

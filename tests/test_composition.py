@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,22 +12,32 @@ from e6grad import verify
 from e6grad.abgroup import FgAbelianGroup
 
 
+def e(i):
+    return {i: Fraction(1)}
+
+
+def conj(x):
+    return {k: c if k == 0 else -c for k, c in x.items()}
+
+
 def test_unit_and_squares():
-    x = co.oct(3, 1, 0, -2)
-    assert co.oct_mul(co.unit(0), x) == x
-    assert co.oct_mul(x, co.unit(0)) == x
+    mul = co.octonion_table().mul_vec
+    x = {0: Fraction(3), 1: Fraction(1), 3: Fraction(-2)}
+    assert mul(e(0), x) == x
+    assert mul(x, e(0)) == x
     for i in range(1, 8):
-        assert co.oct_mul(co.unit(i), co.unit(i)) == co.oct(-1)
+        assert mul(e(i), e(i)) == {0: Fraction(-1)}
 
 
 def test_line_products_are_unit_basis_vectors():
+    mul = co.octonion_table().mul_vec
     for i in range(1, 8):
         for j in range(1, 8):
             if i == j:
                 continue
-            p = co.oct_mul(co.unit(i), co.unit(j))
-            assert co.norm(p) == 1
-            assert sum(1 for x in p if x != 0) == 1
+            p = mul(e(i), e(j))
+            assert sum(c * c for c in p.values()) == 1
+            assert len(p) == 1
 
 
 def test_norm_multiplicativity_oracle():
@@ -50,48 +61,123 @@ def test_criterion_1_reports_the_witness_of_a_reversed_line(monkeypatch, ws):
     assert all(isinstance(i, int) for i in red["measured"])
 
 
+def reference_alternativity_witness():
+    """The first (x, z, y, side) at which (x, z, y) + (z, x, y) (left) or
+    (y, x, z) + (y, z, x) (right) is nonzero, by sparse products."""
+    mul = co.octonion_table().mul_vec
+
+    def assoc(a, b, c):
+        v = mul(mul(e(a), e(b)), e(c))
+        sa.vec_add_scaled(v, mul(e(a), mul(e(b), e(c))), -1)
+        return v
+
+    for x, z, y in product(range(8), repeat=3):
+        for side, (p, q) in (("left", ((x, z, y), (z, x, y))),
+                             ("right", ((y, x, z), (y, z, x)))):
+            v = assoc(*p)
+            sa.vec_add_scaled(v, assoc(*q), 1)
+            if v:
+                return (x, z, y, side)
+    return None
+
+
 def test_alternativity():
     assert co.check_alternativity().ok
+    assert reference_alternativity_witness() is None
+
+
+def test_alternativity_rejects_a_reversed_line(monkeypatch):
+    # (xx)y = x(xy) still holds for every basis x here, so only the
+    # linearized law can see the reversed line
+    lines = [co.FANO_LINES[0][::-1], *co.FANO_LINES[1:]]
+    monkeypatch.setattr(co, "_MUL", co._pair_table(lines))
+    mul = co.octonion_table().mul_vec
+    for i in range(8):
+        for j in range(8):
+            x, y = e(i), e(j)
+            assert mul(mul(x, x), y) == mul(x, mul(x, y))
+            assert mul(mul(y, x), x) == mul(y, mul(x, x))
+    rep = co.check_alternativity()
+    assert not rep.ok
+    assert rep.witness == reference_alternativity_witness()
+    assert all(isinstance(i, int) for i in rep.witness[:3])
+
+
+def test_alternativity_witness_matches_the_linearized_laws(monkeypatch):
+    # flipping the sign of one product e_i e_j leaves e_j e_i as it was, so
+    # the left and the right law first fail at different triples
+    plain = co.basis_mul
+    sides = set()
+    for i in range(1, 8):
+        for j in range(1, 8):
+            def flipped(a, b, split=False, i=i, j=j):
+                k, s = plain(a, b, split)
+                return (k, -s) if (a, b) == (i, j) else (k, s)
+
+            monkeypatch.setattr(co, "basis_mul", flipped)
+            want = reference_alternativity_witness()
+            assert co.check_alternativity().witness == want, (i, j)
+            sides.add(want[3])
+    assert sides == {"left", "right"}
+
+
+def test_alternativity_holds_exactly_on_the_composition_orientations(
+        monkeypatch):
+    # of the 128 orientations of the seven lines, the 16 composition
+    # algebras are alternative and the other 112 are not
+    green = 0
+    for flips in range(128):
+        lines = [ln[::-1] if flips >> t & 1 else ln
+                 for t, ln in enumerate(co.FANO_LINES)]
+        monkeypatch.setattr(co, "_MUL", co._pair_table(lines))
+        alt = co.check_alternativity().ok
+        assert alt == co.check_norm_multiplicativity().ok, flips
+        green += alt
+    assert green == 16
 
 
 def test_conjugation_norm_trace():
     rng = random.Random(0)
-    x = [Fraction(rng.randint(-5, 5)) for _ in range(8)]
-    assert co.norm(x) == sum(c * c for c in x)
-    assert co.trace_o(x) == 2 * x[0]
-    assert co.oct_mul(x, co.oct_conj(x)) == co.oct(co.norm(x))
+    mul = co.octonion_table().mul_vec
+    x = {k: Fraction(rng.randint(-5, 5)) for k in range(8)}
+    x = {k: c for k, c in x.items() if c}
+    n = sum(c * c for c in x.values())
+    # x conj(x) = n(x) 1 and x + conj(x) = t(x) 1 with t(x) = 2 x_0
+    assert mul(x, conj(x)) == {0: n}
+    assert {k: c + conj(x)[k] for k, c in x.items()
+            if c + conj(x)[k]} == {0: 2 * x[0]}
     for i in range(1, 8):
-        assert co.trace_o(co.unit(i)) == 0
+        assert conj(e(i)) == {i: Fraction(-1)}
 
 
 def test_d_ab_antisymmetry_and_derivation():
-    z = co.d_ab(co.unit(3), co.unit(3))
-    assert all(z[i][j] == 0 for i in range(8) for j in range(8))
+    assert co.d_ab(e(3), e(3)) == {}
     rng = random.Random(4)
     table = co.octonion_table()
     for _ in range(5):
         # e1 * x is traceless when x has no e1 component
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(8)]
+        x = {k: Fraction(rng.randint(-3, 3)) for k in range(8)}
         x[1] = Fraction(0)
-        y = co.oct_mul(co.unit(1), x)
-        assert co.trace_o(y) == 0
-        d = co.d_ab(co.unit(1), y)
-        mat = {(r, c): d[r][c] for r in range(8) for c in range(8) if d[r][c]}
-        assert sa.leibniz_residual(table, mat)
+        x = {k: c for k, c in x.items() if c}
+        y = table.mul_vec(e(1), x)
+        assert y.get(0, 0) == 0
+        d = co.d_ab(e(1), y)
+        assert sa.leibniz_residual(table, d)
 
 
 def test_d_ab_requires_traceless():
     with pytest.raises(ValueError):
-        co.d_ab(co.unit(0), co.unit(1))
+        co.d_ab(e(0), e(1))
+    with pytest.raises(ValueError):
+        co.d_ab(e(1), {0: Fraction(1), 2: Fraction(1)})
 
 
 def test_d_ab_spans_der_o():
     mats = []
     for i in range(1, 8):
         for j in range(i + 1, 8):
-            d = co.d_ab(co.unit(i), co.unit(j))
-            mats.append({8 * r + c: d[r][c] for r in range(8)
-                         for c in range(8) if d[r][c]})
+            d = co.d_ab(e(i), e(j))
+            mats.append({8 * r + c: x for (r, c), x in d.items()})
     assert sa.Subspace(64, mats).dim == 14
 
 
@@ -102,8 +188,9 @@ def test_derivation_algebra():
     assert ders.table.check_lie().ok
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == -14
-    for m in ders.mats:
-        assert sa.leibniz_residual(table, m)
+    for w, d in zip(ders.int_mats, ders.denoms):
+        assert sa.leibniz_residual(
+            table, {kl: Fraction(x, d) for kl, x in w.items()})
 
 
 def test_der_o_graded_blocks():
@@ -124,8 +211,7 @@ def test_octonion_grading():
     assert gd.component((0, 0, 0)).basis[0][0] == 1  # unit is neutral
     # degree additivity along a line: deg(e1 e2) = deg e1 + deg e2
     degs = co.octonion_degrees()
-    p = co.oct_mul(co.unit(1), co.unit(2))
-    k = next(i for i, c in enumerate(p) if c != 0)
+    (k,) = co.octonion_table().prod[1][2]
     assert degs[k] == (1, 1, 0)
 
 
@@ -134,4 +220,5 @@ def test_split_octonions():
     t = co.octonion_table(split=True)
     # e4^2 = +1 in the split algebra
     assert t.prod[4][4] == {0: Fraction(1)}
-    assert co.split_norm(co.unit(4)) == -1
+    # n(e4) = -1: e4 conj(e4) = -1
+    assert t.mul_vec(e(4), conj(e(4))) == {0: Fraction(-1)}

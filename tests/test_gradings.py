@@ -7,6 +7,7 @@ from e6grad import gradings as gr
 from e6grad import jordan as jo
 from e6grad import structalg as sa
 from e6grad.abgroup import FgAbelianGroup, presented_group
+from e6grad.scalar import I, Cyc
 
 
 def unit_vecs(n, idxs):
@@ -256,3 +257,45 @@ def test_gamma12_buckets_match_the_refinement(ws, flag):
         (want.group.rank, want.group.torsion)
     assert [(d, s.basis) for d, s in got.components] == \
         [(d, s.basis) for d, s in want.components]
+
+
+def test_scalar_of():
+    one = Cyc(1)
+    ident = {(i, i): one for i in range(8)}
+    assert gr.scalar_of({key: I for key in ident}) == I
+    assert gr.scalar_of({}) is None
+    assert gr.scalar_of({key: Cyc(0) for key in ident}) is None
+    assert gr.scalar_of({**ident, (7, 7): -one}) is None
+    assert gr.scalar_of({(i, i): one for i in range(7)}) is None
+    assert gr.scalar_of({**ident, (0, 1): one}) is None
+    assert gr.scalar_of({**ident, (0, 1): Cyc(0)}) == one
+
+
+def _sp8_with_a4(monkeypatch, a4):
+    c_mat, (a1, a2, a3, _) = gr.sp8_generators()
+    monkeypatch.setattr(gr, "sp8_generators",
+                        lambda: (c_mat, [a1, a2, a3, a4]))
+
+
+def test_sp8_lemma_rejects_a_non_involution(monkeypatch):
+    # A = diag(1, ..., 1, -1) is real with A^2 = 1, but (CA)^2 is not scalar
+    one = Cyc(1)
+    _sp8_with_a4(monkeypatch, {(i, i): one if i < 7 else -one
+                               for i in range(8)})
+    with pytest.raises(AssertionError,
+                       match=r"Ad\(CA\) is not an involution"):
+        gr.sp8_lemma()
+
+
+def test_sp8_lemma_rejects_a_map_that_leaves_sp8(monkeypatch):
+    # P = X + X with X = [[1, 1], [0, -1]] + 1_2 commutes with C and P^2 = 1,
+    # so A = -C P has conj(A) A = -1 and (CA)^2 = 1; but P^t C P is not a
+    # multiple of C, so Ad(CA) = Ad(P) moves sp8
+    c_mat = gr.sp8_generators()[0]
+    one = Cyc(1)
+    x = {(0, 0): one, (0, 1): one, (1, 1): -one, (2, 2): one, (3, 3): one}
+    p = {**x, **{(r + 4, c + 4): v for (r, c), v in x.items()}}
+    _sp8_with_a4(monkeypatch, sa.mat_compose(
+        {key: -v for key, v in c_mat.items()}, p))
+    with pytest.raises(AssertionError, match="Ad does not preserve sp8"):
+        gr.sp8_lemma()

@@ -191,22 +191,21 @@ def test_star_requires_traceless():
 
 def test_membership_dimension_of_m():
     # the realified hermitian condition for gamma3 has a 9-dim solution space
-    from e6grad.jordan import _gamma3, _cmat_conj_t, _cmat_mul
     from e6grad.scalar import Cyc
-    gam = _gamma3()
+    zero, one = Cyc(0), Cyc(1)
+    gam = {(0, 0): one, (1, 2): one, (2, 1): one}
     # solve over the 18 real coordinates of a 3x3 complex matrix
     unknowns = [(i, j, part) for i in range(3) for j in range(3)
                 for part in range(2)]
     cols = []
     for (i, j, part) in unknowns:
-        x = [[Cyc(0)] * 3 for _ in range(3)]
-        x[i][j] = Cyc(1) if part == 0 else Cyc(0, 0, 0, 1)
-        tx = _cmat_mul(_cmat_mul(gam, _cmat_conj_t(x)), gam)
-        diff = [[tx[a][b] - x[a][b] for b in range(3)] for a in range(3)]
+        x = {(i, j): one if part == 0 else Cyc(0, 0, 0, 1)}
+        conj_t = {(c, r): v.conj() for (r, c), v in x.items()}
+        tx = sa.mat_compose(sa.mat_compose(gam, conj_t), gam)
         col = []
         for a in range(3):
             for b in range(3):
-                col.extend(diff[a][b].c)
+                col.extend((tx.get((a, b), zero) - x.get((a, b), zero)).c)
         cols.append([Fraction(v) for v in col])
     m = [{u: cols[u][r] for u in range(18) if cols[u][r]} for r in range(36)]
     assert len(la.kernel(m, 18)) == 9

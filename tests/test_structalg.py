@@ -112,12 +112,18 @@ def der_j():
                              FgAbelianGroup(0, (2,) * 5))
 
 
+def rational_mat(ders, t):
+    """The t-th basis derivation as {(k, l): Fraction}."""
+    d = ders.denoms[t]
+    return {kl: Fraction(x, d) for kl, x in ders.int_mats[t].items()}
+
+
 def test_derivations_of_jordan_j(der_j):
     j, ders = der_j
     assert ders.dim == 52
     # spot-verify returned kernel vectors satisfy the Leibniz system
-    for m in ders.mats[::10]:
-        assert sa.leibniz_residual(j.table, m)
+    for t in range(0, ders.dim, 10):
+        assert sa.leibniz_residual(j.table, rational_mat(ders, t))
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == -20  # Der(J) is the -20 real form of f4
     assert ders.table.check_lie().ok
@@ -136,15 +142,15 @@ def reference_commutator_table(ders):
     matrices for every ordered pair, coordinates read at the free unknowns,
     and a dense Fraction residual against the block's kernel vectors."""
     n = ders.dim
+    mats = [rational_mat(ders, t) for t in range(n)]
     by_block = {}
     for t, g in enumerate(ders.blocks):
         by_block.setdefault(g, []).append(t)
     free = {}  # derivation -> its unknown: 1 there, 0 in the block's others
     for g, ts in by_block.items():
         for t in ts:
-            free[t] = next(kl for kl, x in ders.mats[t].items() if x == 1
-                           and all(kl not in ders.mats[s] for s in ts
-                                   if s != t))
+            free[t] = next(kl for kl, x in mats[t].items() if x == 1
+                           and all(kl not in mats[s] for s in ts if s != t))
     prod = []
     for i in range(n):
         row = []
@@ -152,16 +158,16 @@ def reference_commutator_table(ders):
             if i == j:
                 row.append({})
                 continue
-            comm = sa.mat_commutator(ders.mats[i], ders.mats[j])
+            comm = sa.mat_commutator(mats[i], mats[j])
             g = ders.group.add(ders.blocks[i], ders.blocks[j])
             ts = by_block.get(g, [])
-            unknowns = sorted({kl for t in ts for kl in ders.mats[t]} |
+            unknowns = sorted({kl for t in ts for kl in mats[t]} |
                               set(comm))
             cs = [Fraction(comm.get(free[t], 0)) for t in ts]
             for kl in unknowns:
                 s = Fraction(comm.get(kl, 0))
                 for c, t in zip(cs, ts):
-                    s -= c * ders.mats[t].get(kl, 0)
+                    s -= c * mats[t].get(kl, 0)
                 assert s == 0, (i, j, kl)
             row.append({t: c for t, c in zip(ts, cs) if c})
         prod.append(row)
@@ -186,15 +192,20 @@ def test_integer_commutator_table_matches_fraction_path(der_j):
         assert_same_cells(ders.table.prod, reference_commutator_table(ders))
         for t, w in enumerate(ders.int_mats):
             assert math.gcd(*w.values()) == 1 and ders.denoms[t] > 0
-            assert {kl: Fraction(x, ders.denoms[t]) for kl, x in w.items()} \
-                == ders.mats[t]
+            # apply reads the integer form: column l of int_mats[t] / denoms[t]
+            mat = rational_mat(ders, t)
+            for l in range(ders.algebra.dim):
+                col = ders.apply(t, {l: Fraction(1)})
+                assert col == {k: x for (k, c), x in mat.items() if c == l}
+                assert all(type(x) is Fraction for x in col.values())
 
 
 def test_coords_in_block_reads_free_unknowns(der_j):
     _, ders = der_j
     for t in (0, 17, 51):
         g = ders.blocks[t]
-        mat = {kl: Fraction(2, 3) * x for kl, x in ders.mats[t].items()}
+        mat = {kl: Fraction(2, 3) * x
+               for kl, x in rational_mat(ders, t).items()}
         cs = ders.coords_in_block(mat, g)
         assert cs == {t: Fraction(2, 3)}
 
@@ -205,9 +216,9 @@ def test_coords_in_block_rejects_other_blocks():
     g = ders.blocks[0]
     other = next(h for h in ders.blocks if h != g)
     with pytest.raises(ValueError, match="outside block"):
-        ders.coords_in_block(ders.mats[0], other)
-    mixed = dict(ders.mats[0])
-    mixed.update(ders.mats[ders.blocks.index(other)])
+        ders.coords_in_block(rational_mat(ders, 0), other)
+    mixed = rational_mat(ders, 0)
+    mixed.update(rational_mat(ders, ders.blocks.index(other)))
     with pytest.raises(ValueError, match="outside block"):
         ders.coords_in_block(mixed, g)
 
@@ -222,8 +233,8 @@ def test_coords_in_block_rejects_non_derivations():
     # Der(O) is skew for the norm, so no derivation plus a multiple of one
     # matrix unit is a derivation
     g = ders.blocks[0]
-    for kl in ders.mats[0]:
-        bad = dict(ders.mats[0])
+    for kl in ders.int_mats[0]:
+        bad = rational_mat(ders, 0)
         bad[kl] += Fraction(1, 2)
         with pytest.raises(ValueError, match="not in the derivation span"):
             ders.coords_in_block(bad, g)
