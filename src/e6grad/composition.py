@@ -13,9 +13,10 @@ A split variant (norm of signature (4,4)) is provided for the optional
 signature-2 construction.
 
 An octonion is a sparse vector {index: Fraction}, multiplied through
-``octonion_table(split).mul_vec``; ``d_ab`` returns the sparse matrix of an
-inner derivation, the form ``Derivations.coords_in_block`` reads.  The two
-identity checks run on the (index, sign) table of ``basis_mul``.
+``octonion_table(split).mul_vec``; ``d_ab`` returns the sparse columns of an
+inner derivation, the form ``Derivations.coords_in_block`` reads.  ``d_ab``
+and the two identity checks run on the (index, sign) table of
+``basis_mul``.
 """
 
 from __future__ import annotations
@@ -58,27 +59,36 @@ def basis_mul(i: int, j: int, split: bool = False) -> tuple[int, Fraction]:
     return k, Fraction(s)
 
 
-def d_ab(a: dict, b: dict, split: bool = False) -> dict:
+def d_ab(a: dict, b: dict, split: bool = False) -> list[dict]:
     """The inner derivation c -> [[a,b],c] + 3(ac)b - 3a(cb) of sparse
-    octonions a, b, as the sparse matrix {(r, c): Fraction} whose entry
-    (r, c) is the e_r coordinate of the image of e_c.
+    octonions a, b, as its eight sparse columns: column c holds the image
+    of e_c.
 
     Requires traceless a, b (t(a) = 2 a_0).
     """
     if a.get(0) or b.get(0):
         raise ValueError("d_ab requires traceless arguments")
-    mul = octonion_table(split).mul_vec
+    prod = [[basis_mul(i, j, split) for j in range(8)] for i in range(8)]
+
+    def mul(u, v):
+        out: dict = {}
+        for i, x in u.items():
+            for j, y in v.items():
+                k, s = prod[i][j]
+                out[k] = out.get(k, 0) + s * x * y
+        return {k: x for k, x in out.items() if x}
+
     comm = mul(a, b)
     vec_add_scaled(comm, mul(b, a), -1)
-    out = {}
+    cols = []
     for j in range(8):
         c = {j: Fraction(1)}
         v = mul(comm, c)
         vec_add_scaled(v, mul(c, comm), -1)
         vec_add_scaled(v, mul(mul(a, c), b), 3)
         vec_add_scaled(v, mul(a, mul(c, b)), -3)
-        out.update(((r, j), x) for r, x in v.items())
-    return out
+        cols.append(v)
+    return cols
 
 
 def octonion_table(split: bool = False) -> AlgebraTable:

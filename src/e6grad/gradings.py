@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abgroup import FgAbelianGroup, presented_group
-from .linalg import kernel, rank, simultaneous_eigensplit
+from .linalg import kernel, mat_mul, rank, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import (AlgebraTable, CheckReport, Subspace, derivations,
-                        form_restrict, mat_compose, vec_add_scaled)
+                        form_restrict, vec_add_scaled)
 
 
 class GradedDecomposition:
@@ -365,37 +365,36 @@ def build_named_grading(name: str, model) -> GradedDecomposition:
 # the sp8 fixed-point computation backing the Z4 x Z2^4 exclusion
 # ---------------------------------------------------------------------------
 
-def sp8_generators() -> tuple[dict, list]:
+def sp8_generators() -> tuple[list, list]:
     """The standard symplectic matrix C and the generators A1..A4 of the
-    subgroup of PSp8 behind the sp8 lemma, as sparse 8 x 8 matrices
-    {(r, c): Cyc} over Q(zeta_12).
+    subgroup of PSp8 behind the sp8 lemma, as the eight sparse columns
+    {row: Cyc} of 8 x 8 matrices over Q(zeta_12).
 
     Returns ``(C, [A1, A2, A3, A4])``.
     """
     one = Cyc(1)
 
     def diag(entries):
-        return {(i, i): x for i, x in enumerate(entries)}
+        return [{i: x} for i, x in enumerate(entries)]
 
-    c_mat = {}
-    for i in range(4):
-        c_mat[i, 4 + i] = one
-        c_mat[4 + i, i] = -one
-    # I2 blocks at (0..1, 4..5) and sigma1 blocks at (2..3, 6..7)
-    a1 = {key: CYC_I for key in ((0, 4), (1, 5), (4, 0), (5, 1),
-                                 (2, 7), (3, 6), (6, 3), (7, 2))}
+    # C = [[0, 1], [-1, 0]] in 4 x 4 blocks
+    c_mat = [{4 + i: -one} for i in range(4)] + [{i: one} for i in range(4)]
+    # I2 blocks at rows 0..1, columns 4..5 and back, and sigma1 blocks at
+    # rows 2..3, columns 6..7 and back; the matrix is symmetric
+    a1 = [{r: CYC_I} for r in (4, 5, 7, 6, 0, 1, 3, 2)]
     a2 = diag([CYC_I] * 4 + [-CYC_I] * 4)
     # four sigma1 blocks on the diagonal
-    a3 = {(i, i ^ 1): one for i in range(8)}
+    a3 = [{i ^ 1: one} for i in range(8)]
     a4 = diag([one, -one, -CYC_I, CYC_I, one, -one, CYC_I, -CYC_I])
     return c_mat, [a1, a2, a3, a4]
 
 
-def scalar_of(a: dict):
-    """d if the sparse 8 x 8 matrix ``a`` is d * 1 with d != 0, else None."""
-    d = a.get((0, 0))
-    if not d or any(a.get((i, i)) != d for i in range(8)) \
-            or any(x for (r, c), x in a.items() if r != c):
+def scalar_of(a: list):
+    """d if the 8 x 8 matrix of sparse columns ``a`` is d * 1, d != 0."""
+    d = a[0].get(0) if a else None
+    if not d or len(a) != 8 or any(
+            col.get(c) != d or any(x for r, x in col.items() if r != c)
+            for c, col in enumerate(a)):
         return None
     return d
 
@@ -407,8 +406,9 @@ def sp8_lemma() -> dict:
     matrix, the four generators A1..A4 of the relevant subgroup of PSp8
     (``sp8_generators``), and for every coset representative A with
     conj(A) A scalar computes the complex fixed-space dimension of Ad(CA)
-    and the signature 36 - 2 dim.  Matrices are sparse {(r, c): Cyc} and
-    multiplied with ``mat_compose``.
+    and the signature 36 - 2 dim.  Matrices are lists of sparse columns
+    {row: Cyc}, multiplied with ``linalg.mat_mul``; an element of sp8 is
+    the vector of its 64 entries, entry (i, j) at index 8 i + j.
     """
     c_mat, (a1, a2, a3, a4) = sp8_generators()
 
@@ -420,8 +420,8 @@ def sp8_lemma() -> dict:
             # (x C)[i][j] = sum_k x[i][k] C[k][j] and
             # (C x^t)[i][j] = sum_k C[i][k] x[j][k]
             for k in range(8):
-                for key, c in ((i * 8 + k, c_mat.get((k, j))),
-                               (j * 8 + k, c_mat.get((i, k)))):
+                for key, c in ((i * 8 + k, c_mat[j].get(k)),
+                               (j * 8 + k, c_mat[k].get(i))):
                     if c:
                         row[key] = row.get(key, 0) + c.as_fraction()
             rows.append(row)
@@ -436,9 +436,11 @@ def sp8_lemma() -> dict:
         d = sp.dim
         shifted = [{} for _ in range(d)]  # row r, column l: (Ad - 1)[r][l]
         for l, b in enumerate(sp.basis):
-            x = {divmod(k, 8): v for k, v in b.items()}
-            y = mat_compose(mat_compose(m, x), minv)
-            cs = sp.coords({i * 8 + j: v for (i, j), v in y.items()})
+            x = [{k // 8: v for k, v in b.items() if k % 8 == j}
+                 for j in range(8)]
+            y = mat_mul(mat_mul(m, x), minv)
+            cs = sp.coords({i * 8 + j: v for j, col in enumerate(y)
+                            for i, v in col.items()})
             if cs is None:
                 raise AssertionError("Ad does not preserve sp8")
             for r, c in cs.items():
@@ -461,20 +463,22 @@ def sp8_lemma() -> dict:
                         word.append(a3)
                     for _ in range(r):
                         word.append(a4)
-                    a = {(i, i): Cyc(1) for i in range(8)}
+                    a = [{i: Cyc(1)} for i in range(8)]
                     for w in word:
-                        a = mat_compose(a, w)
-                    conj_a = {key: x.conj() for key, x in a.items()}
-                    if scalar_of(mat_compose(conj_a, a)) is None:
+                        a = mat_mul(a, w)
+                    conj_a = [{r: x.conj() for r, x in col.items()}
+                              for col in a]
+                    if scalar_of(mat_mul(conj_a, a)) is None:
                         continue
-                    ca = mat_compose(c_mat, a)
-                    sq = scalar_of(mat_compose(ca, ca))
+                    ca = mat_mul(c_mat, a)
+                    sq = scalar_of(mat_mul(ca, ca))
                     if sq is None:
                         raise AssertionError("Ad(CA) is not an involution")
                     # (CA)^2 = sq 1, so (CA)^{-1} = sq^{-1} CA
                     s_inv = sq.inv()
-                    fix = ad_fix_dim(ca, {key: x * s_inv
-                                          for key, x in ca.items()})
+                    fix = ad_fix_dim(ca, [{r: x * s_inv
+                                           for r, x in col.items()}
+                                          for col in ca])
                     results.append({
                         "word": (e1, e2, s, r),
                         "dim_fix": fix,

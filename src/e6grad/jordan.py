@@ -25,10 +25,10 @@ from fractions import Fraction
 
 from . import composition
 from .abgroup import FgAbelianGroup
-from .gradings import GradedDecomposition
-from .linalg import kernel
+from .gradings import GradedDecomposition, refine
+from .linalg import commutator, kernel, mat_mul, simultaneous_eigensplit
 from .scalar import Cyc, OMEGA
-from .structalg import AlgebraTable, RealForm, mat_compose, vec_add_scaled
+from .structalg import AlgebraTable, RealForm, leibniz_residual, vec_add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +107,10 @@ class JordanH3:
                 out[j][i] = s
         return out
 
-    def r_operator(self, x: dict) -> dict:
-        """Sparse matrix {(k, l): c} of y -> x . y."""
-        out = {}
-        for l in range(self.dim):
-            w = self.table.mul_vec(x, {l: Fraction(1)})
-            for k, c in w.items():
-                out[(k, l)] = c
-        return out
+    def r_operator(self, x: dict) -> list[dict]:
+        """The sparse columns of y -> x . y: column l is x . b_l."""
+        return [self.table.mul_vec(x, {l: Fraction(1)})
+                for l in range(self.dim)]
 
     def star(self, x: dict, y: dict) -> dict:
         """x * y = x.y - (1/3) tr(x.y) 1, for traceless x, y."""
@@ -129,19 +125,17 @@ class JordanH3:
         return kernel([self.trace], self.dim)
 
 
-def _sparse_mat3_mul(c: Coeff, x: dict, y: dict) -> dict:
-    """Product of two sparse 3x3 matrices {(r, s): sparse coefficient
-    vector}, formed from their nonzero entries only."""
-    rows_y: dict = {}
-    for (k, s), b in y.items():
-        rows_y.setdefault(k, []).append((s, b))
-    out: dict = {}
-    for (r, k), a in x.items():
-        for s, b in rows_y.get(k, ()):
-            acc = out.setdefault((r, s), {})
-            for p, ap in a.items():
-                for q, bq in b.items():
-                    vec_add_scaled(acc, c.mul(p, q), ap * bq)
+def _sparse_mat3_mul(c: Coeff, x: list, y: list) -> list:
+    """Product of two 3x3 matrices over C given by their sparse columns
+    {row: sparse coefficient vector}, from the nonzero entries only."""
+    out = [{} for _ in range(3)]
+    for col_y, col in zip(y, out):
+        for k, b in col_y.items():
+            for r, a in x[k].items():
+                acc = col.setdefault(r, {})
+                for p, ap in a.items():
+                    for q, bq in b.items():
+                        vec_add_scaled(acc, c.mul(p, q), ap * bq)
     return out
 
 
@@ -149,15 +143,15 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
                   kind: str) -> JordanH3:
     """H3(C, diag(gamma)) on the basis {E_ii, iota_i(c_b)}.
 
-    Each basis element is a sparse 3x3 matrix {(r, s): sparse coefficient
-    vector}: E_ii has the single entry 1 at (i, i), and iota_i(c_b) has c_b
-    at its slot and gamma_r gamma_s conj(c_b) at the transposed slot.  Only
-    the nonzero entries are multiplied.  The product x . y = (xy + yx)/2 is
-    symmetric by its definition, so it is formed for i <= j only and cell
-    (j, i) is a copy of cell (i, j).  Every product formed is read back
-    through two guards: each diagonal entry must be a multiple of the unit,
-    and each off-diagonal pair must be gamma-hermitian; a coefficient
-    algebra that breaks either raises ValueError.
+    Each basis element is a 3x3 matrix held as its sparse columns {row:
+    sparse coefficient vector}: E_ii has the single entry 1 at (i, i), and
+    iota_i(c_b) has c_b at its slot and gamma_r gamma_s conj(c_b) at the
+    transposed slot.  Only the nonzero entries are multiplied.  The product
+    x . y = (xy + yx)/2 is symmetric by its definition, so it is formed for
+    i <= j only and cell (j, i) is a copy of cell (i, j).  Every product
+    formed is read back through two guards: each diagonal entry must be a
+    multiple of the unit, and each off-diagonal pair must be gamma-hermitian;
+    a coefficient algebra that breaks either raises ValueError.
     """
     nc = coeff.dim
     dim = 3 + 3 * nc
@@ -169,12 +163,15 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
         return {p: sign * x for p, x in coeff.conj_vec(a).items()}
 
     def matrix_of(idx):
+        m = [{} for _ in range(3)]
         if idx < 3:
-            return {(idx, idx): dict(coeff.unit)}
+            m[idx][idx] = dict(coeff.unit)
+            return m
         slot, b = divmod(idx - 3, nc)
         r, s = _POS[slot + 1]
-        c_b = {b: Fraction(1)}
-        return {(r, s): c_b, (s, r): partner(r, s, c_b)}
+        m[s][r] = {b: Fraction(1)}
+        m[r][s] = partner(r, s, m[s][r])
+        return m
 
     mats = [matrix_of(i) for i in range(dim)]
     ref = min(coeff.unit)
@@ -187,24 +184,25 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
         return scal
 
     def coords_of(m) -> dict:
-        """Sparse coordinates of a gamma-hermitian sparse matrix."""
-        v = {i: unit_multiple(m.get((i, i), {})) for i in range(3)}
+        """Sparse coordinates of a gamma-hermitian matrix given by columns."""
+        v = {i: unit_multiple(m[i].get(i, {})) for i in range(3)}
         for i in (1, 2, 3):
             r, s = _POS[i]
-            a = m.get((r, s), {})
+            a = m[s].get(r, {})
             for b in range(nc):
                 v[3 + (i - 1) * nc + b] = a.get(b, 0)
-            if partner(r, s, a) != m.get((s, r), {}):
+            if partner(r, s, a) != m[r].get(s, {}):
                 raise ValueError("matrix is not gamma-hermitian")
         return {k: x for k, x in v.items() if x}
 
     prod = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            sym: dict = {}
+            sym = [{} for _ in range(3)]
             for x, y in ((mats[i], mats[j]), (mats[j], mats[i])):
-                for key, w in _sparse_mat3_mul(coeff, x, y).items():
-                    vec_add_scaled(sym.setdefault(key, {}), w, half)
+                for col, sym_col in zip(_sparse_mat3_mul(coeff, x, y), sym):
+                    for r, w in col.items():
+                        vec_add_scaled(sym_col.setdefault(r, {}), w, half)
             cell = coords_of(sym)
             prod[i][j] = cell
             if j != i:
@@ -228,42 +226,39 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
 # M = H3(C, E11 + E23 + E32) on its Pauli-homogeneous basis
 # ---------------------------------------------------------------------------
 
-def _pauli_matrices() -> dict[tuple[int, int], dict]:
-    """Homogeneous unit of M for each degree (a, b) in Z3^2, as a sparse
-    3 x 3 matrix {(r, c): Cyc}.
+def _pauli_matrices() -> dict[tuple[int, int], list[dict]]:
+    """Homogeneous unit of M for each degree (a, b) in Z3^2, as the three
+    sparse columns {row: Cyc} of a 3 x 3 matrix.
 
     For w = X^a Z^b one has gamma conj(w)^t gamma = mu * w with mu a cube
     root of unity; the unit is lambda * w with lambda = mu^2 (so that
-    conj(lambda) mu = lambda), which lies in M.
+    conj(lambda) mu = lambda), which lies in M.  mu is read off one entry
+    of w; if twist(w) is not mu w, the unit fails the membership check (or
+    is zero, which ``RealForm`` rejects).
     """
     one = Cyc(1)
-    x_mat = {(0, 2): one, (1, 0): one, (2, 1): one}
-    z_mat = {(0, 0): one, (1, 1): OMEGA, (2, 2): OMEGA * OMEGA}
-    gam = {(0, 0): one, (1, 2): one, (2, 1): one}
+    x_mat = [{1: one}, {2: one}, {0: one}]
+    z_mat = [{0: one}, {1: OMEGA}, {2: OMEGA * OMEGA}]
+    gam = [{0: one}, {2: one}, {1: one}]
 
-    def twist(w):  # gamma conj(w)^t gamma
-        conj_t = {(c, r): x.conj() for (r, c), x in w.items()}
-        return mat_compose(mat_compose(gam, conj_t), gam)
+    def twist(w):  # gamma conj(w)^t gamma; column r of conj(w)^t is row r
+        conj_t = [{c: col[r].conj() for c, col in enumerate(w) if r in col}
+                  for r in range(3)]
+        return mat_mul(mat_mul(gam, conj_t), gam)
 
     out = {}
     for a in range(3):
         for b in range(3):
-            w = {(i, i): one for i in range(3)}
+            w = [{i: one} for i in range(3)]
             for _ in range(a):
-                w = mat_compose(x_mat, w)
+                w = mat_mul(x_mat, w)
             for _ in range(b):
-                w = mat_compose(z_mat, w)
-            tw = twist(w)
-            # mu with tw = mu * w
-            mu = None
-            for key, x in w.items():
-                q = tw.get(key, Cyc(0)) * x.inv()
-                if mu is None:
-                    mu = q
-                elif mu != q:
-                    raise AssertionError("not a scalar multiple")
+                w = mat_mul(z_mat, w)
+            # mu with twist(w) = mu * w, from the entry of w in column 0
+            r, x = next(iter(w[0].items()))
+            mu = twist(w)[0].get(r, Cyc(0)) * x.inv()
             lam = mu * mu
-            u = {key: lam * x for key, x in w.items()}
+            u = [{r: lam * x for r, x in col.items()} for col in w]
             # membership: gamma conj(u)^t gamma == u
             if twist(u) != u:
                 raise AssertionError("homogeneous unit escapes M")
@@ -294,11 +289,12 @@ def build_pauli_m() -> JordanH3:
     units = _pauli_matrices()
     degs = sorted(units)
     mats = [units[d] for d in degs]
-    basis = [{3 * i + j: x for (i, j), x in sorted(u.items())} for u in mats]
+    basis = [dict(sorted((3 * i + j, x) for j, col in enumerate(u)
+                         for i, x in col.items())) for u in mats]
     rf = RealForm(_mat3_plus(), basis, [f"u{a}{b}" for a, b in degs])
     trace = {}
     for t, u in enumerate(mats):
-        tr = sum((u.get((i, i), 0) for i in range(3)), Cyc(0))
+        tr = sum((u[i].get(i, 0) for i in range(3)), Cyc(0))
         if tr:
             trace[t] = tr.as_fraction()
     unit_vec = rf.to_real_coords({0: Cyc(1), 4: Cyc(1), 8: Cyc(1)})
@@ -377,30 +373,24 @@ def jordan_coarse_z23_grading(j: JordanH3) -> GradedDecomposition:
         j.table, group, degs, name=f"Z2^3 on {j.kind}")
 
 
-def z_grading_derivation(j: JordanH3) -> dict:
-    """The derivation 4 [R_{iota1(1)}, R_{E22}] of H3(O, diag(1,-1,1))."""
+def z_grading_derivation(j: JordanH3) -> list[dict]:
+    """The derivation 4 [R_{iota1(1)}, R_{E22}] of H3(O, diag(1,-1,1)), as
+    sparse columns."""
     rx = j.r_operator({j.meta["iota_idx"][(1, 0)]: Fraction(1)})
     ry = j.r_operator({1: Fraction(1)})
-    from .structalg import mat_commutator
-    comm = mat_commutator(rx, ry)
-    return {k: 4 * v for k, v in comm.items()}
+    return [{k: 4 * v for k, v in col.items()}
+            for col in commutator(rx, ry)]
 
 
 def jordan_z_grading(j: JordanH3) -> GradedDecomposition:
     """Eigenspace Z-grading of J by 4 [R_{iota1(1)}, R_{E22}]."""
     if j.kind != "J":
         raise ValueError("the Z-grading is built on H3(O, diag(1,-1,1))")
-    from .linalg import simultaneous_eigensplit
-    from .structalg import leibniz_residual
     d = z_grading_derivation(j)
     if not leibniz_residual(j.table, d):
         raise AssertionError("grading operator is not a derivation")
-    n = j.dim
-    cols = [{} for _ in range(n)]
-    for (k, l), c in d.items():
-        cols[l][k] = c
     eig = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    spaces = simultaneous_eigensplit([cols], [eig], n)
+    spaces = simultaneous_eigensplit([d], [eig], j.dim)
     group = FgAbelianGroup(1)
     comps = [((int(tag[0]),), vecs) for tag, vecs in spaces]
     return GradedDecomposition(j.table, group, comps, name="Z on J")
@@ -408,7 +398,6 @@ def jordan_z_grading(j: JordanH3) -> GradedDecomposition:
 
 def jordan_z_x_z23_grading(j: JordanH3) -> GradedDecomposition:
     """The Z x Z2^3 grading: Z-grading refined by the octonion Z2^3."""
-    from .gradings import refine
     return refine(jordan_z_grading(j), jordan_coarse_z23_grading(j),
                   name="Z x Z2^3 on J")
 

@@ -80,20 +80,34 @@ def _is_index(x, dim: int) -> bool:
     return type(x) is int and 0 <= x < dim
 
 
+def _field(d, key: str, ok, want: str, where: str):
+    """d[key] when d has it and ok(d[key]); else ValueError naming the field."""
+    if type(d) is not dict or key not in d:
+        raise ValueError(f"{where}: missing field {key!r}")
+    if not ok(d[key]):
+        raise ValueError(f"{where}: field {key!r} is {d[key]!r:.60}, "
+                         f"expected {want}")
+    return d[key]
+
+
 def table_from_json(d) -> AlgebraTable:
-    """The table of ``d``; raises ValueError naming the first bad entry.
+    """The table of ``d``; raises ValueError naming the first missing or
+    mistyped field or the first bad entry.
 
     Zero entries are accepted and dropped, as ``AlgebraTable.build`` drops
     them, so that no cell holds an explicit zero; ``table_to_json`` never
     writes one."""
-    dim = d["dim"]
-    if type(dim) is not int or dim < 0:
-        raise ValueError(f"dim {dim!r} is not a non-negative int")
-    if len(d["basis_names"]) != dim:
-        raise ValueError(f"{len(d['basis_names'])} basis_names for dim {dim}")
+    dim = _field(d, "dim", lambda x: type(x) is int and x >= 0,
+                 "a non-negative int", "table")
+    names = _field(d, "basis_names", lambda x: type(x) is list and all(
+        type(v) is str for v in x), "a list of str", "table")
+    if len(names) != dim:
+        raise ValueError(f"{len(names)} basis_names for dim {dim}")
+    entries = _field(d, "entries", lambda x: type(x) is list and all(
+        type(e) is list for e in x), "a list of lists", "table")
     prod = [[{} for _ in range(dim)] for _ in range(dim)]
     zeros = set()  # (i, j, k) of the zero entries, which are dropped
-    for e in d["entries"]:
+    for e in entries:
         if len(e) != 4 or not all(_is_index(x, dim) for x in e[:3]):
             raise ValueError(f"entry {e!r}: expected [i, j, k, scalar] with "
                              f"ints i, j, k in range({dim})")
@@ -106,7 +120,7 @@ def table_from_json(d) -> AlgebraTable:
             prod[i][j][k] = x
         else:
             zeros.add((i, j, k))
-    return AlgebraTable(dim, d["basis_names"], prod)
+    return AlgebraTable(dim, names, prod)
 
 
 def grading_to_json(gd: GradedDecomposition) -> dict:
@@ -120,16 +134,6 @@ def grading_to_json(gd: GradedDecomposition) -> dict:
                               for v in sub.basis],
         })
     return {"group": group, "components": comps, "name": gd.name}
-
-
-def _field(d, key: str, ok, want: str, where: str):
-    """d[key] when d has it and ok(d[key]); else ValueError naming the field."""
-    if type(d) is not dict or key not in d:
-        raise ValueError(f"{where}: missing field {key!r}")
-    if not ok(d[key]):
-        raise ValueError(f"{where}: field {key!r} is {d[key]!r:.60}, "
-                         f"expected {want}")
-    return d[key]
 
 
 def _is_int_list(x) -> bool:

@@ -1,7 +1,8 @@
 """Four exact constructions of the real Lie algebra e6 with signature -14.
 
   * Albert model   (Der(J) + J_0)^eps with J = H3(O, diag(1,-1,1));
-                   eps = -1 gives signature -14, eps = +1 gives -26.
+                   eps = -1 gives signature -14; eps = +1 (signature -26)
+                   is its Z2-twist, ``twist_z2`` by the parity in its meta.
   * Tits model     T(O, M) = Der(O) + (O_0 x M_0) + Der(M).
   * Flag model     a five-term Z-graded real form of
                    wedge^6 V* + wedge^3 V* + gl(V) + wedge^3 V + wedge^6 V
@@ -22,10 +23,10 @@ from itertools import combinations
 
 from . import composition, jordan, rootsys
 from .abgroup import FgAbelianGroup
-from .linalg import apply, kernel, mat_mul, rank, rref, signature
+from .linalg import apply, commutator, kernel, mat_mul, rank, rref, signature
 from .scalar import Cyc, I as CYC_I
 from .structalg import (AlgebraTable, RealForm, derivations, killing_form,
-                        mat_commutator, vec_add_scaled)
+                        vec_add_scaled)
 
 
 @dataclass
@@ -55,10 +56,9 @@ class Model:
 # Albert model
 # ---------------------------------------------------------------------------
 
-def build_albert(eps: int = -1) -> Model:
-    """(Der(J) + J_0)^eps: brackets [d, x] = d(x), [x, y] = eps [R_x, R_y]."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+def build_albert() -> Model:
+    """(Der(J) + J_0)^eps for eps = -1: [d, x] = d(x), [x, y] = -[R_x, R_y].
+    ``twist_z2(table, meta["parity"], -1)`` is the eps = +1 algebra."""
     j = jordan.build_j()
     degrees = jordan.octonion_z2_degrees(j)
     group = FgAbelianGroup(0, (2, 2, 2, 2, 2))
@@ -88,7 +88,6 @@ def build_albert(eps: int = -1) -> Model:
 
     dim = 52 + 26
     names = [f"D{t}" for t in range(52)] + [f"x{t}" for t in range(26)]
-    epsf = Fraction(eps)
 
     def mul(a, b):
         if a < 52 and b < 52:
@@ -100,9 +99,9 @@ def build_albert(eps: int = -1) -> Model:
         xa, xb = a - 52, b - 52
         if xa >= xb:
             return {} if xa == xb else {k: -c for k, c in mul(b, a).items()}
-        comm = mat_commutator(r_ops[xa], r_ops[xb])
+        comm = commutator(r_ops[xa], r_ops[xb])
         g = group.add(j0_degrees[xa], j0_degrees[xb])
-        return {k: epsf * c for k, c in ders.coords_in_block(comm, g).items()}
+        return {k: -c for k, c in ders.coords_in_block(comm, g).items()}
 
     table = AlgebraTable.build(dim, names, mul)
     parity = [0] * 52 + [1] * 26
@@ -115,11 +114,10 @@ def build_albert(eps: int = -1) -> Model:
         "j0_degrees": j0_degrees,
         "parity": parity,
         "z26_degrees": z26_degrees,
-        "eps": eps,
     }
     prov = {
         "model": "albert",
-        "epsilon": eps,
+        "epsilon": -1,
         "jordan_algebra": "H3(O, diag(1,-1,1))",
         "octonion_lines": composition.FANO_LINES,
     }
@@ -132,14 +130,9 @@ def albert_z_grading_operator(model: Model) -> list[dict]:
     j = model.meta["jordan"]
     ders = model.meta["derivations"]
     d = jordan.z_grading_derivation(j)
-    blk = None
-    for key, val in d.items():
-        s = ders._shift_of(key)
-        if blk is None:
-            blk = s
-        elif blk != s:
-            raise AssertionError("grading derivation is not homogeneous")
-    cs = ders.coords_in_block(d, blk)
+    # the block of one entry; coords_in_block rejects an entry outside it
+    l = next(l for l, col in enumerate(d) if col)
+    cs = ders.coords_in_block(d, ders._shifts[l][min(d[l])])
     return [model.table.mul_vec(cs, {l: Fraction(1)})
             for l in range(model.dim)]
 
@@ -202,7 +195,7 @@ def build_tits(split: bool = False) -> Model:
     m_pair = {}
     for t in m0_idx:
         for t2 in m0_idx:
-            rcomm = mat_commutator(r_ops_m[t], r_ops_m[t2])
+            rcomm = commutator(r_ops_m[t], r_ops_m[t2])
             cs = ders_m.coords_in_block(rcomm, g33.add(m_degs[t], m_degs[t2]))
             m_pair[t, t2] = (m.trace_of(m.table.prod[t][t2]),
                              m.star({t: Fraction(1)}, {t2: Fraction(1)}),

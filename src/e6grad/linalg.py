@@ -1,13 +1,15 @@
 """Exact linear algebra over Fraction / Q(zeta_12) scalars.
 
 A vector is sparse: a dict from index to nonzero scalar.  A linear map is a
-list of sparse columns (column l is the image of basis vector l), and
-Gaussian elimination, kernels and inverses work on lists of sparse rows.
-Dense row lists are kept for what reads a whole square or integer matrix:
-Sylvester inertia of a symmetric form by congruence, and the invariant
-factors of an integer matrix (the diagonal of its Smith normal form), which
-are read off sparse rows by unit-pivot elimination before a small dense
-core is reduced.  The joint eigenspaces of commuting maps are split off by the images of their
+list of sparse columns (column l is the image of basis vector l); this is
+the one matrix form that crosses a function boundary, for maps on a 78-dim
+algebra and for 3 x 3 or 8 x 8 matrices alike.  Gaussian elimination,
+kernels and inverses work on lists of sparse rows.  Dense row lists are kept
+for what reads a whole square or integer matrix: Sylvester inertia of a
+symmetric form by congruence, and the invariant factors of an integer
+matrix (the diagonal of its Smith normal form), which are read off sparse
+rows by unit-pivot elimination before a small dense core is reduced.  The
+joint eigenspaces of commuting maps are split off by the images of their
 Lagrange projectors.
 """
 
@@ -28,12 +30,33 @@ def apply(cols: list[dict], v: dict, shift=0) -> dict:
     for l, x in v.items():
         for k, y in cols[l].items():
             out[k] = out[k] + x * y if k in out else x * y
-    return {k: x for k, x in out.items() if not is_zero(x)}
+    return out if all(out.values()) else {k: x for k, x in out.items() if x}
 
 
 def mat_mul(a: list[dict], b: list[dict]) -> list[dict]:
     """The columns of the composite a b of two maps given by columns."""
     return [apply(a, c) for c in b]
+
+
+def commutator(a: list[dict], b: list[dict]) -> list[dict]:
+    """The columns of [a, b] = a b - b a of two maps given by columns:
+    column l is a(b e_l) - b(a e_l), skipping the empty columns of a, b."""
+    out = []
+    for al, bl in zip(a, b):
+        col: dict = {}
+        for m, x in bl.items():
+            am = a[m]
+            if am:
+                for k, y in am.items():
+                    col[k] = col[k] + x * y if k in col else x * y
+        for m, x in al.items():
+            bm = b[m]
+            if bm:
+                for k, y in bm.items():
+                    col[k] = col[k] - x * y if k in col else -x * y
+        out.append(col if all(col.values()) else
+                   {k: x for k, x in col.items() if x})
+    return out
 
 
 def rref(m: list[dict]) -> tuple[list[dict], list[int]]:

@@ -13,7 +13,8 @@ coordinate is, and each triple costs a few int products, not a dict.
 Vectors are sparse dicts (index -> nonzero scalar) throughout: a
 ``Subspace`` holds the sparse RREF rows of a basis and reads coordinates off
 its pivots, with a residual over the vector's keys; only bilinear forms
-(Killing, Gram) are dense row lists.
+(Killing, Gram) are dense row lists.  A linear map (ad b_i, R_x, a
+derivation) is ``linalg``'s list of sparse columns.
 
 Derivation algebras are computed as the kernel of the Leibniz linear system
 over all ordered basis pairs, assembled in one pass over the integer-scaled
@@ -22,8 +23,8 @@ system splits into independent blocks indexed by the degree shift of the
 unknown matrix entries, which both speeds the kernel up by orders of
 magnitude and yields the induced grading on Der(A) for free; an equation
 whose unknowns leave its block shows that the degrees do not grade the
-table, and raises.  Each basis derivation is also held as a primitive
-integer matrix.  The coordinates of a matrix in the derivation basis are its
+table, and raises.  Each basis derivation is also held as primitive
+integer columns.  The coordinates of a map in the derivation basis are its
 entries at the free unknowns of the Leibniz kernel, confirmed by a residual
 in integers, and the commutator table of Der(A) is computed in integers.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import inverse, kernel, kernel_from_rref, rref
+from .linalg import apply, commutator, inverse, kernel, kernel_from_rref, rref
 from .scalar import Cyc, as_fraction, is_zero
 
 Vec = dict  # sparse vector: index -> scalar
@@ -83,7 +84,6 @@ class AlgebraTable:
         self.basis_names = list(basis_names)
         self.prod = prod
         self._int_cache = None
-        self._ad_cache = None
 
     @classmethod
     def build(cls, dim: int, basis_names: list[str], mul) -> "AlgebraTable":
@@ -126,19 +126,6 @@ class AlgebraTable:
                       for cell in row] for row in self.prod]
             self._int_cache = (iprod, scale)
         return self._int_cache
-
-    # -- linear data -----------------------------------------------------------
-
-    def ad_dict(self, i: int) -> dict:
-        """Sparse matrix of ad(b_i) as {(k, l): int} over the scaled table."""
-        if self._ad_cache is None:
-            self._ad_cache = [None] * self.dim
-        if self._ad_cache[i] is None:
-            iprod, _ = self.int_scaled()
-            row = iprod[i]
-            self._ad_cache[i] = {(k, l): c for l in range(self.dim)
-                                 for k, c in row[l]}
-        return self._ad_cache[i]
 
     def is_real_table(self) -> bool:
         for row in self.prod:
@@ -235,9 +222,10 @@ class AlgebraTable:
         y at once, and the linearization is symmetric in (a, b, c), so the
         triples a <= b <= c and all y cover every case; in characteristic 0
         this is equivalent to the Jordan identity for all elements.  Each
-        commutator [R_x, R_k] is formed once per call.  The witness of a
-        failure is (a, b, c, y) for the first failing triple and the smallest
-        column y with a nonzero entry.
+        commutator [R_x, R_k] is formed once per call, on columns, and
+        flattened into a dict keyed by n column + row for the triple sums.
+        The witness of a failure is (a, b, c, y) for the first failing triple
+        and the smallest column y with a nonzero entry.
 
         For the H3 tables of ``jordan`` the commutativity half holds by
         construction, since cell (j, i) is a copy of cell (i, j), just as for
@@ -249,12 +237,16 @@ class AlgebraTable:
             return r
         iprod, _ = self.int_scaled()
         n = self.dim
+        r_ops = [[dict(cell) for cell in row] for row in iprod]
         comms: dict = {}
 
         def comm(x, k):
             # [R_x, R_k] for x < k
             if (x, k) not in comms:
-                comms[x, k] = mat_commutator(self.ad_dict(x), self.ad_dict(k))
+                comms[x, k] = {
+                    n * l + r: v
+                    for l, col in enumerate(commutator(r_ops[x], r_ops[k]))
+                    for r, v in col.items()}
             return comms[x, k]
 
         for a in range(n):
@@ -277,7 +269,7 @@ class AlgebraTable:
                                 else:
                                     del acc[key]
                     if acc:
-                        y = min(col for _, col in acc)
+                        y = min(acc) // n  # the smallest column
                         return CheckReport("jordan", False, (a, b, c, y))
         return CheckReport("jordan", True)
 
@@ -441,75 +433,35 @@ class Subspace:
 # derivations
 # ---------------------------------------------------------------------------
 
-def mat_compose(a: dict, b: dict) -> dict:
-    """(a b)[k][m] = sum_l a[k][l] b[l][m] for sparse {(row, col): val}."""
-    byrow_b: dict = {}
-    for (l, m), d in b.items():
-        byrow_b.setdefault(l, []).append((m, d))
-    out: dict = {}
-    for (k, l), c in a.items():
-        for m, d in byrow_b.get(l, ()):
-            key = (k, m)
-            s = out.get(key, 0) + c * d
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
-def _mat_apply(mat: dict, v: Vec) -> Vec:
-    """mat v for a sparse {(row, col): val} matrix and a sparse vector."""
-    out: Vec = {}
-    for (k, l), c in mat.items():
-        if l in v:
-            s = out.get(k, 0) + c * v[l]
-            if is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
-
-
-def mat_commutator(a: dict, b: dict) -> dict:
-    ab = mat_compose(a, b)
-    for key, v in mat_compose(b, a).items():
-        s = ab.get(key, 0) - v
-        if s:
-            ab[key] = s
-        else:
-            ab.pop(key, None)
-    return {k: v for k, v in ab.items() if not is_zero(v)}
-
-
 class Derivations:
-    """Basis of Der(A) as sparse matrices, with its commutator Lie table.
+    """Basis of Der(A) as sparse columns, with its commutator Lie table.
 
-    The t-th basis derivation D_t is held once, as a primitive integer
-    matrix ``int_mats[t]`` {(k, l): int} (entries with gcd 1) and a positive
-    integer ``denoms[t]``: the coefficient of b_k in D_t(b_l) is
-    int_mats[t][k, l] / denoms[t].
+    The t-th basis derivation D_t is held once, as primitive integer
+    columns ``int_mats[t]`` (column l a sparse vector of ints, the entries
+    of all columns with gcd 1) and a positive integer ``denoms[t]``: the
+    coefficient of b_k in D_t(b_l) is int_mats[t][l][k] / denoms[t].
     ``blocks[t]`` is the degree shift of D_t under the grading used to split
     the Leibniz system (all equal for ungraded input); these are exactly the
-    degrees of the induced grading on Der(A).
+    degrees of the induced grading on Der(A).  The Leibniz unknown (k, l)
+    is the entry at row k of column l, and its block is ``_shifts[l][k]``.
 
     Each basis derivation of a block is a kernel vector read off the RREF:
     it is 1 at its own free unknown and 0 at the block's other free
-    unknowns.  So the coordinates of a matrix M of the block are its entries
+    unknowns.  So the coordinates of a map M of the block are its entries
     at the free unknowns, and M lies in the span iff the integer residual
     lcm(d) M - sum_r c_r (lcm(d) / d_r) w_r vanishes (a rational M is scaled
     to integers first).  The commutator table is taken on the integer forms,
-    once per unordered pair, because [D_j, D_i] = -[D_i, D_j] for matrices.
+    once per unordered pair, because [D_j, D_i] = -[D_i, D_j].
     """
 
     def __init__(self, algebra: AlgebraTable, int_mats: list, denoms: list,
-                 blocks: list, group, block_data: dict, shifts: dict):
+                 blocks: list, group, block_data: dict, shifts: list):
         self.algebra = algebra
-        self.int_mats = int_mats  # list of primitive {(k, l): int}
+        self.int_mats = int_mats  # primitive integer columns per D_t
         self.denoms = denoms      # D_t = int_mats[t] / denoms[t]
         self.blocks = blocks      # block key per basis derivation
         self.group = group
-        self._shifts = shifts     # (k, l) -> block key
+        self._shifts = shifts     # [l][k] -> block key of unknown (k, l)
         # block key -> (free unknowns, offset, lcm of the denoms, lcm / denom)
         self._block_data = block_data
         self.table = self._commutator_table()
@@ -519,43 +471,54 @@ class Derivations:
         return len(self.int_mats)
 
     def apply(self, idx: int, v: Vec) -> Vec:
+        """D_idx v, for a sparse vector v."""
         inv = Fraction(1, self.denoms[idx])
-        return {k: inv * x
-                for k, x in _mat_apply(self.int_mats[idx], v).items()}
+        return {k: inv * x for k, x in apply(self.int_mats[idx], v).items()}
 
-    def _int_coords(self, mat: dict, g) -> tuple[int, list]:
-        """(offset, coordinates) of an integer block-g matrix, in ints."""
-        for key in mat:
-            if self._shifts.get(key) != g:
-                raise ValueError(f"entry {key} lies outside block {g!r}")
+    def _int_coords(self, cols: list[Vec], g) -> tuple[int, list]:
+        """(offset, coordinates) of a block-g map with integer columns."""
+        n = self.algebra.dim
+        if len(cols) != n:
+            raise ValueError(f"{len(cols)} columns for a {n}-dim algebra")
+        resid = {}  # entry (k, l) at key n l + k
+        for l, col in enumerate(cols):
+            if col:
+                shifts = self._shifts[l]
+                for k, v in col.items():
+                    if shifts[k] != g:
+                        raise ValueError(
+                            f"entry {(k, l)} lies outside block {g!r}")
+                    resid[n * l + k] = v
         data = self._block_data.get(g)
         if data is None:
-            if mat:
+            if resid:
                 raise ValueError("matrix is not in the derivation span")
             return 0, []
         free, offset, big, mults = data
-        cs = [mat.get(kl, 0) for kl in free]
-        resid = {key: big * v for key, v in mat.items()}
+        cs = [cols[l].get(k, 0) for k, l in free]
+        if big != 1:
+            resid = {key: big * v for key, v in resid.items()}
         for r, c in enumerate(cs):
             if c:
                 f = c * mults[r]
-                for key, x in self.int_mats[offset + r].items():
-                    resid[key] = resid.get(key, 0) - f * x
+                for l, col in enumerate(self.int_mats[offset + r]):
+                    if col:
+                        for k, x in col.items():
+                            key = n * l + k
+                            resid[key] = resid.get(key, 0) - f * x
         if any(resid.values()):
             raise ValueError("matrix is not in the derivation span")
         return offset, cs
 
-    def coords_in_block(self, mat: dict, g) -> Vec:
-        """Sparse coordinates of a block-g matrix in the derivation basis."""
-        fr = {key: Fraction(v) for key, v in mat.items()}
-        scale = lcm(*(v.denominator for v in fr.values()))
-        offset, cs = self._int_coords(
-            {key: v.numerator * (scale // v.denominator)
-             for key, v in fr.items()}, g)
+    def coords_in_block(self, cols: list[Vec], g) -> Vec:
+        """Sparse coordinates of a block-g map, given by its columns, in the
+        derivation basis."""
+        fr = [{k: Fraction(v) for k, v in col.items()} for col in cols]
+        scale = lcm(*(v.denominator for col in fr for v in col.values()))
+        ints = [{k: v.numerator * (scale // v.denominator)
+                 for k, v in col.items()} for col in fr]
+        offset, cs = self._int_coords(ints, g)
         return {offset + r: Fraction(c, scale) for r, c in enumerate(cs) if c}
-
-    def _shift_of(self, kl):
-        return self._shifts[kl]
 
     def _commutator_table(self) -> AlgebraTable:
         n = self.dim
@@ -564,7 +527,7 @@ class Derivations:
         for i in range(n):
             for j in range(i + 1, n):
                 g = self.group.add(self.blocks[i], self.blocks[j])
-                offset, cs = self._int_coords(mat_commutator(w[i], w[j]), g)
+                offset, cs = self._int_coords(commutator(w[i], w[j]), g)
                 den = d[i] * d[j]
                 cell = {offset + r: Fraction(c, den)
                         for r, c in enumerate(cs) if c}
@@ -603,11 +566,13 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     if degrees is None:
         degrees = [0] * n
         group = _TrivialGroup
-    shifts = {(k, l): group.sub(degrees[k], degrees[l])
-              for k in range(n) for l in range(n)}
+    # shifts[l][k]: the block of the unknown (k, l)
+    shifts = [[group.sub(degrees[k], degrees[l]) for k in range(n)]
+              for l in range(n)]
     unknowns: dict = {}  # block key -> unknowns (k, l) in row-major order
-    for kl, g in shifts.items():
-        unknowns.setdefault(g, []).append(kl)
+    for k in range(n):
+        for l in range(n):
+            unknowns.setdefault(shifts[l][k], []).append((k, l))
     col = {kl: t for us in unknowns.values() for t, kl in enumerate(us)}
     rows: dict = {g: {} for g in unknowns}
     block_of: dict = {}  # (k, deg i + deg j) -> block of equation (i, j, k)
@@ -633,7 +598,7 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
                 row = []
                 for kl, c in e.items():
                     if c:
-                        if shifts[kl] != g:
+                        if shifts[kl[1]][kl[0]] != g:
                             raise ValueError(
                                 f"degrees are not a grading of the table: "
                                 f"equation {(i, j, k)} has unknown {kl} "
@@ -663,7 +628,10 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
             w = {kl: x.numerator * (scale // x.denominator)
                  for kl, x in mat.items()}
             h = gcd(*w.values())
-            int_mats.append({kl: x // h for kl, x in w.items()})
+            cols = [{} for _ in range(n)]
+            for (k, l), x in w.items():
+                cols[l][k] = x // h
+            int_mats.append(cols)
             ds.append(scale // h)
             block_keys.append(g)
         big = lcm(*ds)
@@ -673,23 +641,20 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
                        block_data, shifts)
 
 
-def leibniz_residual(table: AlgebraTable, mat: dict) -> bool:
-    """True iff mat is exactly a derivation of the table."""
+def leibniz_residual(table: AlgebraTable, cols: list[Vec]) -> bool:
+    """True iff the map with sparse columns ``cols`` is exactly a derivation
+    of the table."""
     n = table.dim
     for i in range(n):
         for j in range(n):
-            lhs = _mat_apply(mat, table.prod[i][j])
-            rhs: Vec = {}
-            di = _mat_apply(mat, {i: Fraction(1)})
-            dj = _mat_apply(mat, {j: Fraction(1)})
-            for m, c in di.items():
-                vec_add_scaled(rhs, table.prod[m][j], c)
-            for m, c in dj.items():
-                vec_add_scaled(rhs, table.prod[i][m], c)
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                if not is_zero(lhs.get(k, 0) - rhs.get(k, 0)):
-                    return False
+            # D(b_i) b_j + b_i D(b_j) - D(b_i b_j)
+            resid = {k: -x for k, x in apply(cols, table.prod[i][j]).items()}
+            for m, c in cols[i].items():
+                vec_add_scaled(resid, table.prod[m][j], c)
+            for m, c in cols[j].items():
+                vec_add_scaled(resid, table.prod[i][m], c)
+            if resid:
+                return False
     return True
 
 
@@ -704,27 +669,32 @@ def killing_form(table: AlgebraTable, degrees=None, group=None) -> list[list[Fra
     basis, only pairs with deg_i + deg_j = 0 are computed: for the others
     ad b_i ad b_j shifts every component by a nonzero degree, so its trace
     vanishes identically (grading orthogonality).
+
+    ad b_i is row i of the integer-scaled table, read as columns, and
+    trace(ad b_i ad b_j) sums, over the entries c at row k of column l of
+    the sparser one, c times the entry at row l of column k of the other.
     """
     n = table.dim
-    _, scale = table.int_scaled()
-    ads = [table.ad_dict(i) for i in range(n)]
+    iprod, scale = table.int_scaled()
+    ads = [[dict(cell) for cell in row] for row in iprod]
+    # the entries (l, k, c) of each ad b_i, for the sparser side of a pair
+    entries = [[(l, k, c) for l, cell in enumerate(row) for k, c in cell]
+               for row in iprod]
     denom = scale * scale
     out = [[Fraction(0)] * n for _ in range(n)]
     zero = group.zero() if group is not None else None
     for i in range(n):
-        adi = ads[i]
         for j in range(i, n):
             if degrees is not None and \
                     group.add(degrees[i], degrees[j]) != zero:
                 continue
-            adj = ads[j]
-            if len(adj) < len(adi):
-                small, big = adj, adi
+            if len(entries[j]) < len(entries[i]):
+                small, big = entries[j], ads[i]
             else:
-                small, big = adi, adj
+                small, big = entries[i], ads[j]
             s = 0
-            for (k, l), c in small.items():
-                d = big.get((l, k))
+            for l, k, c in small:
+                d = big[k].get(l)
                 if d:
                     s += c * d
             val = Fraction(s, denom)
@@ -742,30 +712,31 @@ def killing_ad_invariance(table: AlgebraTable,
     if killing is None:
         killing = killing_form(table)
     n = table.dim
-    _, scale = table.int_scaled()
+    iprod, _ = table.int_scaled()
     for i in range(n):
-        ad = table.ad_dict(i)  # scaled by `scale`
         resid = {}
-        for (k, l), c in ad.items():
-            # (ad^t K)[l][j] = sum_k ad[k][l] K[k][j]
-            row = killing[k]
-            for j in range(n):
-                if row[j]:
-                    key = (l, j)
-                    s = resid.get(key, 0) + c * row[j]
-                    if s:
-                        resid[key] = s
-                    else:
-                        resid.pop(key, None)
-            # (K ad)[j][l] = sum_k K[j][k] ad[k][l]
-            for j in range(n):
-                if killing[j][k]:
-                    key = (j, l)
-                    s = resid.get(key, 0) + killing[j][k] * c
-                    if s:
-                        resid[key] = s
-                    else:
-                        resid.pop(key, None)
+        # column l of ad b_i, scaled like the table, is the cell (i, l)
+        for l, cell in enumerate(iprod[i]):
+            for k, c in cell:
+                # (ad^t K)[l][j] = sum_k ad[k][l] K[k][j]
+                row = killing[k]
+                for j in range(n):
+                    if row[j]:
+                        key = (l, j)
+                        s = resid.get(key, 0) + c * row[j]
+                        if s:
+                            resid[key] = s
+                        else:
+                            resid.pop(key, None)
+                # (K ad)[j][l] = sum_k K[j][k] ad[k][l]
+                for j in range(n):
+                    if killing[j][k]:
+                        key = (j, l)
+                        s = resid.get(key, 0) + killing[j][k] * c
+                        if s:
+                            resid[key] = s
+                        else:
+                            resid.pop(key, None)
         if resid:
             return CheckReport("killing-invariance", False, (i,))
     return CheckReport("killing-invariance", True)

@@ -18,8 +18,9 @@ from .gradings import (NAMED_GRADINGS, TABLE1, GRADING_MODEL,
                        build_named_grading, check_grading, classical_signature,
                        interval_check, so8_exclusion_arithmetic, sp8_lemma,
                        type_vector, universal_group)
-from .linalg import signature
-from .structalg import (Subspace, form_restrict, killing_form, killing_ratio,
+from .linalg import mat_mul, signature
+from .structalg import (Subspace, center, derivations, derived_algebra,
+                        form_restrict, killing_form, killing_ratio,
                         subalgebra_table, twist_z2)
 
 
@@ -64,9 +65,13 @@ class Workspace:
     def model(self, name: str):
         if name not in self._models:
             if name == "albert":
-                self._models[name] = liemodels.build_albert(-1)
+                self._models[name] = liemodels.build_albert()
             elif name == "albert_plus":
-                self._models[name] = liemodels.build_albert(1)
+                # (Der(J) + J_0)^+1: the eps = -1 table, J_0 x J_0 negated
+                alb = self.model("albert")
+                self._models[name] = liemodels.Model(
+                    "albert", twist_z2(alb.table, alb.meta["parity"], -1),
+                    {**alb.provenance, "epsilon": 1})
             elif name == "tits":
                 self._models[name] = liemodels.build_tits()
             elif name == "tits_split":
@@ -113,7 +118,6 @@ def criterion_1_octonions(ws: Workspace) -> list[Check]:
     out.append(_reported("octonions: norm multiplicativity", rep))
     rep = composition.check_alternativity()
     out.append(_reported("octonions: alternativity", rep))
-    from .structalg import derivations
     ders = derivations(composition.octonion_table())
     out.append(Check("Der(O) dimension", ders.dim == 14, ders.dim, 14))
     s = _sig(killing_form(ders.table))
@@ -316,7 +320,6 @@ def criterion_10_flag(ws: Workspace) -> list[Check]:
                      dim_eig == 20, dim_eig, 20))
     th = liemodels.flag_theta_matrix(flag)
     fs = liemodels.flag_f_matrices(flag)
-    from .linalg import mat_mul
     ident = [{k: 1} for k in range(78)]
     ok = mat_mul(th, th) == ident
     for f in fs:
@@ -326,7 +329,6 @@ def criterion_10_flag(ws: Workspace) -> list[Check]:
     for f in fs:
         auto = auto and rootsys.is_table_automorphism(flag.table, f)
     out.append(Check("flag: theta, F_i preserve L and its bracket", auto))
-    from .structalg import center, derived_algebra
     l0 = Subspace(78, [{t: Fraction(1)} for t in range(36)])
     l0t = subalgebra_table(flag.table, l0)
     der = derived_algebra(l0t)

@@ -151,7 +151,7 @@ def test_conjugation_norm_trace():
 
 
 def test_d_ab_antisymmetry_and_derivation():
-    assert co.d_ab(e(3), e(3)) == {}
+    assert co.d_ab(e(3), e(3)) == [{}] * 8
     rng = random.Random(4)
     table = co.octonion_table()
     for _ in range(5):
@@ -177,7 +177,8 @@ def test_d_ab_spans_der_o():
     for i in range(1, 8):
         for j in range(i + 1, 8):
             d = co.d_ab(e(i), e(j))
-            mats.append({8 * r + c: x for (r, c), x in d.items()})
+            mats.append({8 * r + c: x for c, col in enumerate(d)
+                         for r, x in col.items()})
     assert sa.Subspace(64, mats).dim == 14
 
 
@@ -190,7 +191,9 @@ def test_derivation_algebra():
     assert sig[0] - sig[1] == -14
     for w, d in zip(ders.int_mats, ders.denoms):
         assert sa.leibniz_residual(
-            table, {kl: Fraction(x, d) for kl, x in w.items()})
+            table, [{k: Fraction(x, d) for k, x in col.items()} for col in w])
+    # the identity is not one: D(1 1) = 1, but D(1) 1 + 1 D(1) = 2
+    assert not sa.leibniz_residual(table, [{k: Fraction(1)} for k in range(8)])
 
 
 def test_der_o_graded_blocks():

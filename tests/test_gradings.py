@@ -5,7 +5,7 @@ import pytest
 from e6grad import composition as co
 from e6grad import gradings as gr
 from e6grad import jordan as jo
-from e6grad import structalg as sa
+from e6grad import linalg as la
 from e6grad.abgroup import FgAbelianGroup, presented_group
 from e6grad.scalar import I, Cyc
 
@@ -261,14 +261,19 @@ def test_gamma12_buckets_match_the_refinement(ws, flag):
 
 def test_scalar_of():
     one = Cyc(1)
-    ident = {(i, i): one for i in range(8)}
-    assert gr.scalar_of({key: I for key in ident}) == I
-    assert gr.scalar_of({}) is None
-    assert gr.scalar_of({key: Cyc(0) for key in ident}) is None
-    assert gr.scalar_of({**ident, (7, 7): -one}) is None
-    assert gr.scalar_of({(i, i): one for i in range(7)}) is None
-    assert gr.scalar_of({**ident, (0, 1): one}) is None
-    assert gr.scalar_of({**ident, (0, 1): Cyc(0)}) == one
+
+    def ident(**cols):
+        # the identity, with column c replaced by cols[f"c{c}"]
+        return [cols.get(f"c{c}", {c: one}) for c in range(8)]
+
+    assert gr.scalar_of([{i: I} for i in range(8)]) == I
+    assert gr.scalar_of([{} for _ in range(8)]) is None
+    assert gr.scalar_of([{i: Cyc(0)} for i in range(8)]) is None
+    assert gr.scalar_of(ident(c7={7: -one})) is None
+    assert gr.scalar_of(ident(c7={})) is None
+    assert gr.scalar_of(ident(c1={1: one, 0: one})) is None
+    assert gr.scalar_of(ident(c1={1: one, 0: Cyc(0)})) == one
+    assert gr.scalar_of(ident()[:7]) is None
 
 
 def _sp8_with_a4(monkeypatch, a4):
@@ -280,8 +285,8 @@ def _sp8_with_a4(monkeypatch, a4):
 def test_sp8_lemma_rejects_a_non_involution(monkeypatch):
     # A = diag(1, ..., 1, -1) is real with A^2 = 1, but (CA)^2 is not scalar
     one = Cyc(1)
-    _sp8_with_a4(monkeypatch, {(i, i): one if i < 7 else -one
-                               for i in range(8)})
+    _sp8_with_a4(monkeypatch, [{i: one if i < 7 else -one}
+                               for i in range(8)])
     with pytest.raises(AssertionError,
                        match=r"Ad\(CA\) is not an involution"):
         gr.sp8_lemma()
@@ -293,9 +298,9 @@ def test_sp8_lemma_rejects_a_map_that_leaves_sp8(monkeypatch):
     # multiple of C, so Ad(CA) = Ad(P) moves sp8
     c_mat = gr.sp8_generators()[0]
     one = Cyc(1)
-    x = {(0, 0): one, (0, 1): one, (1, 1): -one, (2, 2): one, (3, 3): one}
-    p = {**x, **{(r + 4, c + 4): v for (r, c), v in x.items()}}
-    _sp8_with_a4(monkeypatch, sa.mat_compose(
-        {key: -v for key, v in c_mat.items()}, p))
+    x = [{0: one}, {0: one, 1: -one}, {2: one}, {3: one}]  # columns
+    p = x + [{r + 4: v for r, v in col.items()} for col in x]
+    _sp8_with_a4(monkeypatch, la.mat_mul(
+        [{r: -v for r, v in col.items()} for col in c_mat], p))
     with pytest.raises(AssertionError, match="Ad does not preserve sp8"):
         gr.sp8_lemma()

@@ -193,19 +193,22 @@ def test_membership_dimension_of_m():
     # the realified hermitian condition for gamma3 has a 9-dim solution space
     from e6grad.scalar import Cyc
     zero, one = Cyc(0), Cyc(1)
-    gam = {(0, 0): one, (1, 2): one, (2, 1): one}
+    gam = [{0: one}, {2: one}, {1: one}]  # columns of E11 + E23 + E32
     # solve over the 18 real coordinates of a 3x3 complex matrix
     unknowns = [(i, j, part) for i in range(3) for j in range(3)
                 for part in range(2)]
     cols = []
     for (i, j, part) in unknowns:
-        x = {(i, j): one if part == 0 else Cyc(0, 0, 0, 1)}
-        conj_t = {(c, r): v.conj() for (r, c), v in x.items()}
-        tx = sa.mat_compose(sa.mat_compose(gam, conj_t), gam)
+        # the matrix with one entry at row i, column j, and its conj(x)^t
+        x = [{} for _ in range(3)]
+        x[j][i] = one if part == 0 else Cyc(0, 0, 0, 1)
+        conj_t = [{} for _ in range(3)]
+        conj_t[i][j] = x[j][i].conj()
+        tx = la.mat_mul(la.mat_mul(gam, conj_t), gam)
         col = []
         for a in range(3):
             for b in range(3):
-                col.extend((tx.get((a, b), zero) - x.get((a, b), zero)).c)
+                col.extend((tx[b].get(a, zero) - x[b].get(a, zero)).c)
         cols.append([Fraction(v) for v in col])
     m = [{u: cols[u][r] for u in range(18) if cols[u][r]} for r in range(36)]
     assert len(la.kernel(m, 18)) == 9
@@ -271,6 +274,6 @@ def test_r_commutators_are_derivations():
     rng = random.Random(12)
     for _ in range(25):
         i, k = rng.randrange(27), rng.randrange(27)
-        comm = sa.mat_commutator(j.r_operator({i: Fraction(1)}),
-                                 j.r_operator({k: Fraction(1)}))
+        comm = la.commutator(j.r_operator({i: Fraction(1)}),
+                             j.r_operator({k: Fraction(1)}))
         assert sa.leibniz_residual(j.table, comm)

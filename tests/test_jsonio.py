@@ -150,6 +150,53 @@ def test_table_rejects_basis_names_length():
         jsonio.table_from_json(d)
 
 
+def test_table_rejects_missing_basis_names():
+    d = _octonion_table_json()
+    del d["basis_names"]
+    with pytest.raises(ValueError, match="table: missing field 'basis_names'"):
+        jsonio.table_from_json(d)
+
+
+def test_table_rejects_basis_names_that_are_a_string():
+    # a string of the right length is not a list of names
+    d = jsonio.table_to_json(AlgebraTable(1, ["a"], [[{}]]))
+    d["basis_names"] = "a"
+    with pytest.raises(ValueError, match="field 'basis_names' is 'a', "
+                                         "expected a list of str"):
+        jsonio.table_from_json(d)
+
+
+def test_table_rejects_an_entry_that_is_not_a_list():
+    d = _octonion_table_json()
+    d["entries"][4] = 5
+    with pytest.raises(ValueError, match="field 'entries' .* expected a list "
+                                         "of lists"):
+        jsonio.table_from_json(d)
+
+
+def test_table_rejects_null_entries():
+    d = _octonion_table_json()
+    d["entries"] = None
+    with pytest.raises(ValueError, match="field 'entries' is None, expected "
+                                         "a list of lists"):
+        jsonio.table_from_json(d)
+
+
+def test_table_rejects_a_top_level_list():
+    d = _octonion_table_json()
+    with pytest.raises(ValueError, match="table: missing field 'dim'"):
+        jsonio.table_from_json([d["dim"], d["basis_names"], d["entries"]])
+
+
+@pytest.mark.parametrize("dim", [-1, "8", 8.0, True, None])
+def test_table_rejects_a_bad_dim(dim):
+    d = _octonion_table_json()
+    d["dim"] = dim
+    with pytest.raises(ValueError, match="field 'dim' .* expected a "
+                                         "non-negative int"):
+        jsonio.table_from_json(d)
+
+
 def _octonion_grading_json():
     return jsonio.grading_to_json(co.octonion_grading())
 

@@ -419,6 +419,31 @@ def test_mat_mul_matches_the_dense_product():
                        for k in x)
 
 
+def test_commutator_matches_the_dense_products():
+    rng = random.Random(41)
+    for kind in ("int", "fraction", "cyc"):
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            if kind == "int":
+                a, b = ([[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)]
+                         for _ in range(n)] for _ in range(2))
+            else:
+                a, b = ([[_sparse_entry(rng, kind == "cyc") for _ in range(n)]
+                         for _ in range(n)] for _ in range(2))
+            ab, ba = _dense_mul(a, b), _dense_mul(b, a)
+            want = cols([[x - y for x, y in zip(u, v)]
+                         for u, v in zip(ab, ba)])
+            got = la.commutator(cols(a), cols(b))
+            assert [set(x) for x in got] == [set(y) for y in want]
+            assert all(is_zero(x[k] - y[k]) for x, y in zip(got, want)
+                       for k in x)
+    # [E12, E21] = E11 - E22, and entries that cancel leave no explicit zero
+    e12, e21 = [{}, {0: 1}], [{1: 1}, {}]
+    assert la.commutator(e12, e21) == [{0: 1}, {1: -1}]
+    a = [{0: 1, 1: 2}, {0: 3, 1: 1}]
+    assert la.commutator(a, a) == [{}, {}]
+
+
 # The dense eigensplit that the sparse projector split replaced, kept as the
 # reference: an annihilating-polynomial check, then kernels of each
 # restricted operator minus lam.

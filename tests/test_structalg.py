@@ -113,9 +113,26 @@ def der_j():
 
 
 def rational_mat(ders, t):
-    """The t-th basis derivation as {(k, l): Fraction}."""
+    """The t-th basis derivation as sparse columns of Fractions."""
     d = ders.denoms[t]
-    return {kl: Fraction(x, d) for kl, x in ders.int_mats[t].items()}
+    return [{k: Fraction(x, d) for k, x in col.items()}
+            for col in ders.int_mats[t]]
+
+
+def entries(cols):
+    """The entries of a map given by columns, as {(row, column): value}."""
+    return {(k, l): x for l, col in enumerate(cols) for k, x in col.items()}
+
+
+def product_commutator(a, b):
+    """[a, b] as the difference of the two products, formed with
+    ``linalg.mat_mul``; an oracle apart from ``linalg.commutator``."""
+    ab, ba = la.mat_mul(a, b), la.mat_mul(b, a)
+    out = []
+    for u, v in zip(ab, ba):
+        col = {k: u.get(k, 0) - v.get(k, 0) for k in u.keys() | v.keys()}
+        out.append({k: x for k, x in col.items() if x})
+    return out
 
 
 def test_derivations_of_jordan_j(der_j):
@@ -139,10 +156,12 @@ def test_derivations_of_m():
 
 def reference_commutator_table(ders):
     """The commutator table by the Fraction path: [D_i, D_j] of the rational
-    matrices for every ordered pair, coordinates read at the free unknowns,
-    and a dense Fraction residual against the block's kernel vectors."""
+    matrices for every ordered pair, as products, coordinates read at the
+    free unknowns, and a dense Fraction residual against the block's kernel
+    vectors."""
     n = ders.dim
-    mats = [rational_mat(ders, t) for t in range(n)]
+    cols = [rational_mat(ders, t) for t in range(n)]
+    mats = [entries(c) for c in cols]
     by_block = {}
     for t, g in enumerate(ders.blocks):
         by_block.setdefault(g, []).append(t)
@@ -158,7 +177,7 @@ def reference_commutator_table(ders):
             if i == j:
                 row.append({})
                 continue
-            comm = sa.mat_commutator(mats[i], mats[j])
+            comm = entries(product_commutator(cols[i], cols[j]))
             g = ders.group.add(ders.blocks[i], ders.blocks[j])
             ts = by_block.get(g, [])
             unknowns = sorted({kl for t in ts for kl in mats[t]} |
@@ -191,12 +210,13 @@ def test_integer_commutator_table_matches_fraction_path(der_j):
                  sa.derivations(m.table)):
         assert_same_cells(ders.table.prod, reference_commutator_table(ders))
         for t, w in enumerate(ders.int_mats):
-            assert math.gcd(*w.values()) == 1 and ders.denoms[t] > 0
+            assert len(w) == ders.algebra.dim
+            assert math.gcd(*entries(w).values()) == 1 and ders.denoms[t] > 0
             # apply reads the integer form: column l of int_mats[t] / denoms[t]
             mat = rational_mat(ders, t)
             for l in range(ders.algebra.dim):
                 col = ders.apply(t, {l: Fraction(1)})
-                assert col == {k: x for (k, c), x in mat.items() if c == l}
+                assert col == mat[l]
                 assert all(type(x) is Fraction for x in col.values())
 
 
@@ -204,8 +224,8 @@ def test_coords_in_block_reads_free_unknowns(der_j):
     _, ders = der_j
     for t in (0, 17, 51):
         g = ders.blocks[t]
-        mat = {kl: Fraction(2, 3) * x
-               for kl, x in rational_mat(ders, t).items()}
+        mat = [{k: Fraction(2, 3) * x for k, x in col.items()}
+               for col in rational_mat(ders, t)]
         cs = ders.coords_in_block(mat, g)
         assert cs == {t: Fraction(2, 3)}
 
@@ -218,24 +238,27 @@ def test_coords_in_block_rejects_other_blocks():
     with pytest.raises(ValueError, match="outside block"):
         ders.coords_in_block(rational_mat(ders, 0), other)
     mixed = rational_mat(ders, 0)
-    mixed.update(rational_mat(ders, ders.blocks.index(other)))
+    for col, add in zip(mixed, rational_mat(ders, ders.blocks.index(other))):
+        col.update(add)
     with pytest.raises(ValueError, match="outside block"):
         ders.coords_in_block(mixed, g)
+    with pytest.raises(ValueError, match="7 columns for a 8-dim algebra"):
+        ders.coords_in_block(rational_mat(ders, 0)[:7], g)
 
 
 def test_coords_in_block_rejects_non_derivations():
     ders = sa.derivations(co.octonion_table(), co.octonion_degrees(),
                           FgAbelianGroup(0, (2, 2, 2)))
     # the identity map is block (0, 0, 0) and is not a derivation
-    ident = {(k, k): Fraction(1) for k in range(8)}
+    ident = [{k: Fraction(1)} for k in range(8)]
     with pytest.raises(ValueError, match="not in the derivation span"):
         ders.coords_in_block(ident, (0, 0, 0))
     # Der(O) is skew for the norm, so no derivation plus a multiple of one
     # matrix unit is a derivation
     g = ders.blocks[0]
-    for kl in ders.int_mats[0]:
+    for k, l in entries(ders.int_mats[0]):
         bad = rational_mat(ders, 0)
-        bad[kl] += Fraction(1, 2)
+        bad[l][k] += Fraction(1, 2)
         with pytest.raises(ValueError, match="not in the derivation span"):
             ders.coords_in_block(bad, g)
 

@@ -79,3 +79,18 @@ def test_default_report_is_pinned(ws):
     assert sum(len(g["checks"]) for g in report["groups"]) == 76
     doc = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == RUN_ALL_SHA256
+
+
+# SHA-256 of json.dumps(run_all(ws, include_sp8=True, include_twist=True,
+# include_split_octonions=True), sort_keys=True): the same oracle over the
+# optional sections too (sp8 lemma, twist, split octonions).
+RUN_ALL_FULL_SHA256 = \
+    "9182b81c22360d68dab64e7e9b35ce3072d1c03ecb32c70dbae93f1a7862ea14"
+
+
+def test_full_report_is_pinned(ws):
+    report = verify.run_all(ws, include_sp8=True, include_twist=True,
+                            include_split_octonions=True)
+    assert sum(len(g["checks"]) for g in report["groups"]) == 86
+    doc = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == RUN_ALL_FULL_SHA256
