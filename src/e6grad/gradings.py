@@ -7,17 +7,40 @@ compatibility A_g A_h <= A_{g+h} exactly.  Invariants: the type vector
 (component counts by dimension) and the universal grading group, presented
 by the support with one relation g + h = k per nonzero product and read off
 the invariant factors of that relation matrix.
+
+Compatibility and the universal group read the same products, so each
+grading forms them once, in integers, in its product pass
+(``GradedDecomposition.products``), kept on the instance:
+
+* each component's sparse RREF rows are scaled to primitive integer
+  vectors, and products are taken over the table's ``int_scaled()`` form;
+* a product w lies in its target component exactly when the integer
+  residual D w - sum_r (D / d_r) w[p_r] row_r vanishes, where p_r is the
+  pivot of row r, d_r > 0 its entry there (every other row is 0 at p_r),
+  and D the lcm of the d_r of the pivots where w is nonzero;
+* for each ordered pair of components the pass records whether some
+  product is nonzero, the index of the component of degree g + h (or none)
+  and whether some product escapes it.
+
+Mirror rule: when the integer table is anticommutative, checked on every
+cell, only the pairs g <= h are formed and (h, g) is copied from (g, h):
+b_j b_i = -b_i b_j, so the products of (h, g) are those of (g, h) negated,
+with the same target.  The failing pairs are then symmetric, so the first
+failure in the order g outer, h inner has g <= h and the witness of
+``check_grading`` is unchanged.  Any other table (Jordan, octonion, Pauli)
+has all ordered pairs formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .abgroup import FgAbelianGroup, presented_group
 from .linalg import kernel, mat_mul, rank, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import (AlgebraTable, CheckReport, Subspace, derivations,
-                        form_restrict, vec_add_scaled)
+                        form_restrict, int_scaled_vectors, vec_add_scaled)
 
 
 class GradedDecomposition:
@@ -41,6 +64,7 @@ class GradedDecomposition:
             comps.append((deg, sub))
         self.components = sorted(comps, key=lambda c: c[0])
         self._by_degree = dict(self.components)
+        self._products = None
 
     @classmethod
     def from_degree_map(cls, table: AlgebraTable, group, degrees,
@@ -60,6 +84,97 @@ class GradedDecomposition:
     def total_dim(self) -> int:
         return sum(s.dim for _, s in self.components)
 
+    def products(self) -> list[list[tuple | None]]:
+        """The product pass, formed on first use and kept on the instance.
+
+        Entry [gi][hi] describes the products of the basis of component gi
+        by the basis of component hi (indices into ``components``): None
+        when they are all zero, else ``(ki, escapes)``, with ki the index of
+        the component of degree g + h (None when there is none) and escapes
+        True when some product lies outside it.  See the module docstring.
+        Raises ValueError when a structure constant or a component entry is
+        not rational.
+        """
+        if self._products is None:
+            table = self.table
+            rows = [_primitive_rows(sub) for _, sub in self.components]
+            targets = [_Target(r, sub.pivots)
+                       for r, (_, sub) in zip(rows, self.components)]
+            supp = self.support
+            index = {d: i for i, d in enumerate(supp)}
+            mirror = _anticommutative(table.int_scaled()[0])
+            m = len(supp)
+            out = [[None] * m for _ in range(m)]
+            for gi in range(m):
+                for hi in range(gi if mirror else 0, m):
+                    ki = index.get(self.group.add(supp[gi], supp[hi]))
+                    nonzero = escapes = False
+                    for a in rows[gi]:
+                        for b in rows[hi]:
+                            w = table.int_mul_vec(a, b)
+                            if w:
+                                nonzero = True
+                                if ki is None or targets[ki].outside(w):
+                                    escapes = True
+                                    break
+                        if escapes:
+                            break
+                    if nonzero:
+                        out[gi][hi] = (ki, escapes)
+                        if mirror:
+                            out[hi][gi] = out[gi][hi]
+            self._products = out
+        return self._products
+
+
+def _anticommutative(iprod) -> bool:
+    """b_j b_i = -b_i b_j for all i <= j (so b_i b_i = 0), checked on every
+    cell of the integer-scaled table."""
+    for i, row in enumerate(iprod):
+        for j in range(i, len(row)):
+            if {k: c for k, c in row[j] if c} != \
+                    {k: -c for k, c in iprod[j][i] if c}:
+                return False
+    return True
+
+
+def _primitive_rows(sub: Subspace) -> list[dict]:
+    """The RREF rows of a component, each scaled to a primitive integer
+    vector (a positive multiple of the row, so positive at its pivot)."""
+    out = []
+    for v in sub.basis:
+        (w,), _ = int_scaled_vectors([v])
+        g = gcd(*w.values())
+        out.append({k: x // g for k, x in w.items()})
+    return out
+
+
+class _Target:
+    """Membership in a component, from its primitive integer RREF rows."""
+
+    def __init__(self, rows: list[dict], pivots: list[int]):
+        self.pivot_rows = {p: (row, row[p]) for p, row in zip(pivots, rows)}
+        self.support = {k for row in rows for k in row}
+
+    def outside(self, w: dict) -> bool:
+        """Is the integer vector w outside the span of the rows?
+
+        Row r is d_r at its pivot p_r and 0 at every other pivot, so w is
+        in the span exactly when D w - sum_r (D / d_r) w[p_r] row_r
+        vanishes, with D the lcm of the d_r of the pivots where w is
+        nonzero.  A key of w that no row touches decides it at once."""
+        if not self.support.issuperset(w):
+            return True
+        used = [(self.pivot_rows[k], x) for k, x in w.items()
+                if k in self.pivot_rows]
+        big = lcm(*(d for (_, d), _ in used))
+        resid = {k: big * x for k, x in w.items()}
+        for (row, d), x in used:
+            f = (big // d) * x
+            for k, y in row.items():
+                resid[k] = resid.get(k, 0) - f * y
+        return any(resid.values())
+
 
 def degree_buckets(group, degrees) -> list[tuple[tuple, list[int]]]:
     """Basis indices grouped by reduced degree, in order of first appearance."""
@@ -70,7 +185,14 @@ def degree_buckets(group, degrees) -> list[tuple[tuple, list[int]]]:
 
 
 def check_grading(gd: GradedDecomposition) -> CheckReport:
-    """Exact direct-sum and compatibility verification."""
+    """Exact direct-sum and compatibility verification.
+
+    The direct sum comes first: the components must stack to n independent
+    vectors.  Compatibility reads ``gd.products()``; the witness is the
+    first pair (g, h), g outer and h inner in the order of the support,
+    whose products land in an empty component or escape the component of
+    degree g + h.
+    """
     table = gd.table
     n = table.dim
     stacked = [v for _, sub in gd.components for v in sub.basis]
@@ -79,21 +201,19 @@ def check_grading(gd: GradedDecomposition) -> CheckReport:
                            f"components span dimension {len(stacked)} != {n}")
     if rank(stacked) != n:
         return CheckReport("grading", False, None, "components are not independent")
-    for g, sub_g in gd.components:
-        for h, sub_h in gd.components:
-            target_deg = gd.group.add(g, h)
-            target = gd.component(target_deg)
-            for sa in sub_g.basis:
-                for sb in sub_h.basis:
-                    w = table.mul_vec(sa, sb)
-                    if not w:
-                        continue
-                    if target is None:
-                        return CheckReport("grading", False, (g, h),
-                                           "product lands in empty component")
-                    if target.coords(w) is None:
-                        return CheckReport("grading", False, (g, h),
-                                           "product escapes target component")
+    products = gd.products()
+    for gi, (g, _) in enumerate(gd.components):
+        for hi, (h, _) in enumerate(gd.components):
+            rec = products[gi][hi]
+            if rec is None:
+                continue
+            ki, escapes = rec
+            if ki is None:
+                return CheckReport("grading", False, (g, h),
+                                   "product lands in empty component")
+            if escapes:
+                return CheckReport("grading", False, (g, h),
+                                   "product escapes target component")
     return CheckReport("grading", True)
 
 
@@ -110,37 +230,29 @@ def type_vector(gd: GradedDecomposition) -> tuple[int, ...]:
 def universal_group(gd: GradedDecomposition) -> FgAbelianGroup:
     """Support-generated group with relations g + h = k for nonzero products.
 
-    Returned in canonical (invariant-factor) form.
+    The relations come from the nonzero entries [gi][hi], hi >= gi, of
+    ``gd.products()``.  Returned in canonical (invariant-factor) form.
+    Raises ValueError when a nonzero product has no component to land in.
     """
     supp = gd.support
-    index = {d: i for i, d in enumerate(supp)}
-    table = gd.table
+    m = len(supp)
+    products = gd.products()
     relations = []
-    for gi, (g, sub_g) in enumerate(gd.components):
-        for hi, (h, sub_h) in enumerate(gd.components):
-            if hi < gi:
+    for gi in range(m):
+        for hi in range(gi, m):
+            rec = products[gi][hi]
+            if rec is None:
                 continue
-            nonzero = False
-            for sa in sub_g.basis:
-                for sb in sub_h.basis:
-                    if table.mul_vec(sa, sb):
-                        nonzero = True
-                        break
-                if nonzero:
-                    break
-            if not nonzero:
-                continue
-            k = gd.group.add(g, h)
-            ki = index.get(k)
+            ki = rec[0]
             if ki is None:
                 raise ValueError("nonzero product outside the support")
-            row = [0] * len(supp)
+            row = [0] * m
             row[gi] += 1
             row[hi] += 1
             row[ki] -= 1
             if any(row):
                 relations.append(row)
-    return presented_group(len(supp), relations)
+    return presented_group(m, relations)
 
 
 def support_generates(gd: GradedDecomposition) -> bool:

@@ -46,10 +46,14 @@ class Model:
         return self.meta["killing"]
 
     def killing_signature(self) -> int:
-        p, m, z = signature(self.killing())
-        if z:
-            raise AssertionError("Killing form is degenerate")
-        return p - m
+        """The signature of ``killing()``, computed once and kept next to
+        it in ``meta``."""
+        if "killing_signature" not in self.meta:
+            p, m, z = signature(self.killing())
+            if z:
+                raise AssertionError("Killing form is degenerate")
+            self.meta["killing_signature"] = p - m
+        return self.meta["killing_signature"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .abgroup import FgAbelianGroup
 from .gradings import GradedDecomposition
 from .linalg import apply
-from .scalar import Cyc, I as CYC_I, is_zero
-from .structalg import AlgebraTable, RealForm
+from .scalar import Cyc, I as CYC_I
+from .structalg import AlgebraTable, RealForm, int_scaled_vectors
 
 CARTAN = [
     [2, 0, -1, 0, 0, 0],
@@ -238,15 +238,25 @@ def omega_auto(chev: ChevalleyE6) -> list[dict]:
 
 
 def is_table_automorphism(table: AlgebraTable, cols: list[dict]) -> bool:
-    """phi([x, y]) == [phi x, phi y] on all basis pairs, exactly, for the
-    map phi with sparse columns ``cols``."""
+    """phi([x, y]) == [phi x, phi y] on all basis pairs i < j, exactly, for
+    the map phi with sparse columns ``cols``.
+
+    The check runs in integers: P = s phi, its columns scaled by the lcm s
+    of their denominators, and the table scaled by L (``int_scaled()``).
+    Then s P(L b_i b_j) and L [P b_i, P b_j] are s^2 L phi(b_i b_j) and
+    s^2 L [phi b_i, phi b_j], so they agree exactly when the two sides do.
+    Raises ValueError when a constant of the table or an entry of the map
+    is not rational.
+    """
+    iprod, _ = table.int_scaled()
+    ints, s = int_scaled_vectors(cols)
     n = table.dim
     for i in range(n):
+        row, pi = iprod[i], ints[i]
         for j in range(i + 1, n):
-            lhs = apply(cols, table.prod[i][j])
-            rhs = table.mul_vec(cols[i], cols[j])
-            keys = set(lhs) | set(rhs)
-            if any(not is_zero(lhs.get(k, 0) - rhs.get(k, 0)) for k in keys):
+            lhs = apply(ints, dict(row[j]))
+            rhs = table.int_mul_vec(pi, ints[j])
+            if {k: s * x for k, x in lhs.items()} != rhs:
                 return False
     return True
 

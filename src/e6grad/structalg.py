@@ -14,7 +14,10 @@ Vectors are sparse dicts (index -> nonzero scalar) throughout: a
 ``Subspace`` holds the sparse RREF rows of a basis and reads coordinates off
 its pivots, with a residual over the vector's keys; only bilinear forms
 (Killing, Gram) are dense row lists.  A linear map (ad b_i, R_x, a
-derivation) is ``linalg``'s list of sparse columns.
+derivation) is ``linalg``'s list of sparse columns.  The Killing form
+indexes every nonzero entry c_il^k of every ad b_i by its position (l, k)
+once, and accumulates all kappa_ij together from the pairs of entries at
+transposed positions (l, k) and (k, l).
 
 Derivation algebras are computed as the kernel of the Leibniz linear system
 over all ordered basis pairs, assembled in one pass over the integer-scaled
@@ -52,6 +55,27 @@ def vec_add_scaled(acc: Vec, v: Vec, c) -> None:
             acc[k] = s
         else:
             acc.pop(k, None)
+
+
+def _rational(x):
+    """An int or Fraction as it is, a rational Cyc as a Fraction; raises
+    ValueError for an irrational Cyc."""
+    return x.as_fraction() if isinstance(x, Cyc) else x
+
+
+def int_scaled_vectors(vecs: list[Vec]) -> tuple[list[Vec], int]:
+    """(ints, s): the sparse vectors times the lcm s of the denominators of
+    all their entries, as ints.  Raises ValueError for an entry that is not
+    rational."""
+    s = lcm(*(_rational(x).denominator for v in vecs for x in v.values()))
+    out = []
+    for v in vecs:
+        w = {}
+        for k, x in v.items():
+            x = _rational(x)
+            w[k] = x.numerator * (s // x.denominator)
+        out.append(w)
+    return out, s
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +136,30 @@ class AlgebraTable:
     def int_scaled(self):
         """(iprod, L): structure constants scaled by L, as ints.
 
-        iprod[i][j] is a list of (k, integer) pairs.  Requires all constants
-        rational.
+        iprod[i][j] is a list of (k, integer) pairs.  Raises ValueError
+        when a constant is not rational.
         """
         if self._int_cache is None:
-            denoms = [1]
-            for row in self.prod:
-                for cell in row:
-                    for v in cell.values():
-                        denoms.append(Fraction(v).denominator)
-            scale = lcm(*denoms)
-            iprod = [[[(k, int(v * scale)) for k, v in cell.items()]
+            scale = lcm(*(_rational(v).denominator for row in self.prod
+                          for cell in row for v in cell.values()))
+            iprod = [[[(k, int(_rational(v) * scale))
+                       for k, v in cell.items()]
                       for cell in row] for row in self.prod]
             self._int_cache = (iprod, scale)
         return self._int_cache
+
+    def int_mul_vec(self, u: Vec, v: Vec) -> Vec:
+        """L u v for integer vectors u and v, over ``int_scaled()`` with
+        scale L, without zero entries."""
+        iprod, _ = self.int_scaled()
+        acc: Vec = {}
+        for i, a in u.items():
+            row = iprod[i]
+            for j, b in v.items():
+                ab = a * b
+                for k, c in row[j]:
+                    acc[k] = acc.get(k, 0) + ab * c
+        return {k: x for k, x in acc.items() if x}
 
     def is_real_table(self) -> bool:
         for row in self.prod:
@@ -513,10 +547,7 @@ class Derivations:
     def coords_in_block(self, cols: list[Vec], g) -> Vec:
         """Sparse coordinates of a block-g map, given by its columns, in the
         derivation basis."""
-        fr = [{k: Fraction(v) for k, v in col.items()} for col in cols]
-        scale = lcm(*(v.denominator for col in fr for v in col.values()))
-        ints = [{k: v.numerator * (scale // v.denominator)
-                 for k, v in col.items()} for col in fr]
+        ints, scale = int_scaled_vectors(cols)
         offset, cs = self._int_coords(ints, g)
         return {offset + r: Fraction(c, scale) for r, c in enumerate(cs) if c}
 
@@ -666,40 +697,44 @@ def killing_form(table: AlgebraTable, degrees=None, group=None) -> list[list[Fra
     """kappa(b_i, b_j) = trace(ad b_i . ad b_j), computed exactly.
 
     When ``degrees``/``group`` describe a verified grading with homogeneous
-    basis, only pairs with deg_i + deg_j = 0 are computed: for the others
+    basis, only pairs with deg_i + deg_j = 0 are kept: for the others
     ad b_i ad b_j shifts every component by a nonzero degree, so its trace
     vanishes identically (grading orthogonality).
 
-    ad b_i is row i of the integer-scaled table, read as columns, and
-    trace(ad b_i ad b_j) sums, over the entries c at row k of column l of
-    the sparser one, c times the entry at row l of column k of the other.
+    With c the integer-scaled constants, ad b_i has the entry c_il^k at row
+    k of column l, and trace(ad b_i ad b_j) = sum_{k, l} c_il^k c_jk^l.  The
+    nonzero entries (i, c_il^k) of all the ad b_i are indexed once by their
+    position (l, k); then every kappa_ij is accumulated together, from the
+    products c d of an entry (i, c) at (l, k) with an entry (j, d) at the
+    transposed position (k, l).  Only matching nonzero constants are
+    multiplied, and no pair (i, j) scans a column for a missing entry.
     """
     n = table.dim
     iprod, scale = table.int_scaled()
-    ads = [[dict(cell) for cell in row] for row in iprod]
-    # the entries (l, k, c) of each ad b_i, for the sparser side of a pair
-    entries = [[(l, k, c) for l, cell in enumerate(row) for k, c in cell]
-               for row in iprod]
+    index: dict = {}  # n l + k -> [(i, c_il^k)]
+    for i, row in enumerate(iprod):
+        for l, cell in enumerate(row):
+            for k, c in cell:
+                if c:
+                    index.setdefault(n * l + k, []).append((i, c))
+    acc = [[0] * n for _ in range(n)]
+    for key, ents in index.items():
+        l, k = divmod(key, n)
+        other = index.get(n * k + l)
+        if other:
+            for i, c in ents:
+                row = acc[i]
+                for j, d in other:
+                    row[j] += c * d
     denom = scale * scale
     out = [[Fraction(0)] * n for _ in range(n)]
     zero = group.zero() if group is not None else None
     for i in range(n):
         for j in range(i, n):
-            if degrees is not None and \
-                    group.add(degrees[i], degrees[j]) != zero:
-                continue
-            if len(entries[j]) < len(entries[i]):
-                small, big = entries[j], ads[i]
-            else:
-                small, big = entries[i], ads[j]
-            s = 0
-            for l, k, c in small:
-                d = big[k].get(l)
-                if d:
-                    s += c * d
-            val = Fraction(s, denom)
-            out[i][j] = val
-            out[j][i] = val
+            s = acc[i][j]
+            if s and (degrees is None
+                      or group.add(degrees[i], degrees[j]) == zero):
+                out[i][j] = out[j][i] = Fraction(s, denom)
     return out
 
 

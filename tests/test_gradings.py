@@ -8,6 +8,7 @@ from e6grad import jordan as jo
 from e6grad import linalg as la
 from e6grad.abgroup import FgAbelianGroup, presented_group
 from e6grad.scalar import I, Cyc
+from e6grad.structalg import AlgebraTable, CheckReport
 
 
 def unit_vecs(n, idxs):
@@ -304,3 +305,195 @@ def test_sp8_lemma_rejects_a_map_that_leaves_sp8(monkeypatch):
         [{r: -v for r, v in col.items()} for col in c_mat], p))
     with pytest.raises(AssertionError, match="Ad does not preserve sp8"):
         gr.sp8_lemma()
+
+
+# ---------------------------------------------------------------------------
+# the integer product pass against the Fraction loops it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_check_grading(gd):
+    """check_grading as it was: every product of two component basis
+    vectors in Fraction arithmetic, tested against its target with
+    Subspace.coords."""
+    table = gd.table
+    n = table.dim
+    stacked = [v for _, sub in gd.components for v in sub.basis]
+    if len(stacked) != n:
+        return CheckReport("grading", False, None,
+                           f"components span dimension {len(stacked)} != {n}")
+    if la.rank(stacked) != n:
+        return CheckReport("grading", False, None,
+                           "components are not independent")
+    for g, sub_g in gd.components:
+        for h, sub_h in gd.components:
+            target = gd.component(gd.group.add(g, h))
+            for sa in sub_g.basis:
+                for sb in sub_h.basis:
+                    w = table.mul_vec(sa, sb)
+                    if not w:
+                        continue
+                    if target is None:
+                        return CheckReport("grading", False, (g, h),
+                                           "product lands in empty component")
+                    if target.coords(w) is None:
+                        return CheckReport("grading", False, (g, h),
+                                           "product escapes target component")
+    return CheckReport("grading", True)
+
+
+def oracle_universal_group(gd):
+    """universal_group as it was: a relation g + h = k for each pair g <= h
+    with a nonzero Fraction product of basis vectors."""
+    supp = gd.support
+    index = {d: i for i, d in enumerate(supp)}
+    relations = []
+    for gi, (g, sub_g) in enumerate(gd.components):
+        for hi, (h, sub_h) in enumerate(gd.components):
+            if hi < gi or not any(gd.table.mul_vec(sa, sb)
+                                  for sa in sub_g.basis
+                                  for sb in sub_h.basis):
+                continue
+            ki = index.get(gd.group.add(g, h))
+            if ki is None:
+                raise ValueError("nonzero product outside the support")
+            row = [0] * len(supp)
+            row[gi] += 1
+            row[hi] += 1
+            row[ki] -= 1
+            if any(row):
+                relations.append(row)
+    return presented_group(len(supp), relations)
+
+
+def _test_gradings(ws):
+    """Every grading the tests build, by name."""
+    from e6grad import rootsys as rs
+    m, j = jo.build_m(), jo.build_j()
+    gp = jo.pauli_grading(m)
+    slot = [(0, 0)] * 3
+    for i in (1, 2, 3):
+        slot += [jo.PEIRCE_DEG[i]] * 8
+    g2 = gr.GradedDecomposition.from_degree_map(
+        j.table, FgAbelianGroup(0, (2, 2)), slot)
+    chev = ws.model("chevalley").meta["chev"]
+    out = {name: ws.grading(name) for name in gr.NAMED_GRADINGS}
+    out.update({
+        "octonions Z2^3": co.octonion_grading(),
+        "split octonions Z2^3": co.octonion_grading(split=True),
+        "Der(O)": gr.induced_derivation_grading(co.octonion_grading())[1],
+        "Pauli on M": gp,
+        "Pauli on M relabeled": gr.GradedDecomposition(
+            m.table, FgAbelianGroup(0, (3, 3)),
+            [((d[1] % 3, (d[0] + d[1]) % 3), sub)
+             for d, sub in gp.components]),
+        "Z2^5 on J": jo.jordan_octonion_grading(j),
+        "Z2^3 on J": jo.jordan_coarse_z23_grading(j),
+        "Z on J": jo.jordan_z_grading(j),
+        "Z x Z2^3 on J": jo.jordan_z_x_z23_grading(j),
+        "slot Z2^2 on J": g2,
+        "root grading Z^6": gr.GradedDecomposition.from_degree_map(
+            chev.table, FgAbelianGroup(6),
+            [(0,) * 6] * 6 + list(chev.pos)
+            + [tuple(-x for x in r) for r in chev.pos]),
+        "contact Z-grading": rs.z_grading_from_weights(
+            chev, (0, 1, 0, 0, 0, 0)),
+    })
+    return out
+
+
+def test_product_pass_matches_the_oracle_on_every_grading(ws):
+    for name, gd in _test_gradings(ws).items():
+        assert gr.check_grading(gd) == oracle_check_grading(gd), name
+        assert gr.universal_group(gd) == oracle_universal_group(gd), name
+
+
+def test_product_pass_raises_where_the_oracle_did():
+    # Z-degree 0 for the unit and 1 for e1..e7: e1 e2 = e3 lands in the
+    # empty degree 2
+    gd = gr.GradedDecomposition.from_degree_map(
+        co.octonion_table(), FgAbelianGroup(1), [(0,)] + [(1,)] * 7)
+    want = oracle_check_grading(gd)
+    assert want.detail == "product lands in empty component"
+    assert gr.check_grading(gd) == want
+    for ug in (gr.universal_group, oracle_universal_group):
+        with pytest.raises(ValueError,
+                           match="nonzero product outside the support"):
+            ug(gd)
+
+
+def test_product_pass_tests_membership_by_the_residual():
+    # u u = u, u v = v, u w = 2 w on the basis u, v, w, graded by Z3 with
+    # components span{u}, span{v + w}, span{v - w}: u (v + w) = v + 2 w
+    # lies in the coordinates of its target span{v + w}, but not in it
+    prod = [[{} for _ in range(3)] for _ in range(3)]
+    prod[0][0], prod[0][1], prod[0][2] = ({0: Fraction(1)}, {1: Fraction(1)},
+                                          {2: Fraction(2)})
+    t = AlgebraTable(3, ["u", "v", "w"], prod)
+    gd = gr.GradedDecomposition(t, FgAbelianGroup(0, (3,)), [
+        ((0,), [{0: Fraction(1)}]),
+        ((1,), [{1: Fraction(1), 2: Fraction(1)}]),
+        ((2,), [{1: Fraction(1), 2: Fraction(-1)}])])
+    want = oracle_check_grading(gd)
+    assert (want.witness, want.detail) == \
+        (((0,), (1,)), "product escapes target component")
+    assert gr.check_grading(gd) == want
+
+
+def _moved_vector(gd):
+    """gd with the first basis vector of its first component of dimension
+    > 1 moved into the next component."""
+    comps = [(d, list(sub.basis)) for d, sub in gd.components]
+    src = next(i for i, (_, vs) in enumerate(comps) if len(vs) > 1)
+    comps[src + 1][1].append(comps[src][1].pop(0))
+    return gr.GradedDecomposition(gd.table, gd.group, comps)
+
+
+def _changed_constant(gd, partner):
+    """gd on a copy of its table with one new structure constant at b_k:
+    for the first nonzero product b_i b_j, i < j, with comp_of[i] !=
+    comp_of[j], k is the first index with e_k outside the component of
+    their degree sum.  With ``partner`` b_i b_j gets +1 and b_j b_i gets
+    -1 at k, so the table stays anticommutative; without it only b_j b_i
+    gets +1."""
+    table = gd.table
+    n = table.dim
+    comp_of = {}  # coordinate -> first component whose first vector has it
+    for c, (_, sub) in enumerate(gd.components):
+        for k in sub.basis[0]:
+            comp_of.setdefault(k, c)
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                if table.prod[i][j] and comp_of.get(i) != comp_of.get(j))
+    target = gd.component(gd.group.add(gd.support[comp_of[i]],
+                                       gd.support[comp_of[j]]))
+    k = next(k for k in range(n)
+             if k not in table.prod[i][j] and not target.contains({k: 1}))
+    prod = [list(row) for row in table.prod]
+    prod[j][i] = {**prod[j][i], k: Fraction(-1 if partner else 1)}
+    if partner:
+        prod[i][j] = {**prod[i][j], k: Fraction(1)}
+    bad = AlgebraTable(n, table.basis_names, prod)
+    return gr.GradedDecomposition(bad, gd.group,
+                                  [(d, sub) for d, sub in gd.components])
+
+
+@pytest.mark.parametrize("name", ["gamma3", "gamma12"])
+@pytest.mark.parametrize("corrupt, anticommutative", [
+    (_moved_vector, True),
+    (lambda gd: _changed_constant(gd, partner=True), True),
+    (lambda gd: _changed_constant(gd, partner=False), False),
+], ids=["moved vector", "constant and partner", "constant alone"])
+def test_product_pass_gives_the_oracle_witness(ws, name, corrupt,
+                                               anticommutative):
+    bad = corrupt(ws.grading(name))
+    # the changed constant alone takes the all-pairs path
+    assert gr._anticommutative(bad.table.int_scaled()[0]) == anticommutative
+    want = oracle_check_grading(bad)
+    assert not want.ok and want.witness is not None
+    assert gr.check_grading(bad) == want
+    try:
+        want_group = oracle_universal_group(bad)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            gr.universal_group(bad)
+    else:
+        assert gr.universal_group(bad) == want_group

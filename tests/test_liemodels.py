@@ -65,10 +65,47 @@ def test_albert_plus(ws):
 
 
 def test_twist_relates_the_two_albert_models(ws, albert):
+    """The twist is the eps = +1 algebra: for every pair x, y of J_0 basis
+    vectors, the twisted [x, y] lies in Der(J) and acts on J as
+    +[R_x, R_y]."""
     tw = sa.twist_z2(albert.table, albert.meta["parity"], -1)
     plus = ws.model("albert_plus")
     assert all(tw.prod[i][j] == plus.table.prod[i][j]
                for i in range(78) for j in range(78))
+    j = albert.meta["jordan"]
+    ders = albert.meta["derivations"]
+    r_ops = [j.r_operator(v) for v in albert.meta["j0_vectors"]]
+    # images[t][l] = D_t b_l
+    images = [[ders.apply(t, {l: Fraction(1)}) for l in range(j.dim)]
+              for t in range(ders.dim)]
+
+    def acts_as_r_commutators(prod):
+        for a in range(26):
+            for b in range(26):
+                cell = prod[52 + a][52 + b]
+                if any(k >= 52 for k in cell):
+                    return False
+                want = la.commutator(r_ops[a], r_ops[b])
+                for l in range(j.dim):
+                    got = {}
+                    for t, c in cell.items():
+                        sa.vec_add_scaled(got, images[t][l], c)
+                    if got != want[l]:
+                        return False
+        return True
+
+    assert acts_as_r_commutators(tw.prod)
+    # the eps = -1 table has [x, y] = -[R_x, R_y], and one flipped sign in
+    # the twisted table breaks the check
+    assert not acts_as_r_commutators(albert.table.prod)
+    flipped = [list(row) for row in tw.prod]
+    a, b = next((a, b) for a in range(26) for b in range(26)
+                if tw.prod[52 + a][52 + b])
+    cell = dict(tw.prod[52 + a][52 + b])
+    k = min(cell)
+    cell[k] = -cell[k]
+    flipped[52 + a][52 + b] = cell
+    assert not acts_as_r_commutators(flipped)
 
 
 def test_tits_model(tits):

@@ -131,6 +131,16 @@ def test_is_table_automorphism_rejects_a_cartan_rotation(compact):
     assert rs.is_table_automorphism(compact.table, IDENTITY_78)
 
 
+def test_is_table_automorphism_rejects_irrational_input(chev):
+    rot = [{k: Fraction(1)} for k in range(78)]
+    rot[0] = {0: CYC_I}
+    with pytest.raises(ValueError):
+        rs.is_table_automorphism(chev.table, rot)
+    t = sa.AlgebraTable(1, ["a"], [[{0: CYC_I}]])
+    with pytest.raises(ValueError):
+        rs.is_table_automorphism(t, [{0: Fraction(1)}])
+
+
 def test_real_form_rejects_a_repeated_vector(chev, compact):
     # q of the first root replaced by its p (a singular 2x2 block), and p
     # by a Cartan vector (seven vectors on the six Cartan coordinates)

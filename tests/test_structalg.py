@@ -48,6 +48,20 @@ def test_sl2_is_lie():
     assert sa.killing_ad_invariance(t, k).ok
 
 
+def test_killing_form_is_the_trace_of_ad_products(tits):
+    t = tits.table
+    n = t.dim
+    # trace(ad b_i ad b_j) = sum over l, k of (ad b_i)[k][l] (ad b_j)[l][k]
+    want = [[sum(c * d for l in range(n) for k, c in t.prod[i][l].items()
+                 if (d := t.prod[j][k].get(l)))
+             for j in range(n)] for i in range(n)]
+    assert sa.killing_form(t) == want
+    degs, group = tits.meta["degrees"], FgAbelianGroup(0, (2, 2, 2, 3, 3))
+    assert sa.killing_form(t, degs, group) == [
+        [want[i][j] if group.add(degs[i], degs[j]) == group.zero() else 0
+         for j in range(n)] for i in range(n)]
+
+
 def test_center_and_derived():
     prod = [[{} for _ in range(2)] for _ in range(2)]
     t = sa.AlgebraTable(2, ["a", "b"], prod)  # abelian
