@@ -1,7 +1,8 @@
 """Finitely generated abelian groups Z^r x Z_m1 x ... x Z_mk.
 
-Elements are integer tuples of length r + k, free coordinates first; torsion
-coordinates are kept reduced mod m_i.  The moduli need not form a
+Elements are integer tuples of length r + k, free coordinates first (a
+product group concatenates its factors' tuples instead); torsion coordinates
+are kept reduced mod m_i.  The moduli need not form a
 divisibility chain: groups used for degree bookkeeping (e.g. Z2^3 x Z3^2)
 keep their natural coordinates.  ``canonical()`` maps to the invariant-factor
 form, so isomorphism testing is equality of canonical forms.  Every
@@ -20,19 +21,20 @@ class FgAbelianGroup:
             raise ValueError("torsion orders must be >= 2")
         self.rank = rank
         self.torsion = tuple(int(m) for m in torsion)
+        # the modulus of each coordinate, 0 for a free one
+        self._mods = (0,) * rank + self.torsion
 
     @property
     def ncoords(self) -> int:
-        return self.rank + len(self.torsion)
+        return len(self._mods)
 
     # -- element arithmetic --------------------------------------------------
 
     def reduce(self, g) -> tuple[int, ...]:
         g = tuple(g)
-        if len(g) != self.ncoords:
+        if len(g) != len(self._mods):
             raise ValueError("element has wrong length")
-        return g[: self.rank] + tuple(
-            x % m for x, m in zip(g[self.rank:], self.torsion))
+        return tuple(x % m if m else x for x, m in zip(g, self._mods))
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ncoords
@@ -60,9 +62,7 @@ class FgAbelianGroup:
 
     def canonical(self) -> "FgAbelianGroup":
         """Isomorphic group with torsion in invariant-factor form."""
-        rels = [[(self.torsion[i] if i == j else 0)
-                 for j in range(len(self.torsion))]
-                for i in range(len(self.torsion))]
+        rels = [{i: m} for i, m in enumerate(self.torsion)]
         return presented_group(len(self.torsion), rels, extra_rank=self.rank)
 
     def is_isomorphic_to(self, other: "FgAbelianGroup") -> bool:
@@ -97,49 +97,31 @@ class FgAbelianGroup:
 
 
 class _Product(FgAbelianGroup):
-    """Product group whose element tuples concatenate the factors' tuples."""
+    """Product group whose element tuples concatenate the factors' tuples,
+    so its coordinate moduli are the factors' moduli in that order."""
 
     def __init__(self, left: FgAbelianGroup, right: FgAbelianGroup):
         self.left, self.right = left, right
-        self._nl = left.ncoords
         super().__init__(left.rank + right.rank, left.torsion + right.torsion)
-
-    def reduce(self, g):
-        g = tuple(g)
-        n = self._nl
-        return self.left.reduce(g[:n]) + self.right.reduce(g[n:])
-
-    def zero(self):
-        return self.left.zero() + self.right.zero()
-
-    def add(self, a, b):
-        n = self._nl
-        return self.left.add(a[:n], b[:n]) + self.right.add(a[n:], b[n:])
-
-    def neg(self, a):
-        n = self._nl
-        return self.left.neg(a[:n]) + self.right.neg(a[n:])
+        self._mods = left._mods + right._mods
 
     def pair(self, a, b):
         return tuple(a) + tuple(b)
 
-    @property
-    def ncoords(self):
-        return self.left.ncoords + self.right.ncoords
 
-
-def presented_group(n_generators: int, relations: list[list[int]],
+def presented_group(n_generators: int, relations: list[dict],
                     extra_rank: int = 0) -> FgAbelianGroup:
     """Canonical form of <x_1..x_n | relations> (plus extra free factors).
 
-    Each relation is a length-n integer vector meaning sum r_i x_i = 0.  The
-    invariant factors of the relation matrix, one row per relation, give the
-    torsion (those above 1) and, by their count of nonzeros, the rank; its
-    transpose has the same factors.
+    Each relation is a sparse integer row {i: r_i} with no zero entries,
+    meaning sum r_i x_i = 0 (so {g: 1, h: 1, k: -1} says x_g + x_h = x_k).
+    The invariant factors of the relation matrix, one row per relation,
+    give the torsion (those above 1) and, by their count of nonzeros, the
+    rank; its transpose has the same factors.
     """
     if not relations:
         return FgAbelianGroup(n_generators + extra_rank)
-    factors = smith_normal_form(relations)
+    factors = smith_normal_form(relations, n_generators)
     rank = n_generators - sum(1 for x in factors if x != 0)
     torsion = tuple(x for x in factors if x > 1)
     return FgAbelianGroup(rank + extra_rank, torsion)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .abgroup import FgAbelianGroup, presented_group
-from .linalg import kernel, mat_mul, rank, simultaneous_eigensplit
+from .linalg import apply, kernel, mat_mul, rank, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I, is_zero
 from .structalg import (AlgebraTable, CheckReport, Subspace, derivations,
                         form_restrict, int_scaled_vectors, vec_add_scaled)
@@ -246,29 +246,26 @@ def universal_group(gd: GradedDecomposition) -> FgAbelianGroup:
             ki = rec[0]
             if ki is None:
                 raise ValueError("nonzero product outside the support")
-            row = [0] * m
-            row[gi] += 1
-            row[hi] += 1
-            row[ki] -= 1
-            if any(row):
-                relations.append(row)
+            row = {gi: 1}
+            row[hi] = row.get(hi, 0) + 1
+            row[ki] = row.get(ki, 0) - 1
+            if not row[ki]:
+                del row[ki]
+            relations.append(row)
     return presented_group(m, relations)
 
 
 def support_generates(gd: GradedDecomposition) -> bool:
     """Does the support generate the declared coordinate group?
 
-    It does when Z^ncoords modulo the support degrees and the torsion
-    relations m_t e_t = 0 is the trivial group.
+    It does when Z^ncoords modulo the support degrees and the relations
+    m_c e_c = 0, one for each coordinate c of modulus m_c > 0 (wherever a
+    product group puts it), is the trivial group.
     """
     group = gd.group
-    nc = group.ncoords
-    relations = [list(d) for d in gd.support]
-    for t, m in enumerate(group.torsion):
-        row = [0] * nc
-        row[group.rank + t] = m
-        relations.append(row)
-    return presented_group(nc, relations) == FgAbelianGroup(0)
+    relations = [{c: x for c, x in enumerate(d) if x} for d in gd.support]
+    relations += [{c: m} for c, m in enumerate(group._mods) if m]
+    return presented_group(group.ncoords, relations) == FgAbelianGroup(0)
 
 
 def refine(g1: GradedDecomposition, g2: GradedDecomposition,
@@ -372,16 +369,13 @@ def interval_check(gd: GradedDecomposition, sig: int) -> dict:
 
 
 def isotropic_components_check(gd: GradedDecomposition,
-                               killing: list[list]) -> CheckReport:
+                               killing: list[dict]) -> CheckReport:
     """Components of degree of order > 2 are totally isotropic for kappa."""
     for d, sub in gd.components:
         if gd.group.has_order_dividing_2(d):
             continue
-        gram = form_restrict(killing, sub.basis)
-        for row in gram:
-            for x in row:
-                if not is_zero(x):
-                    return CheckReport("isotropy", False, (d,))
+        if any(form_restrict(killing, sub.basis)):
+            return CheckReport("isotropy", False, (d,))
     return CheckReport("isotropy", True)
 
 
@@ -657,20 +651,18 @@ def so8_exclusion_arithmetic() -> dict:
 
 
 def killing_orthogonality_check(gd: GradedDecomposition,
-                                killing: list[list]) -> CheckReport:
+                                killing: list[dict]) -> CheckReport:
     """kappa(A_g, A_h) = 0 whenever g + h != e."""
     e = gd.group.zero()
     for g, sub_g in gd.components:
         for h, sub_h in gd.components:
             if gd.group.add(g, h) == e:
                 continue
-            for sa in sub_g.basis:
-                for sb in sub_h.basis:
-                    s = Fraction(0)
-                    for i, x in sa.items():
-                        row = killing[i]
-                        for j, y in sb.items():
-                            s += x * y * row[j]
+            for sb in sub_h.basis:
+                w = apply(killing, sb)  # kappa(b_i, sb) at i
+                for sa in sub_g.basis:
+                    s = sum((x * w[i] for i, x in sa.items() if i in w),
+                            Fraction(0))
                     if not is_zero(s):
                         return CheckReport("killing-orthogonality", False, (g, h))
     return CheckReport("killing-orthogonality", True)

@@ -94,18 +94,20 @@ class JordanH3:
         return sum((c * self.trace[k] for k, c in v.items()
                     if k in self.trace), Fraction(0))
 
-    def trace_form(self) -> list[list[Fraction]]:
-        """Gram matrix of (x, y) -> tr(x . y) on the basis."""
+    def trace_form(self) -> list[dict]:
+        """The form (x, y) -> tr(x . y) on the basis, as sparse columns:
+        column j is {i: tr(b_i . b_j)}, nonzero entries only."""
         n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out = [{} for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 s = Fraction(0)
                 for k, c in self.table.prod[i][j].items():
                     s += c * self.trace.get(k, 0)
-                out[i][j] = s
-                out[j][i] = s
-        return out
+                if s:
+                    out[j][i] = s
+                    out[i][j] = s
+        return [dict(sorted(col.items())) for col in out]
 
     def r_operator(self, x: dict) -> list[dict]:
         """The sparse columns of y -> x . y: column l is x . b_l."""

@@ -1,9 +1,8 @@
-"""JSON serialization for scalars, matrices, algebra tables and gradings.
+"""JSON serialization for scalars, algebra tables and gradings.
 
 Formats:
   * scalar: four "p/q" strings in the power basis {1, z, z^2, z^3}
     (rational values serialize the same way, with three "0/1" entries)
-  * matrix: {"rows": r, "cols": c, "entries": [[scalar, ...], ...]}
   * algebra table: {"dim": n, "basis_names": [...],
                     "entries": [[i, j, k, scalar], ...]}  (nonzero only)
   * grading: {"group": {"rank": r, "torsion": [...]},
@@ -52,18 +51,6 @@ def scalar_from_json(parts):
     if c.is_rational():
         return c.as_fraction()
     return c
-
-
-def matrix_to_json(m) -> dict:
-    return {
-        "rows": len(m),
-        "cols": len(m[0]) if m else 0,
-        "entries": [[scalar_to_json(x) for x in row] for row in m],
-    }
-
-
-def matrix_from_json(d):
-    return [[scalar_from_json(x) for x in row] for row in d["entries"]]
 
 
 def table_to_json(table: AlgebraTable) -> dict:

@@ -41,6 +41,8 @@ class Model:
         return self.table.dim
 
     def killing(self):
+        """The Killing form as sparse columns (see ``killing_form``),
+        computed once and kept in ``meta``."""
         if "killing" not in self.meta:
             self.meta["killing"] = killing_form(self.table)
         return self.meta["killing"]
@@ -330,9 +332,10 @@ def corollary_basis_report(model: Model) -> dict:
     table = model.table
     kappa = model.killing()
     n = table.dim
-    ortho = all(kappa[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    neg = sum(1 for i in range(n) if kappa[i][i] < 0)
-    pos = sum(1 for i in range(n) if kappa[i][i] > 0)
+    ortho = all(i == j for j, col in enumerate(kappa) for i in col)
+    norms = [kappa[i].get(i, Fraction(0)) for i in range(n)]
+    neg = sum(1 for x in norms if x < 0)
+    pos = sum(1 for x in norms if x > 0)
 
     # semisimple basis elements: squarefree minimal polynomial of ad u_i
     squarefree = []
@@ -343,7 +346,6 @@ def corollary_basis_report(model: Model) -> dict:
     # structure constants
     rational = all(isinstance(c, Fraction)
                    for row in table.prod for cell in row for c in cell.values())
-    norms = [kappa[i][i] for i in range(n)]
 
     def f_const(i, j, k):
         return table.prod[i][j].get(k, Fraction(0))

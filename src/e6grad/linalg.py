@@ -1,16 +1,16 @@
 """Exact linear algebra over Fraction / Q(zeta_12) scalars.
 
-A vector is sparse: a dict from index to nonzero scalar.  A linear map is a
-list of sparse columns (column l is the image of basis vector l); this is
-the one matrix form that crosses a function boundary, for maps on a 78-dim
-algebra and for 3 x 3 or 8 x 8 matrices alike.  Gaussian elimination,
-kernels and inverses work on lists of sparse rows.  Dense row lists are kept
-for what reads a whole square or integer matrix: Sylvester inertia of a
-symmetric form by congruence, and the invariant factors of an integer
-matrix (the diagonal of its Smith normal form), which are read off sparse
-rows by unit-pivot elimination before a small dense core is reduced.  The
-joint eigenspaces of commuting maps are split off by the images of their
-Lagrange projectors.
+A vector is sparse: a dict from index to nonzero scalar.  A matrix is a list
+of sparse columns (column l is the image of basis vector l); this is the one
+matrix form that crosses a function boundary, for maps on a 78-dim algebra
+and for 3 x 3 or 8 x 8 matrices alike, and for a symmetric bilinear form
+(column j is {i: kappa(b_i, b_j)}), whose Sylvester inertia is read by
+symmetric congruence on its sparse rows.  Gaussian elimination, kernels and
+inverses work on lists of sparse rows, and so does the Smith form: the
+invariant factors of an integer matrix given by its sparse rows are read off
+by unit-pivot elimination before a small dense core is reduced.  The joint
+eigenspaces of commuting maps are split off by the images of their Lagrange
+projectors.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import heapq
 from fractions import Fraction
 
 from .scalar import Cyc, is_zero, sign_exact
-
-Matrix = list  # list[list[scalar]]: dense rows, for forms and integer matrices
 
 
 def apply(cols: list[dict], v: dict, shift=0) -> dict:
@@ -137,47 +135,68 @@ def inverse(m: list[dict]) -> list[dict]:
 # Sylvester inertia
 # ---------------------------------------------------------------------------
 
-def signature(g: Matrix) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of a symmetric real matrix.
+def signature(form: list[dict]) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of a symmetric real bilinear form
+    given by its sparse columns (column j is {i: form(b_i, b_j)}).
 
-    Exact symmetric congruence: diagonal pivots when available; a rank-two
-    block with zero diagonal is first symmetrized by a congruence adding one
-    row/column into another.  Entries may be Fractions or real Cyc values.
+    Exact symmetric congruence on sparse rows (a row is its column, by
+    symmetry): each step takes a nonzero diagonal pivot from the shortest
+    such row and replaces the rest by its Schur complement.  When every
+    diagonal entry is zero but some entry (i, j) is not, row and column j
+    are first added into row and column i, which makes the diagonal entry
+    at i equal to 2 form(b_i, b_j).  Inertia does not depend on the pivot
+    order (Sylvester's law).  Entries may be Fractions or real Cyc values.
     """
-    n = len(g)
-    m = [row[:] for row in g]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero(m[i][j] - m[j][i]):
+    n = len(form)
+    rows = [{i: x for i, x in col.items() if x} for col in form]
+    for j, col in enumerate(rows):
+        for i, x in col.items():
+            if rows[i].get(j, 0) - x:
                 raise ValueError("matrix is not symmetric")
-    alive = list(range(n))
+    live = {i: r for i, r in enumerate(rows) if r}
     n_plus = n_minus = 0
-    while alive:
-        piv = next((i for i in alive if not is_zero(m[i][i])), None)
+    while live:
+        piv = min((i for i, r in live.items() if i in r),
+                  key=lambda i: len(live[i]), default=None)
         if piv is None:
-            pair = next(((i, j) for i in alive for j in alive
-                         if i != j and not is_zero(m[i][j])), None)
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            # congruence: row/col i += row/col j, making m[i][i] = 2 m[i][j]
-            for k in range(n):
-                m[i][k] = m[i][k] + m[j][k]
-            for k in range(n):
-                m[k][i] = m[k][i] + m[k][j]
+            # congruence: row/col i += row/col j with form(b_i, b_j) != 0
+            i, r = next(iter(live.items()))
+            j = min(r)
+            new = dict(r)
+            for k, x in live[j].items():
+                s = new.get(k, 0) + x
+                if s:
+                    new[k] = s
+                else:
+                    new.pop(k, None)
+            new[i] = new[i] + new[j] if i in new else new[j]
+            for k in set(r) | set(new):
+                if k != i:
+                    if k in new:
+                        live[k][i] = new[k]
+                    else:
+                        del live[k][i]
+            live[i] = new
             piv = i
-        d = m[piv][piv]
+        prow = live.pop(piv)
+        d = prow.pop(piv)
         if sign_exact(d) > 0:
             n_plus += 1
         else:
             n_minus += 1
-        alive.remove(piv)
         dinv = d.inv() if isinstance(d, Cyc) else Fraction(1) / d
-        factors = [(i, m[i][piv] * dinv) for i in alive
-                   if not is_zero(m[i][piv])]
-        for i, f in factors:
-            for j in alive:
-                m[i][j] = m[i][j] - f * m[piv][j]
+        for i, x in prow.items():
+            row = live[i]
+            del row[piv]
+            f = x * dinv
+            for j, y in prow.items():
+                s = row.get(j, 0) - f * y
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+        for i in [i for i in prow if not live[i]]:
+            del live[i]
     return n_plus, n_minus, n - n_plus - n_minus
 
 
@@ -185,22 +204,22 @@ def signature(g: Matrix) -> tuple[int, int, int]:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(a: Matrix) -> list[int]:
-    """Invariant factors d1 | d2 | ... of an integer matrix, one per index up
-    to min(rows, cols), as non-negative ints with the zeros last.
+def smith_normal_form(rows: list[dict], cols: int) -> list[int]:
+    """Invariant factors d1 | d2 | ... of the integer matrix with sparse rows
+    ``rows`` and ``cols`` columns, one per index up to min(len(rows), cols),
+    as non-negative ints with the zeros last.
 
-    Entries of ``a`` must be ints (Fractions with denominator 1 are
-    accepted).  The unimodular transforms are not formed.  The matrix is
-    first reduced as sparse rows by unit-pivot (Tietze) elimination
-    (Havas, Holt and Rees 1993, "Recognizing badly presented Z-modules"):
-    zero rows are deleted; then, while some entry is +-1, one is taken from
-    the shortest live row (its column the one in fewest rows, to keep the
-    fill-in small), its column is cleared from every other row, and the
-    pivot row and column are dropped for one invariant factor 1.  With no
-    unit entry left, duplicate rows (up to sign) and zero columns are
-    dropped, and the small core goes to integer row and column elimination
-    on the smallest nonzero pivot, the only path for entries other than
-    +-1.
+    Entries must be ints (Fractions with denominator 1 are accepted).  The
+    unimodular transforms are not formed.  The rows are first reduced by
+    unit-pivot (Tietze) elimination (Havas, Holt and Rees 1993,
+    "Recognizing badly presented Z-modules"): zero rows are deleted; then,
+    while some entry is +-1, one is taken from the shortest live row (its
+    column the one in fewest rows, to keep the fill-in small), its column
+    is cleared from every other row, and the pivot row and column are
+    dropped for one invariant factor 1.  With no unit entry left, duplicate
+    rows (up to sign) and zero columns are dropped, and the small core goes
+    to dense integer row and column elimination on the smallest nonzero
+    pivot, the only path for entries other than +-1.
 
     Every step keeps the determinantal divisors D_k (the gcd of the k x k
     minors), and so the invariant factors d_k = D_k / D_{k-1}:
@@ -215,12 +234,11 @@ def smith_normal_form(a: Matrix) -> list[int]:
     Each dropped pivot takes one row and one column, so the units, the
     core's factors and zeros up to min(rows, cols) are the whole chain.
     """
-    width = len(a[0]) if a else 0
     live = {}  # row index -> sparse row {column: nonzero int}
-    where = [set() for _ in range(width)]  # column -> live rows holding it
-    for i, row in enumerate(a):
+    where = [set() for _ in range(cols)]  # column -> live rows holding it
+    for i, row in enumerate(rows):
         r = {}
-        for j, x in enumerate(row):
+        for j, x in row.items():
             if type(x) is not int:
                 if Fraction(x).denominator != 1:
                     raise ValueError("smith_normal_form requires integer "
@@ -277,9 +295,9 @@ def smith_normal_form(a: Matrix) -> list[int]:
         if key not in seen:
             seen.add(key)
             core.append(r)
-    kept = [j for j in range(width) if where[j]]
+    kept = [j for j in range(cols) if where[j]]
     d = [[r.get(j, 0) for j in kept] for r in core]
-    rows, cols = len(d), len(kept)
+    nr, nc = len(d), len(kept)
 
     def row_op(i, j, q):  # row i -= q * row j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
@@ -295,7 +313,7 @@ def smith_normal_form(a: Matrix) -> list[int]:
     t = 0
     while True:
         entries = [(abs(d[i][j]), i, j)
-                   for i in range(t, rows) for j in range(t, cols) if d[i][j]]
+                   for i in range(t, nr) for j in range(t, nc) if d[i][j]]
         if not entries:
             break
         _, pi, pj = min(entries)
@@ -304,15 +322,15 @@ def smith_normal_form(a: Matrix) -> list[int]:
         # reduce all of column t and row t by the pivot; the smallest
         # nonzero remainder, if any, becomes the next (smaller) pivot
         while True:
-            for i in range(t + 1, rows):
+            for i in range(t + 1, nr):
                 if d[i][t]:
                     row_op(i, t, d[i][t] // d[t][t])
-            for j in range(t + 1, cols):
+            for j in range(t + 1, nc):
                 if d[t][j]:
                     col_op(j, t, d[t][j] // d[t][t])
-            rest = [(abs(d[i][t]), i, t) for i in range(t + 1, rows)
+            rest = [(abs(d[i][t]), i, t) for i in range(t + 1, nr)
                     if d[i][t]]
-            rest += [(abs(d[t][j]), t, j) for j in range(t + 1, cols)
+            rest += [(abs(d[t][j]), t, j) for j in range(t + 1, nc)
                      if d[t][j]]
             if not rest:
                 break
@@ -321,10 +339,10 @@ def smith_normal_form(a: Matrix) -> list[int]:
             swap_cols(t, pj)
         # enforce divisibility of the remaining block by the pivot
         fixed = False
-        for i in range(t + 1, rows):
+        for i in range(t + 1, nr):
             if fixed:
                 break
-            for j in range(t + 1, cols):
+            for j in range(t + 1, nc):
                 if d[i][j] % d[t][t]:
                     row_op(t, i, -1)  # add row i to row t, then redo
                     fixed = True
@@ -332,8 +350,8 @@ def smith_normal_form(a: Matrix) -> list[int]:
         if fixed:
             continue
         t += 1
-    factors = [1] * ones + [abs(d[i][i]) for i in range(min(rows, cols))]
-    return factors + [0] * (min(len(a), width) - len(factors))
+    factors = [1] * ones + [abs(d[i][i]) for i in range(min(nr, nc))]
+    return factors + [0] * (min(len(rows), cols) - len(factors))
 
 
 # ---------------------------------------------------------------------------

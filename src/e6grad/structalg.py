@@ -12,9 +12,9 @@ absolute value; so a packed Jacobi vector is zero exactly when every
 coordinate is, and each triple costs a few int products, not a dict.
 Vectors are sparse dicts (index -> nonzero scalar) throughout: a
 ``Subspace`` holds the sparse RREF rows of a basis and reads coordinates off
-its pivots, with a residual over the vector's keys; only bilinear forms
-(Killing, Gram) are dense row lists.  A linear map (ad b_i, R_x, a
-derivation) is ``linalg``'s list of sparse columns.  The Killing form
+its pivots, with a residual over the vector's keys.  A linear map (ad b_i,
+R_x, a derivation) and a bilinear form (Killing, Gram) are both ``linalg``'s
+list of sparse columns.  The Killing form
 indexes every nonzero entry c_il^k of every ad b_i by its position (l, k)
 once, and accumulates all kappa_ij together from the pairs of entries at
 transposed positions (l, k) and (k, l).
@@ -693,8 +693,10 @@ def leibniz_residual(table: AlgebraTable, cols: list[Vec]) -> bool:
 # Killing form and friends
 # ---------------------------------------------------------------------------
 
-def killing_form(table: AlgebraTable, degrees=None, group=None) -> list[list[Fraction]]:
-    """kappa(b_i, b_j) = trace(ad b_i . ad b_j), computed exactly.
+def killing_form(table: AlgebraTable, degrees=None, group=None) -> list[Vec]:
+    """kappa(b_i, b_j) = trace(ad b_i . ad b_j), computed exactly, as the
+    sparse columns of the form: column j is {i: kappa(b_i, b_j)}, nonzero
+    entries only, ascending i.
 
     When ``degrees``/``group`` describe a verified grading with homogeneous
     basis, only pairs with deg_i + deg_j = 0 are kept: for the others
@@ -717,36 +719,37 @@ def killing_form(table: AlgebraTable, degrees=None, group=None) -> list[list[Fra
             for k, c in cell:
                 if c:
                     index.setdefault(n * l + k, []).append((i, c))
-    acc = [[0] * n for _ in range(n)]
+    acc = [{} for _ in range(n)]  # column j -> {i: scaled kappa_ij}
     for key, ents in index.items():
         l, k = divmod(key, n)
         other = index.get(n * k + l)
         if other:
-            for i, c in ents:
-                row = acc[i]
-                for j, d in other:
-                    row[j] += c * d
+            for j, d in other:
+                col = acc[j]
+                for i, c in ents:
+                    col[i] = col.get(i, 0) + c * d
     denom = scale * scale
-    out = [[Fraction(0)] * n for _ in range(n)]
     zero = group.zero() if group is not None else None
-    for i in range(n):
-        for j in range(i, n):
-            s = acc[i][j]
-            if s and (degrees is None
-                      or group.add(degrees[i], degrees[j]) == zero):
-                out[i][j] = out[j][i] = Fraction(s, denom)
-    return out
+    return [{i: Fraction(s, denom) for i, s in sorted(col.items())
+             if s and (degrees is None
+                       or group.add(degrees[i], degrees[j]) == zero)}
+            for j, col in enumerate(acc)]
 
 
 def killing_ad_invariance(table: AlgebraTable,
-                          killing: list[list] | None = None) -> CheckReport:
+                          killing: list[Vec] | None = None) -> CheckReport:
     """kappa([x,y],z) + kappa(y,[x,z]) = 0 on all basis triples.
 
     Verified as the matrix identity ad_i^t K + K ad_i = 0 for every i, which
-    is the same statement quantified over (j, k)."""
+    is the same statement quantified over (j, k); K is given by its sparse
+    columns, and only its nonzero entries are visited."""
     if killing is None:
         killing = killing_form(table)
     n = table.dim
+    rows = [{} for _ in range(n)]  # row k of K: {j: K[k][j]}
+    for j, col in enumerate(killing):
+        for k, x in col.items():
+            rows[k][j] = x
     iprod, _ = table.int_scaled()
     for i in range(n):
         resid = {}
@@ -754,44 +757,43 @@ def killing_ad_invariance(table: AlgebraTable,
         for l, cell in enumerate(iprod[i]):
             for k, c in cell:
                 # (ad^t K)[l][j] = sum_k ad[k][l] K[k][j]
-                row = killing[k]
-                for j in range(n):
-                    if row[j]:
-                        key = (l, j)
-                        s = resid.get(key, 0) + c * row[j]
-                        if s:
-                            resid[key] = s
-                        else:
-                            resid.pop(key, None)
+                for j, x in rows[k].items():
+                    key = (l, j)
+                    s = resid.get(key, 0) + c * x
+                    if s:
+                        resid[key] = s
+                    else:
+                        resid.pop(key, None)
                 # (K ad)[j][l] = sum_k K[j][k] ad[k][l]
-                for j in range(n):
-                    if killing[j][k]:
-                        key = (j, l)
-                        s = resid.get(key, 0) + killing[j][k] * c
-                        if s:
-                            resid[key] = s
-                        else:
-                            resid.pop(key, None)
+                for j, x in killing[k].items():
+                    key = (j, l)
+                    s = resid.get(key, 0) + x * c
+                    if s:
+                        resid[key] = s
+                    else:
+                        resid.pop(key, None)
         if resid:
             return CheckReport("killing-invariance", False, (i,))
     return CheckReport("killing-invariance", True)
 
 
-def form_restrict(form: list[list], vectors: list[Vec]) -> list[list]:
-    """Gram matrix of a bilinear form on a family of sparse vectors."""
+def form_restrict(form: list[Vec], vectors: list[Vec]) -> list[Vec]:
+    """Gram matrix of a symmetric bilinear form on a family of sparse
+    vectors, both forms given by sparse columns: column b of the result is
+    {a: form(v_a, v_b)}, nonzero entries only."""
     m = len(vectors)
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
+    out = [{} for _ in range(m)]
+    for b in range(m):
+        w = apply(form, vectors[b])  # form(b_i, v_b) at i
+        for a in range(b + 1):
             s = Fraction(0)
             for i, x in vectors[a].items():
-                row = form[i]
-                for j, y in vectors[b].items():
-                    if not is_zero(row[j]):
-                        s = s + x * y * row[j]
-            out[a][b] = s
-            out[b][a] = s
-    return out
+                if i in w:
+                    s = s + x * w[i]
+            if not is_zero(s):
+                out[b][a] = s
+                out[a][b] = s
+    return [dict(sorted(col.items())) for col in out]
 
 
 def subalgebra_table(table: AlgebraTable, sub: Subspace,
@@ -812,7 +814,7 @@ def subalgebra_table(table: AlgebraTable, sub: Subspace,
 
 
 def killing_ratio(table: AlgebraTable, sub: Subspace,
-                  killing: list[list] | None = None) -> Fraction:
+                  killing: list[Vec] | None = None) -> Fraction:
     """The scalar r with kappa_L|_sub = r * kappa_sub, verified entrywise.
 
     Raises ValueError when no single ratio fits (which would contradict the
@@ -823,16 +825,12 @@ def killing_ratio(table: AlgebraTable, sub: Subspace,
     sub_t = subalgebra_table(table, sub)
     k_sub = killing_form(sub_t)
     k_res = form_restrict(killing, sub.basis)
-    m = sub.dim
     r = None
-    for i in range(m):
-        for j in range(m):
-            a, b = k_res[i][j], k_sub[i][j]
-            if is_zero(b):
-                if not is_zero(a):
-                    raise ValueError("forms are not proportional")
-                continue
-            q = a / b
+    for res, kap in zip(k_res, k_sub):
+        for i in res.keys() | kap.keys():
+            if i not in kap:
+                raise ValueError("forms are not proportional")
+            q = res.get(i, 0) / kap[i]
             if r is None:
                 r = q
             elif q != r:

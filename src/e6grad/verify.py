@@ -184,7 +184,7 @@ def criterion_4_ratios(ws: Workspace) -> list[Check]:
             nab = Fraction(1) if i == i2 else Fraction(0)
             trxy = m.trace_of(m.table.prod[t][t2])
             rhs = nab * trxy
-            lhs = k[14 + a][14 + b]
+            lhs = k[14 + b].get(14 + a, Fraction(0))
             if rhs == 0:
                 if lhs != 0:
                     proportional = False
@@ -208,7 +208,7 @@ def criterion_5_twist(ws: Workspace) -> list[Check]:
     out = []
     alb = ws.model("albert")
     k = alb.killing()
-    even = [[k[i][j] for j in range(52)] for i in range(52)]
+    even = [{i: x for i, x in col.items() if i < 52} for col in k[:52]]
     s_even = _sig(even)
     tw = twist_z2(alb.table, alb.meta["parity"], -1)
     out.append(_reported("twist: twisted table is Lie", tw.check_lie()))
@@ -218,7 +218,7 @@ def criterion_5_twist(ws: Workspace) -> list[Check]:
     out.append(Check("twist: sign(L) + sign(L^-1) = 2 sign(L_even)", ok,
                      {"sign_L": s, "sign_twisted": s_tw, "sign_even": s_even},
                      {"sign_L": -14, "sign_twisted": -26, "sign_even": -20}))
-    ortho = all(k[i][j] == 0 for i in range(52) for j in range(52, 78))
+    ortho = all(i >= 52 for col in k[52:] for i in col)
     out.append(Check("twist: kappa(L_even, L_odd) = 0", ortho))
     return out
 

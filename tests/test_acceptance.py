@@ -130,12 +130,13 @@ def _tits_tensor_constants(tits):
                        for col in w]
                       for w, d in zip(ders.int_mats, ders.denoms)]
         k_d = killing_form(ders.table)
-        kappa_l[name] = [[k_d[p][q] + copies * _restricted_trace(
+        kappa_l[name] = [[k_d[q].get(p, 0) + copies * _restricted_trace(
             mats[name][p], mats[name][q], idx) for q in range(ders.dim)]
             for p in range(ders.dim)]
         for p in range(ders.dim):
             for q in range(ders.dim):
-                _record_ratio(ratios[name], kappa_l[name][p][q], k_d[p][q])
+                _record_ratio(ratios[name], kappa_l[name][p][q],
+                              k_d[q].get(p, 0))
 
     tr_xy = [[m.trace_of(m.table.prod[t][u]) for u in range(9)]
              for t in range(9)]

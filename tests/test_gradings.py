@@ -125,6 +125,50 @@ def test_support_generates(ws):
     assert not gr.support_generates(padded)
 
 
+def _two_line_grading(group, degrees):
+    """A zero algebra on b0, b1 with b_i of degree degrees[i]."""
+    t = AlgebraTable(2, ["b0", "b1"], [[{}, {}], [{}, {}]])
+    return gr.GradedDecomposition(t, group, [(d, unit_vecs(2, [i]))
+                                             for i, d in enumerate(degrees)])
+
+
+def test_support_generates_product_groups_in_both_layouts():
+    """The torsion relation sits on the coordinate that carries it, also
+    when a product group puts a torsion factor before a free one."""
+    z2, z = FgAbelianGroup(0, (2,)), FgAbelianGroup(1)
+    tz, zt = z2.product(z), z.product(z2)  # Z2 x Z and Z x Z2
+    # every second coordinate a multiple of 3: no generation in either layout
+    assert not gr.support_generates(_two_line_grading(tz, [(1, 3), (1, 6)]))
+    assert not gr.support_generates(_two_line_grading(zt, [(3, 1), (6, 1)]))
+    # (1, 0) = (1, 1) - (0, 1) and its swap generate
+    assert gr.support_generates(_two_line_grading(tz, [(1, 1), (0, 1)]))
+    assert gr.support_generates(_two_line_grading(zt, [(1, 1), (1, 0)]))
+    # the Z2 coordinate is hit only by 2 = 0: no generation
+    assert not gr.support_generates(_two_line_grading(tz, [(0, 1), (0, 2)]))
+    assert not gr.support_generates(_two_line_grading(zt, [(1, 0), (2, 0)]))
+
+
+def test_product_group_arithmetic_in_both_layouts():
+    z2, z3 = FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (3,))
+    z = FgAbelianGroup(1)
+    tz = z2.product(z)
+    assert tz.ncoords == 2 and tz.zero() == (0, 0)
+    assert tz.reduce((3, -5)) == (1, -5)
+    assert tz.add((1, 4), (1, -7)) == (0, -3)
+    assert tz.neg((1, 4)) == (1, -4)
+    assert tz.sub((0, 1), (1, 3)) == (1, -2)
+    assert tz.pair((1,), (2,)) == (1, 2)
+    zt = z.product(z2)
+    assert zt.reduce((-5, 3)) == (-5, 1) and zt.add((4, 1), (-7, 1)) == (-3, 0)
+    nested = tz.product(z3).product(zt)  # Z2 x Z x Z3 x Z x Z2
+    assert nested.ncoords == 5
+    assert nested.add((1, 2, 2, 3, 1), (1, 2, 2, 3, 0)) == (0, 4, 1, 6, 1)
+    assert nested.neg((1, 2, 2, 3, 1)) == (1, -2, 1, -3, 1)
+    assert nested.is_isomorphic_to(FgAbelianGroup(2, (2, 2, 3)))
+    with pytest.raises(ValueError):
+        tz.reduce((1, 2, 3))
+
+
 def test_induced_derivation_grading_octonions():
     gd = co.octonion_grading()
     ders, dgd = gr.induced_derivation_grading(gd)
@@ -161,12 +205,14 @@ def test_interval_check_numbers(ws):
 
 
 def test_presented_group():
-    g = presented_group(2, [[2, 0], [0, 3]])
+    g = presented_group(2, [{0: 2}, {1: 3}])
     assert g.is_isomorphic_to(FgAbelianGroup(0, (6,)))
     g = presented_group(3, [])
     assert g.rank == 3
-    g = presented_group(2, [[1, -1]])
+    g = presented_group(2, [{0: 1, 1: -1}])
     assert g.rank == 1 and not g.torsion
+    g = presented_group(3, [{0: 2}, {}], extra_rank=1)
+    assert g == FgAbelianGroup(3, (2,))
 
 
 def test_presented_group_reads_relations_as_rows(ws, monkeypatch):
@@ -182,7 +228,12 @@ def test_presented_group_reads_relations_as_rows(ws, monkeypatch):
     monkeypatch.setattr(gr, "presented_group", spy)
     got = gr.universal_group(ws.grading("gamma3"))
     ((n, rels),) = seen
-    factors = smith_normal_form([list(col) for col in zip(*rels)])
+    assert all(rel and all(rel.values()) for rel in rels)
+    transpose = [{} for _ in range(n)]
+    for r, rel in enumerate(rels):
+        for c, x in rel.items():
+            transpose[c][r] = x
+    factors = smith_normal_form(transpose, len(rels))
     want = FgAbelianGroup(n - sum(1 for x in factors if x),
                           tuple(x for x in factors if x > 1))
     assert got == want == FgAbelianGroup(0, (2, 6, 6))
@@ -361,7 +412,7 @@ def oracle_universal_group(gd):
             row[hi] += 1
             row[ki] -= 1
             if any(row):
-                relations.append(row)
+                relations.append({c: x for c, x in enumerate(row) if x})
     return presented_group(len(supp), relations)
 
 

@@ -145,6 +145,16 @@ def test_trace_form_signatures():
     assert sig(sa.form_restrict(ms.trace_form(), ms.traceless_basis())) == 2
 
 
+def test_trace_form_columns_are_the_traces_of_products():
+    for build in (jo.build_j, jo.build_m):
+        j = build()
+        form = j.trace_form()
+        for b in range(j.dim):
+            assert all(form[b].values()) and list(form[b]) == sorted(form[b])
+            for a in range(j.dim):
+                assert form[b].get(a, 0) == j.trace_of(j.table.prod[a][b])
+
+
 def test_trace_form_associative():
     m = jo.build_m()
     n = m.dim

@@ -23,15 +23,6 @@ def test_scalar_round_trip():
             assert back == x
 
 
-def test_matrix_round_trip():
-    m = [[Fraction(1, 2), SQRT3], [Cyc(0, 1), Fraction(-3)]]
-    d = jsonio.matrix_to_json(m)
-    back = jsonio.matrix_from_json(d)
-    assert all((a - b if isinstance(a, Cyc) or isinstance(b, Cyc)
-                else Fraction(a) - Fraction(b)) == 0
-               for ra, rb in zip(m, back) for a, b in zip(ra, rb))
-
-
 def test_table_round_trip():
     t = co.octonion_table()
     d = jsonio.table_to_json(t)

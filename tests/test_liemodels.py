@@ -18,6 +18,19 @@ def sig(form):
     return p - m
 
 
+def dense(form):
+    """The dense matrix of a form given by sparse columns: k[i][j] is
+    form(b_i, b_j)."""
+    n = len(form)
+    return [[form[j].get(i, Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def restrict(form, idx):
+    """The sparse columns of the block of a form on the basis indices idx."""
+    pos = {t: a for a, t in enumerate(idx)}
+    return [{pos[i]: x for i, x in form[j].items() if i in pos} for j in idx]
+
+
 # SHA-256 of json.dumps(jsonio.table_to_json(table), sort_keys=True): every
 # structure constant of the six models, pinned across refactors of the builds.
 TABLE_SHA256 = {
@@ -49,11 +62,11 @@ def test_albert_model(albert):
     assert albert.killing_signature() == -14
     assert albert.table.is_real_table()
     # even part is Der(J): 52-dim, restriction has signature -20
-    k = albert.killing()
-    even = [[k[i][j] for j in range(52)] for i in range(52)]
+    k = dense(albert.killing())
+    even = restrict(albert.killing(), range(52))
     assert sig(even) == -20
     # odd part restriction carries +6 (the negated J0 trace form)
-    odd = [[k[i][j] for j in range(52, 78)] for i in range(52, 78)]
+    odd = restrict(albert.killing(), range(52, 78))
     assert sig(odd) == 6
     assert all(k[i][j] == 0 for i in range(52) for j in range(52, 78))
 
@@ -131,7 +144,7 @@ def test_chevalley_model(chevalley):
     assert chevalley.dim == 78
     assert chevalley.table.check_lie().ok
     assert chevalley.killing_signature() == -14
-    k = chevalley.killing()
+    k = dense(chevalley.killing())
     assert all(k[i][j] == 0 for i in range(78) for j in range(i + 1, 78))
     neg = sum(1 for i in range(78) if k[i][i] < 0)
     assert neg == 46 and 78 - neg == 32
@@ -162,8 +175,7 @@ def test_corollary_basis_report(chevalley):
     # is nonzero, and one with a Q(zeta_12) coefficient
     def tiny(prod):
         return lm.Model("tiny", sa.AlgebraTable(3, ["a", "b", "c"], prod), {},
-                        {"killing": [[Fraction(int(i == j)) for j in range(3)]
-                                     for i in range(3)]})
+                        {"killing": [{j: Fraction(1)} for j in range(3)]})
 
     prod = [[{} for _ in range(3)] for _ in range(3)]
     prod[1][0] = {2: Fraction(1)}  # [b, a] = c, [a, b] = 0
@@ -173,6 +185,15 @@ def test_corollary_basis_report(chevalley):
     prod = [[{} for _ in range(3)] for _ in range(3)]
     prod[0][1], prod[1][0] = {2: CYC_I}, {2: -CYC_I}
     assert not lm.corollary_basis_report(tiny(prod))["constants_rational"]
+    # an off-diagonal kappa(a, b) breaks orthogonality; the norms are read
+    # off the diagonal, kappa(c, c) = -1 included
+    model = tiny(prod)
+    model.meta["killing"] = [{0: Fraction(1), 1: Fraction(2)},
+                             {0: Fraction(2), 1: Fraction(1)},
+                             {2: Fraction(-1)}]
+    rep = lm.corollary_basis_report(model)
+    assert not rep["orthogonal"]
+    assert (rep["negative_norms"], rep["positive_norms"]) == (1, 2)
 
 
 def test_flag_model(flag):
@@ -180,7 +201,7 @@ def test_flag_model(flag):
     assert flag.table.check_lie().ok
     assert flag.killing_signature() == -14
     rf = flag.meta["real_form"]
-    k = flag.killing()
+    k = dense(flag.killing())
     i6 = rf.names.index("I6")
     assert k[i6][i6] == 432  # 2 (9 dim L1 + 36 dim L2)
     # nilpotent graded pieces pair only across opposite degrees
@@ -191,7 +212,7 @@ def test_flag_model(flag):
     # kappa restricted to L_n + L_{-n} (n != 0) is split
     for n in (1, 2):
         idx = [t for t in range(78) if abs(rf.z_degrees[t]) == n]
-        block = [[k[a][b] for b in idx] for a in idx]
+        block = restrict(flag.killing(), idx)
         p, m, z = la.signature(block)
         assert z == 0 and p == m
 

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from e6grad import linalg as la
-from e6grad.scalar import Cyc, OMEGA, is_zero
+from e6grad.scalar import Cyc, OMEGA, SQRT3, is_zero, sign_exact
 
 
 def frac_mat(rows):
@@ -33,8 +33,14 @@ def dense(sparse_rows, n):
     return [[r.get(k, Fraction(0)) for k in range(n)] for r in sparse_rows]
 
 
+def snf(a):
+    """The Smith invariant factors of a dense integer matrix."""
+    return la.smith_normal_form(rows(a), len(a[0]) if a else 0)
+
+
 # Dense products, identities and equality, for the row-list matrices of
-# elimination and forms and for the dense reference eigensplit below.
+# elimination and forms and for the dense reference eigensplit and
+# signature below.
 
 def _transpose(m):
     return [list(col) for col in zip(*m)]
@@ -155,26 +161,118 @@ def test_inverse_of_cyc_matrix():
         la.inverse(rows(frac_mat([[1, 2], [2, 4]])))
 
 
+def reference_signature(g):
+    """Inertia of a dense symmetric matrix by dense symmetric congruence:
+    the first diagonal pivot in index order, or, with a zero diagonal, row
+    and column j added into row and column i for the first nonzero (i, j)."""
+    n = len(g)
+    m = [row[:] for row in g]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not is_zero(m[i][j] - m[j][i]):
+                raise ValueError("matrix is not symmetric")
+    alive = list(range(n))
+    n_plus = n_minus = 0
+    while alive:
+        piv = next((i for i in alive if not is_zero(m[i][i])), None)
+        if piv is None:
+            pair = next(((i, j) for i in alive for j in alive
+                         if i != j and not is_zero(m[i][j])), None)
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            for k in range(n):
+                m[i][k] = m[i][k] + m[j][k]
+            for k in range(n):
+                m[k][i] = m[k][i] + m[k][j]
+            piv = i
+        d = m[piv][piv]
+        if sign_exact(d) > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        alive.remove(piv)
+        dinv = d.inv() if isinstance(d, Cyc) else Fraction(1) / d
+        factors = [(i, m[i][piv] * dinv) for i in alive
+                   if not is_zero(m[i][piv])]
+        for i, f in factors:
+            for j in alive:
+                m[i][j] = m[i][j] - f * m[piv][j]
+    return n_plus, n_minus, n - n_plus - n_minus
+
+
 def test_signature_examples_and_congruence():
-    assert la.signature(frac_mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]])) == (1, 2, 0)
-    assert la.signature(frac_mat([[0, 1], [1, 0]])) == (1, 1, 0)
-    assert la.signature(frac_mat([[0, 0], [0, 0]])) == (0, 0, 2)
+    g = frac_mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    assert la.signature(cols(g)) == (1, 2, 0)
+    assert la.signature(cols(frac_mat([[0, 1], [1, 0]]))) == (1, 1, 0)
+    assert la.signature(cols(frac_mat([[0, 0], [0, 0]]))) == (0, 0, 2)
+    assert la.signature([]) == (0, 0, 0)
     rng = random.Random(11)
     for _ in range(15):
         n = 5
         s = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
         g = [[s[i][j] + s[j][i] for j in range(n)] for i in range(n)]
-        sig = la.signature(g)
+        sig = la.signature(cols(g))
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         if la.rank(rows(t)) < n:
             continue
         g2 = _dense_mul(_transpose(t), _dense_mul(g, t))
-        assert la.signature(g2) == sig
+        assert la.signature(cols(g2)) == sig
+
+
+def _random_symmetric(rng, n, kind):
+    """A dense symmetric n x n matrix: sparse, with zero diagonal, of rank
+    at most 2 (x x^t - y y^t), or a congruent image of a diagonal with
+    zeros (so rank-deficient and dense)."""
+    if kind == "rank2":
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        y = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        return [[x[i] * x[j] - y[i] * y[j] for j in range(n)]
+                for i in range(n)]
+    if kind == "congruent":
+        d = [Fraction(rng.choice([-2, -1, 0, 0, 1, 3])) for _ in range(n)]
+        t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+             for _ in range(n)]
+        return [[sum((t[k][i] * d[k] * t[k][j] for k in range(n)),
+                     Fraction(0)) for j in range(n)] for i in range(n)]
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i != j or kind == "sparse") and rng.random() < 0.3:
+                g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 3))
+    return g
+
+
+def test_signature_agrees_with_the_dense_reference():
+    rng = random.Random(2024)
+    seen = set()
+    for t in range(320):
+        kind = ("sparse", "zero_diagonal", "rank2", "congruent")[t % 4]
+        g = _random_symmetric(rng, rng.randint(1, 9), kind)
+        want = reference_signature(g)
+        assert la.signature(cols(g)) == want, (kind, g)
+        seen.add((kind, want[2] > 0))
+    # every kind met both a degenerate and (but rank2) a nondegenerate form
+    assert {k for k, z in seen if z} == {"sparse", "zero_diagonal", "rank2",
+                                         "congruent"}
+    assert {k for k, z in seen if not z} >= {"sparse", "zero_diagonal",
+                                              "congruent"}
+    # a real form over Q(zeta_12): entries in Q(sqrt3), zero diagonal block
+    g = [[Cyc(0), SQRT3, Cyc(1), Cyc(0)],
+         [SQRT3, Cyc(0), Cyc(0), SQRT3 - 2],
+         [Cyc(1), Cyc(0), Cyc(2) - SQRT3, Cyc(0)],
+         [Cyc(0), SQRT3 - 2, Cyc(0), Cyc(0)]]
+    want = reference_signature(g)
+    assert la.signature(cols(g)) == want
+    assert sum(want[:2]) == 4 and want[0] and want[1]
 
 
 def test_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
-        la.signature(frac_mat([[0, 1], [0, 0]]))
+        la.signature(cols(frac_mat([[0, 1], [0, 0]])))
+    with pytest.raises(ValueError):
+        la.signature(cols(frac_mat([[1, 2], [3, 1]])))
 
 
 def _det(m) -> int:
@@ -219,7 +317,9 @@ def _snf_in_child(a, seconds=30):
     """smith_normal_form(a) in a child process, so a hang fails the test."""
     src = os.path.dirname(os.path.dirname(la.__file__))
     code = ("import json, sys; from e6grad.linalg import smith_normal_form; "
-            "print(json.dumps(smith_normal_form(json.loads(sys.argv[1]))))")
+            "a = json.loads(sys.argv[1]); "
+            "rows = [{j: x for j, x in enumerate(r) if x} for r in a]; "
+            "print(json.dumps(smith_normal_form(rows, len(a[0]))))")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(a)],
                          capture_output=True, text=True, check=True,
                          timeout=seconds, env=dict(os.environ, PYTHONPATH=src))
@@ -269,21 +369,21 @@ def _unit_pivot_cases(rng):
 
 
 def test_smith_normal_form():
-    assert la.smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert la.smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert la.smith_normal_form([[2, 0], [0, 3], [0, 0]]) == [1, 6]
-    assert la.smith_normal_form([[4, 6], [6, 4]]) == [2, 10]
-    assert la.smith_normal_form([[1, 2], [-1, -2], [1, 2], [0, 0]]) == [1, 0]
-    assert la.smith_normal_form([[2, 4], [-2, -4], [0, 0]]) == [2, 0]
+    assert snf([[1, 0], [0, 1]]) == [1, 1]
+    assert snf([[2, 0], [0, 3]]) == [1, 6]
+    assert snf([[2, 0], [0, 3], [0, 0]]) == [1, 6]
+    assert snf([[4, 6], [6, 4]]) == [2, 10]
+    assert snf([[1, 2], [-1, -2], [1, 2], [0, 0]]) == [1, 0]
+    assert snf([[2, 4], [-2, -4], [0, 0]]) == [2, 0]
     rng = random.Random(5)
     cases = []
     for _ in range(30):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        cases.append((a, la.smith_normal_form(a)))
+        cases.append((a, snf(a)))
     for a in _unit_pivot_cases(random.Random(11)):
-        dd = la.smith_normal_form(a)
-        assert la.smith_normal_form(_transpose(a)) == dd
+        dd = snf(a)
+        assert snf(_transpose(a)) == dd
         cases.append((a, dd))
     cases += [(a, _snf_in_child(a)) for a in SNF_HARD]
     assert cases[-1][1] == [1, 1, 1, 1, 1, 1, 2]
@@ -303,23 +403,23 @@ def test_smith_normal_form():
 
 
 def test_smith_normal_form_edge_shapes():
-    assert la.smith_normal_form([[0]]) == [0]
-    assert la.smith_normal_form([[0] * 4 for _ in range(3)]) == [0, 0, 0]
-    assert la.smith_normal_form([[0, 4, -6]]) == [2]
-    assert la.smith_normal_form([[0], [4], [-6]]) == [2]
-    assert la.smith_normal_form([[3, 0, -1]]) == [1]
-    assert la.smith_normal_form([[-5]]) == [5]
-    assert la.smith_normal_form([]) == []
-    assert la.smith_normal_form([[]]) == []
-    assert la.smith_normal_form([[Fraction(4)], [Fraction(-6, 1)]]) == [2]
+    assert snf([[0]]) == [0]
+    assert snf([[0] * 4 for _ in range(3)]) == [0, 0, 0]
+    assert snf([[0, 4, -6]]) == [2]
+    assert snf([[0], [4], [-6]]) == [2]
+    assert snf([[3, 0, -1]]) == [1]
+    assert snf([[-5]]) == [5]
+    assert snf([]) == []
+    assert snf([[]]) == []
+    assert snf([[Fraction(4)], [Fraction(-6, 1)]]) == [2]
     with pytest.raises(ValueError):
-        la.smith_normal_form([[1, Fraction(1, 2)]])
+        snf([[1, Fraction(1, 2)]])
     rng = random.Random(14)
     for _ in range(10):
         row = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
         g = math.gcd(*row)
-        assert la.smith_normal_form([row]) == [g]
-        assert la.smith_normal_form([[x] for x in row]) == [g]
+        assert snf([row]) == [g]
+        assert snf([[x] for x in row]) == [g]
 
 
 def test_eigensplit_identity():

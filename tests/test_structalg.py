@@ -13,6 +13,12 @@ from e6grad.abgroup import FgAbelianGroup
 from e6grad.scalar import CYC_ONE, ZETA
 
 
+def cols(m):
+    """The sparse columns of a dense square matrix."""
+    return [{k: row[l] for k, row in enumerate(m) if row[l]}
+            for l in range(len(m))]
+
+
 def zero_algebra(n=1):
     return sa.AlgebraTable(n, [f"b{i}" for i in range(n)],
                            [[{} for _ in range(n)] for _ in range(n)])
@@ -43,9 +49,15 @@ def test_sl2_is_lie():
     t = sa.AlgebraTable(3, ["h", "e", "f"], prod)
     assert t.check_lie().ok
     k = sa.killing_form(t)
-    assert k[0][0] == 8 and k[1][2] == 4
+    assert k == cols([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
+    assert k[0][0] == 8 and k[2][1] == 4 and k[1][2] == 4
     assert la.signature(k) == (2, 1, 0)
     assert sa.killing_ad_invariance(t, k).ok
+    # invariance ties kappa(h, h) to 2 kappa(e, f), on either side of K
+    for bad in (cols([[9, 0, 0], [0, 0, 4], [0, 4, 0]]),
+                cols([[8, 0, 0], [0, 0, 4], [0, 3, 0]])):
+        rep = sa.killing_ad_invariance(t, bad)
+        assert not rep.ok and rep.name == "killing-invariance"
 
 
 def test_killing_form_is_the_trace_of_ad_products(tits):
@@ -55,11 +67,14 @@ def test_killing_form_is_the_trace_of_ad_products(tits):
     want = [[sum(c * d for l in range(n) for k, c in t.prod[i][l].items()
                  if (d := t.prod[j][k].get(l)))
              for j in range(n)] for i in range(n)]
-    assert sa.killing_form(t) == want
+    k = sa.killing_form(t)
+    assert k == cols(want)
+    assert all(list(col) == sorted(col) for col in k)
+    assert all(type(x) is Fraction for col in k for x in col.values())
     degs, group = tits.meta["degrees"], FgAbelianGroup(0, (2, 2, 2, 3, 3))
-    assert sa.killing_form(t, degs, group) == [
+    assert sa.killing_form(t, degs, group) == cols([
         [want[i][j] if group.add(degs[i], degs[j]) == group.zero() else 0
-         for j in range(n)] for i in range(n)]
+         for j in range(n)] for i in range(n)])
 
 
 def test_center_and_derived():
@@ -107,6 +122,28 @@ def test_killing_ratio_rejects_nonproportional():
     sub = sa.Subspace(2, [{0: Fraction(1)}])
     with pytest.raises(ValueError):
         sa.killing_ratio(t, sub)  # abelian: Killing form vanishes
+
+
+def test_killing_ratio_checks_every_entry():
+    """On sl2 + sl2 (h1, e1, f1, h2, e2, f2): kappa_L(h2, h2) = 8 where the
+    Killing form of span{h1, e1, f1, h2} vanishes, and the ratios 2 on h1
+    and 1 on h2 differ for span{h1, e1, h2, e2, f2}; both raise."""
+    prod = [[{} for _ in range(6)] for _ in range(6)]
+    for o in (0, 3):
+        h, e, f = o, o + 1, o + 2
+        prod[h][e], prod[e][h] = {e: Fraction(2)}, {e: Fraction(-2)}
+        prod[h][f], prod[f][h] = {f: Fraction(-2)}, {f: Fraction(2)}
+        prod[e][f], prod[f][e] = {h: Fraction(1)}, {h: Fraction(-1)}
+    t = sa.AlgebraTable(6, [f"b{i}" for i in range(6)], prod)
+    assert t.check_lie().ok
+
+    def span(idx):
+        return sa.Subspace(6, [{i: Fraction(1)} for i in idx])
+
+    assert sa.killing_ratio(t, span(range(3))) == 1
+    for idx in ((0, 1, 2, 3), (0, 1, 3, 4, 5)):
+        with pytest.raises(ValueError, match="not proportional"):
+            sa.killing_ratio(t, span(idx))
 
 
 def test_subalgebra_table_rejects_nonclosed():
