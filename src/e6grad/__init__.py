@@ -12,7 +12,7 @@ from .scalar import Cyc, I, OMEGA, SQRT3, ZETA
 from .abgroup import FgAbelianGroup
 from .structalg import AlgebraTable, Subspace, derivations, killing_form
 from .gradings import (GradedDecomposition, build_named_grading,
-                       check_grading, interval_check, refine, type_vector,
+                       check_grading, interval_check, type_vector,
                        universal_group)
 from .liemodels import (Model, build_albert, build_chevalley_form,
                         build_flag, build_tits, corollary_basis_report)
@@ -21,7 +21,7 @@ __all__ = [
     "Cyc", "I", "OMEGA", "SQRT3", "ZETA", "FgAbelianGroup",
     "AlgebraTable", "Subspace", "derivations", "killing_form",
     "GradedDecomposition", "build_named_grading", "check_grading",
-    "interval_check", "refine", "type_vector", "universal_group",
+    "interval_check", "type_vector", "universal_group",
     "Model", "build_albert", "build_chevalley_form", "build_flag",
     "build_tits", "corollary_basis_report",
 ]

@@ -42,14 +42,8 @@ class FgAbelianGroup:
     def add(self, a, b) -> tuple[int, ...]:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))
 
-    def neg(self, a) -> tuple[int, ...]:
-        return self.reduce(tuple(-x for x in a))
-
     def sub(self, a, b) -> tuple[int, ...]:
         return self.reduce(tuple(x - y for x, y in zip(a, b)))
-
-    def scale(self, k: int, a) -> tuple[int, ...]:
-        return self.reduce(tuple(k * x for x in a))
 
     def has_order_dividing_2(self, a) -> bool:
         return self.add(a, a) == self.zero()

@@ -176,12 +176,3 @@ def check_alternativity() -> CheckReport:
 def octonion_degrees() -> list[tuple[int, int, int]]:
     """Z2^3 degree of each basis element, in basis order."""
     return [OCT_DEGREES[i] for i in range(8)]
-
-
-def octonion_grading(split: bool = False):
-    """The Z2^3 grading of O with eight one-dimensional components."""
-    from .abgroup import FgAbelianGroup
-    from .gradings import GradedDecomposition
-    return GradedDecomposition.from_degree_map(
-        octonion_table(split), FgAbelianGroup(0, (2, 2, 2)),
-        octonion_degrees(), name="Z2^3 on O")

@@ -1,4 +1,4 @@
-"""Group gradings on algebras: verification, invariants, refinement.
+"""Group gradings on algebras: verification and invariants.
 
 A ``GradedDecomposition`` assigns degrees in a finitely generated abelian
 group to the summands of a direct-sum decomposition of an algebra.  The
@@ -39,8 +39,8 @@ from math import gcd, lcm
 from .abgroup import FgAbelianGroup, presented_group
 from .linalg import apply, kernel, mat_mul, rank, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I, is_zero
-from .structalg import (AlgebraTable, CheckReport, Subspace, derivations,
-                        form_restrict, int_scaled_vectors, vec_add_scaled)
+from .structalg import (AlgebraTable, CheckReport, Subspace, form_restrict,
+                        int_scaled_vectors)
 
 
 class GradedDecomposition:
@@ -80,9 +80,6 @@ class GradedDecomposition:
 
     def component(self, deg) -> Subspace | None:
         return self._by_degree.get(self.group.reduce(deg))
-
-    def total_dim(self) -> int:
-        return sum(s.dim for _, s in self.components)
 
     def products(self) -> list[list[tuple | None]]:
         """The product pass, formed on first use and kept on the instance.
@@ -266,85 +263,6 @@ def support_generates(gd: GradedDecomposition) -> bool:
     relations = [{c: x for c, x in enumerate(d) if x} for d in gd.support]
     relations += [{c: m} for c, m in enumerate(group._mods) if m]
     return presented_group(group.ncoords, relations) == FgAbelianGroup(0)
-
-
-def refine(g1: GradedDecomposition, g2: GradedDecomposition,
-           name: str = "") -> GradedDecomposition:
-    """Common refinement by pairwise intersections, over the product group.
-
-    Raises ValueError when the intersections fail to span (the gradings are
-    then incompatible).
-    """
-    if g1.table is not g2.table:
-        raise ValueError("gradings live on different algebras")
-    table = g1.table
-    n = table.dim
-    group = g1.group.product(g2.group)
-    comps = []
-    for d1, s1 in g1.components:
-        for d2, s2 in g2.components:
-            inter = subspace_intersection(s1, s2, n)
-            if inter.dim:
-                comps.append((group.pair(d1, d2), inter))
-    total = sum(s.dim for _, s in comps)
-    if total != n:
-        raise ValueError(
-            f"gradings are not compatible: intersections span {total} < {n}")
-    return GradedDecomposition(table, group, comps, name)
-
-
-def subspace_intersection(s1: Subspace, s2: Subspace, n: int) -> Subspace:
-    """From the kernel of (a_1 .. a_r | -b_1 .. -b_s): sum_j x_j a_j for
-    each kernel vector x."""
-    a, b = s1.basis, s2.basis
-    rows: dict = {}  # coordinate i -> {column j: entry}
-    for j, v in enumerate(a + [{i: -x for i, x in u.items()} for u in b]):
-        for i, x in v.items():
-            rows.setdefault(i, {})[j] = x
-    vecs = []
-    for k in kernel(list(rows.values()), len(a) + len(b)):
-        v: dict = {}
-        for j, c in k.items():
-            if j < len(a):
-                vec_add_scaled(v, a[j], c)
-        vecs.append(v)
-    return Subspace(n, vecs)
-
-
-def is_refinement(fine: GradedDecomposition, coarse: GradedDecomposition) -> bool:
-    """Every component of ``fine`` sits inside some component of ``coarse``."""
-    for _, sf in fine.components:
-        hit = False
-        for _, sc in coarse.components:
-            if all(sc.contains(v) for v in sf.basis):
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
-
-
-def induced_derivation_grading(gd: GradedDecomposition):
-    """The grading on Der(A) induced by a grading on A.
-
-    Requires the components of ``gd`` to be spanned by basis vectors of the
-    underlying table (true for all gradings used on the coefficient algebras
-    here).  Returns (derivations, GradedDecomposition on the Der table).
-    """
-    table = gd.table
-    degrees = [None] * table.dim
-    for d, sub in gd.components:
-        for v in sub.basis:
-            for i in v:
-                if degrees[i] is not None and degrees[i] != d:
-                    raise ValueError("components are not spanned by basis vectors")
-                degrees[i] = d
-    if any(d is None for d in degrees):
-        raise ValueError("degree map does not cover the basis")
-    ders = derivations(table, degrees, gd.group)
-    der_gd = GradedDecomposition.from_degree_map(
-        ders.table, gd.group, ders.blocks, name=f"Der({gd.name})")
-    return ders, der_gd
 
 
 def interval_check(gd: GradedDecomposition, sig: int) -> dict:

@@ -1,4 +1,4 @@
-"""The Jordan algebras H3(C, gamma) and their gradings.
+"""The Jordan algebras H3(C, gamma), and the degrees that grade them.
 
 H3(C, gamma) is the set of 3x3 matrices x over a composition algebra C with
 gamma conj(x)^t gamma^{-1} = x, under the symmetrized product
@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import composition
-from .abgroup import FgAbelianGroup
-from .gradings import GradedDecomposition, refine
-from .linalg import commutator, kernel, mat_mul, simultaneous_eigensplit
+from .linalg import commutator, kernel, mat_mul
 from .scalar import Cyc, OMEGA
-from .structalg import AlgebraTable, RealForm, leibniz_residual, vec_add_scaled
+from .structalg import AlgebraTable, RealForm, vec_add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +49,13 @@ class Coeff:
         return {p: self.conj_sign[p] * x for p, x in v.items()}
 
 
-def coeff_octonions(split: bool = False) -> Coeff:
-    table = composition.octonion_table(split)
+def coeff_octonions() -> Coeff:
+    table = composition.octonion_table()
 
     def mul(i, j):
         return table.prod[i][j]
 
-    return Coeff("Os" if split else "O", 8, mul,
+    return Coeff("O", 8, mul,
                  [Fraction(1)] + [Fraction(-1)] * 7, {0: Fraction(1)})
 
 
@@ -217,8 +215,7 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
     table = AlgebraTable(dim, names, prod)
     trace = {i: Fraction(1) for i in range(3)}
     unit = {i: Fraction(1) for i in range(3)}
-    meta = {"gamma": gamma, "coeff": coeff,
-            "diag_idx": [0, 1, 2],
+    meta = {"coeff": coeff,
             "iota_idx": {(i, b): 3 + (i - 1) * nc + b
                          for i in (1, 2, 3) for b in range(nc)}}
     return JordanH3(table, trace, unit, kind, meta)
@@ -286,7 +283,7 @@ def _mat3_plus() -> AlgebraTable:
     return AlgebraTable.build(9, names, mul)
 
 
-def build_pauli_m() -> JordanH3:
+def build_m() -> JordanH3:
     """M as the rational span of its homogeneous units inside Mat3(C)+."""
     units = _pauli_matrices()
     degs = sorted(units)
@@ -308,34 +305,16 @@ def build_pauli_m() -> JordanH3:
 # named algebras
 # ---------------------------------------------------------------------------
 
-def build_h3(coeff: str, gamma: str) -> JordanH3:
-    """One of the named pairs: (O, g1), (O, g2), (C, g3), (R+R, g1)."""
-    key = (coeff, gamma)
-    if key == ("O", "g1"):
-        return build_h3_diag(coeff_octonions(), (1, 1, 1), "Jc")
-    if key == ("O", "g2"):
-        return build_h3_diag(coeff_octonions(), (1, -1, 1), "J")
-    if key == ("C", "g3"):
-        return build_pauli_m()
-    if key == ("R+R", "g1"):
-        return build_h3_diag(coeff_rr(), (1, 1, 1), "Ms")
-    raise ValueError(f"unsupported (coefficient, gamma) pair: {key}")
-
-
 def build_j() -> JordanH3:
-    return build_h3("O", "g2")
+    return build_h3_diag(coeff_octonions(), (1, -1, 1), "J")
 
 
 def build_jc() -> JordanH3:
-    return build_h3("O", "g1")
-
-
-def build_m() -> JordanH3:
-    return build_h3("C", "g3")
+    return build_h3_diag(coeff_octonions(), (1, 1, 1), "Jc")
 
 
 def build_ms() -> JordanH3:
-    return build_h3("R+R", "g1")
+    return build_h3_diag(coeff_rr(), (1, 1, 1), "Ms")
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +327,7 @@ PEIRCE_DEG = {1: (0, 1), 2: (1, 0), 3: (1, 1)}
 def octonion_z2_degrees(j: JordanH3) -> list[tuple]:
     """Z2^5 degree of each basis vector of an H3(O, diag) algebra:
     three octonion-grading bits plus two off-diagonal-slot bits."""
-    if j.meta["coeff"].name not in ("O", "Os"):
+    if j.meta["coeff"].name != "O":
         raise ValueError("octonion grading requires an octonion algebra")
     degs = []
     odeg = composition.octonion_degrees()
@@ -360,21 +339,6 @@ def octonion_z2_degrees(j: JordanH3) -> list[tuple]:
     return degs
 
 
-def jordan_octonion_grading(j: JordanH3) -> GradedDecomposition:
-    """The Z2^5 grading refining the octonion Z2^3 grading with the
-    off-diagonal-slot Z2^2 grading."""
-    group = FgAbelianGroup(0, (2, 2, 2, 2, 2))
-    return GradedDecomposition.from_degree_map(
-        j.table, group, octonion_z2_degrees(j), name=f"Z2^5 on {j.kind}")
-
-
-def jordan_coarse_z23_grading(j: JordanH3) -> GradedDecomposition:
-    group = FgAbelianGroup(0, (2, 2, 2))
-    degs = [d[:3] for d in octonion_z2_degrees(j)]
-    return GradedDecomposition.from_degree_map(
-        j.table, group, degs, name=f"Z2^3 on {j.kind}")
-
-
 def z_grading_derivation(j: JordanH3) -> list[dict]:
     """The derivation 4 [R_{iota1(1)}, R_{E22}] of H3(O, diag(1,-1,1)), as
     sparse columns."""
@@ -382,32 +346,3 @@ def z_grading_derivation(j: JordanH3) -> list[dict]:
     ry = j.r_operator({1: Fraction(1)})
     return [{k: 4 * v for k, v in col.items()}
             for col in commutator(rx, ry)]
-
-
-def jordan_z_grading(j: JordanH3) -> GradedDecomposition:
-    """Eigenspace Z-grading of J by 4 [R_{iota1(1)}, R_{E22}]."""
-    if j.kind != "J":
-        raise ValueError("the Z-grading is built on H3(O, diag(1,-1,1))")
-    d = z_grading_derivation(j)
-    if not leibniz_residual(j.table, d):
-        raise AssertionError("grading operator is not a derivation")
-    eig = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    spaces = simultaneous_eigensplit([d], [eig], j.dim)
-    group = FgAbelianGroup(1)
-    comps = [((int(tag[0]),), vecs) for tag, vecs in spaces]
-    return GradedDecomposition(j.table, group, comps, name="Z on J")
-
-
-def jordan_z_x_z23_grading(j: JordanH3) -> GradedDecomposition:
-    """The Z x Z2^3 grading: Z-grading refined by the octonion Z2^3."""
-    return refine(jordan_z_grading(j), jordan_coarse_z23_grading(j),
-                  name="Z x Z2^3 on J")
-
-
-def pauli_grading(m: JordanH3) -> GradedDecomposition:
-    """The Z3^2 grading of M with nine one-dimensional components."""
-    if m.kind != "M":
-        raise ValueError("the Pauli grading lives on M")
-    group = FgAbelianGroup(0, (3, 3))
-    return GradedDecomposition.from_degree_map(
-        m.table, group, m.meta["degrees"], name="Z3^2 on M")

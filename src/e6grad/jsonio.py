@@ -111,7 +111,13 @@ def table_from_json(d) -> AlgebraTable:
 
 
 def grading_to_json(gd: GradedDecomposition) -> dict:
-    group = {"rank": gd.group.rank, "torsion": list(gd.group.torsion)}
+    """Raises ValueError unless the group's free coordinates come first,
+    the layout that its rank and torsion are read back in."""
+    g = gd.group
+    if g._mods != (0,) * g.rank + g.torsion:
+        raise ValueError(f"group coordinate moduli {g._mods} do not put the "
+                         "free coordinates first")
+    group = {"rank": g.rank, "torsion": list(g.torsion)}
     comps = []
     for deg, sub in gd.components:
         comps.append({

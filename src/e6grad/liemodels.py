@@ -23,7 +23,7 @@ from itertools import combinations
 
 from . import composition, jordan, rootsys
 from .abgroup import FgAbelianGroup
-from .linalg import apply, commutator, kernel, mat_mul, rank, rref, signature
+from .linalg import apply, commutator, kernel, mat_mul, rank, signature
 from .scalar import Cyc, I as CYC_I
 from .structalg import (AlgebraTable, RealForm, derivations, killing_form,
                         vec_add_scaled)
@@ -117,7 +117,6 @@ def build_albert() -> Model:
         "jordan": j,
         "derivations": ders,
         "j0_vectors": j0_vecs,
-        "j0_degrees": j0_degrees,
         "parity": parity,
         "z26_degrees": z26_degrees,
     }
@@ -265,14 +264,12 @@ def build_tits(split: bool = False) -> Model:
         z2z3_degrees.append((0, 0, 0) + tuple(ders_m.blocks[t]))
 
     meta = {
-        "octonions": o_table,
         "ders_o": ders_o,
         "jordan_m": m,
         "ders_m": ders_m,
         "tensor": tensor,
         "m0_idx": m0_idx,
         "degrees": z2z3_degrees,
-        "split": split,
     }
     prov = {
         "model": "tits",
@@ -287,10 +284,8 @@ def build_tits(split: bool = False) -> Model:
 # Chevalley model
 # ---------------------------------------------------------------------------
 
-def build_chevalley_form(signs=(-1, 1, 1, 1, 1, 1),
-                         chev: rootsys.ChevalleyE6 | None = None) -> Model:
-    if chev is None:
-        chev = rootsys.ChevalleyE6()
+def build_chevalley_form(signs=(-1, 1, 1, 1, 1, 1)) -> Model:
+    chev = rootsys.ChevalleyE6()
     rf = rootsys.ChevalleyRealForm(chev, signs)
     meta = {"chev": chev, "real_form": rf, "signs": tuple(signs)}
     prov = {
@@ -724,33 +719,12 @@ def flag_conjugation_matrix() -> list[dict]:
     return m
 
 
-def _flag_plus_eigenspace() -> list[dict]:
+def flag_plus_eigenspace() -> list[dict]:
     """A basis of ker(Theta - id) on the realified wedge^3 V."""
     rows = flag_conjugation_matrix()
     for i, row in enumerate(rows):
         row[i] = row.get(i, 0) - 1
     return kernel(rows, len(rows))
-
-
-def flag_plus_eigenspace_dim() -> int:
-    """Dimension of ker(Theta - id) on the realified wedge^3 V."""
-    return len(_flag_plus_eigenspace())
-
-
-def flag_eigenspace_matches_basis(model: Model) -> bool:
-    """The declared u_T, v_T vectors span exactly ker(Theta - id)."""
-    rf = model.meta["real_form"]
-    vecs = []
-    half = len(TRIPLES)
-    for t in rf.t_with0:
-        tc, gs = _complement_sign(t)
-        vecs.append({TRIPLE_IDX[t]: Fraction(1),
-                     TRIPLE_IDX[tc]: Fraction(-gs)})
-        vecs.append({half + TRIPLE_IDX[t]: Fraction(1),
-                     half + TRIPLE_IDX[tc]: Fraction(gs)})
-    red1, piv1 = rref(_flag_plus_eigenspace())
-    red2, piv2 = rref(vecs)
-    return len(piv1) == len(piv2) == 20 and red1 == red2
 
 
 def flag_e_element_index(model: Model) -> int:

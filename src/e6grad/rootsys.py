@@ -57,10 +57,8 @@ def build_e6_roots() -> list[tuple[int, ...]]:
     return sorted(roots)
 
 
-def positive_roots(roots=None) -> list[tuple[int, ...]]:
+def positive_roots(roots) -> list[tuple[int, ...]]:
     """Positive roots sorted by height then lexicographically."""
-    if roots is None:
-        roots = build_e6_roots()
     pos = [r for r in roots if all(x >= 0 for x in r)]
     return sorted(pos, key=lambda r: (sum(r), r))
 
@@ -166,28 +164,6 @@ class ChevalleyE6:
         c = ca * cb * eps(a, b) * sign
         return {idx: Fraction(c)}
 
-    # -- structure data --------------------------------------------------------
-
-    def n_constant(self, a, b) -> Fraction:
-        """N_{a,b} with the convention e_{-a} = f_a, for roots a, b, a+b."""
-        ia, sa = self.x_idx_paper(a)
-        ib, sb = self.x_idx_paper(b)
-        s = tuple(x + y for x, y in zip(a, b))
-        isum, ssum = self.x_idx_paper(s)
-        w = self.table.prod[ia][ib]
-        c = w.get(isum, Fraction(0))
-        return Fraction(sa * sb * ssum) * c
-
-    def x_idx_paper(self, r) -> tuple[int, int]:
-        """Index and sign of the paper-convention root vector x_r.
-
-        x_r = e_r for positive r and x_{-r} = f_r, i.e. without the sign
-        twist used internally for E_{-r}.
-        """
-        if all(x >= 0 for x in r):
-            return self.e_idx(r), 1
-        return self.f_idx(tuple(-x for x in r)), 1
-
 
 def z_grading_from_weights(chev: ChevalleyE6, weights) -> GradedDecomposition:
     """The Z-grading with deg e_a = sum k_i l_i for a = sum k_i alpha_i."""
@@ -210,6 +186,16 @@ def z_grading_from_weights(chev: ChevalleyE6, weights) -> GradedDecomposition:
 # automorphisms
 # ---------------------------------------------------------------------------
 
+def _character(r, signs) -> int:
+    """The value prod s_i^{k_i} (+-1) of the torus element with signs s_i
+    on the root r = sum k_i alpha_i."""
+    chi = 1
+    for k, s in zip(r, signs):
+        if s < 0 and k % 2:
+            chi = -chi
+    return chi
+
+
 def torus_auto(chev: ChevalleyE6, signs) -> list[dict]:
     """The order-2 torus element acting by prod s_i^{k_i} on root spaces,
     as sparse columns."""
@@ -217,10 +203,7 @@ def torus_auto(chev: ChevalleyE6, signs) -> list[dict]:
         raise ValueError("signs must be +-1")
     cols = [{t: Fraction(1)} for t in range(chev.dim)]
     for r in chev.pos:
-        chi = 1
-        for k, s in zip(r, signs):
-            if s < 0 and k % 2:
-                chi = -chi
+        chi = _character(r, signs)
         for t in (chev.e_idx(r), chev.f_idx(r)):
             cols[t] = {t: Fraction(chi)}
     return cols
@@ -263,15 +246,7 @@ def is_table_automorphism(table: AlgebraTable, cols: list[dict]) -> bool:
 
 def fix_dimension(chev: ChevalleyE6, signs) -> int:
     """dim fix(t) on the complex algebra = 6 + #{roots with character 1}."""
-    count = 0
-    for r in chev.roots:
-        chi = 1
-        for k, s in zip(r, signs):
-            if s < 0 and k % 2:
-                chi = -chi
-        if chi == 1:
-            count += 1
-    return 6 + count
+    return 6 + sum(1 for r in chev.roots if _character(r, signs) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +278,8 @@ class ChevalleyRealForm(RealForm):
     def __init__(self, chev: ChevalleyE6, signs):
         self.chev = chev
         self.signs = tuple(signs)
-        self.compact_root = {}
-        for r in chev.pos:
-            chi = 1
-            for k, s in zip(r, self.signs):
-                if s < 0 and k % 2:
-                    chi = -chi
-            self.compact_root[r] = (chi == 1)
+        self.compact_root = {r: _character(r, self.signs) == 1
+                             for r in chev.pos}
         names = [f"ih'{j+1}" for j in range(6)]
         for r in chev.pos:
             tag = ",".join(map(str, r))

@@ -210,9 +210,9 @@ def criterion_5_twist(ws: Workspace) -> list[Check]:
     k = alb.killing()
     even = [{i: x for i, x in col.items() if i < 52} for col in k[:52]]
     s_even = _sig(even)
-    tw = twist_z2(alb.table, alb.meta["parity"], -1)
-    out.append(_reported("twist: twisted table is Lie", tw.check_lie()))
-    s_tw = _sig(killing_form(tw))
+    plus = ws.model("albert_plus")  # the Z2-twist of albert
+    out.append(_reported("twist: twisted table is Lie", plus.table.check_lie()))
+    s_tw = plus.killing_signature()
     s = alb.killing_signature()
     ok = s + s_tw == 2 * s_even and (s, s_tw, s_even) == (-14, -26, -20)
     out.append(Check("twist: sign(L) + sign(L^-1) = 2 sign(L_even)", ok,
@@ -315,7 +315,7 @@ def criterion_10_flag(ws: Workspace) -> list[Check]:
     rf = flag.meta["real_form"]
     l2 = [t for t, d in enumerate(rf.z_degrees) if d == 2]
     out.append(Check("flag: dim L_2", len(l2) == 1, len(l2), 1))
-    dim_eig = liemodels.flag_plus_eigenspace_dim()
+    dim_eig = len(liemodels.flag_plus_eigenspace())
     out.append(Check("flag: +1 eigenspace of the twisted conjugation has dim 20",
                      dim_eig == 20, dim_eig, 20))
     th = liemodels.flag_theta_matrix(flag)
@@ -381,10 +381,9 @@ CRITERIA = [
 ]
 
 
-def run_all(ws: Workspace | None = None, include_sp8: bool = False,
+def run_all(ws: Workspace, include_sp8: bool = False,
             include_twist: bool = False,
             include_split_octonions: bool = False) -> dict:
-    ws = ws or Workspace()
     groups = []
     for name, fn in CRITERIA:
         if name == "11 sp8" and not include_sp8:

@@ -44,7 +44,9 @@ def test_killing_signature_composes_on_a_model_and_its_permutation(tits):
 def test_work_counters_read_the_traced_arguments():
     workloads, spans = _load("workloads"), _load("spans")
     tracer = spans.Tracer("test")
-    gd = composition.octonion_grading()
+    gd = gradings.GradedDecomposition.from_degree_map(
+        composition.octonion_table(), FgAbelianGroup(0, (2, 2, 2)),
+        composition.octonion_degrees())
     with tracer.installed(workloads.TRACE_TARGETS):
         assert gradings.check_grading(gd).ok
         group = gradings.universal_group(gd)

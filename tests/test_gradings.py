@@ -8,11 +8,29 @@ from e6grad import jordan as jo
 from e6grad import linalg as la
 from e6grad.abgroup import FgAbelianGroup, presented_group
 from e6grad.scalar import I, Cyc
-from e6grad.structalg import AlgebraTable, CheckReport
+from e6grad.structalg import AlgebraTable, CheckReport, derivations
+from oracles import is_refinement, jordan_z_grading, refine
 
 
 def unit_vecs(n, idxs):
     return [{i: Fraction(1)} for i in idxs]
+
+
+def octonion_grading(split=False):
+    return gr.GradedDecomposition.from_degree_map(
+        co.octonion_table(split), FgAbelianGroup(0, (2, 2, 2)),
+        co.octonion_degrees())
+
+
+def pauli_grading(m):
+    return gr.GradedDecomposition.from_degree_map(
+        m.table, FgAbelianGroup(0, (3, 3)), m.meta["degrees"])
+
+
+def jordan_octonion_grading(j, ncoords=5):  # Z2^5, or Z2^3 with ncoords=3
+    return gr.GradedDecomposition.from_degree_map(
+        j.table, FgAbelianGroup(0, (2,) * ncoords),
+        [d[:ncoords] for d in jo.octonion_z2_degrees(j)])
 
 
 def test_trivial_grading_passes():
@@ -51,18 +69,18 @@ def test_duplicate_degree_rejected():
 
 def test_refine_with_trivial_returns_same_components():
     m = jo.build_m()
-    gp = jo.pauli_grading(m)
+    gp = pauli_grading(m)
     triv = gr.GradedDecomposition(m.table, FgAbelianGroup(0, (2,)),
                                   [((0,), unit_vecs(9, range(9)))])
-    ref = gr.refine(gp, triv)
+    ref = refine(gp, triv)
     assert sorted(s.dim for _, s in ref.components) == \
         sorted(s.dim for _, s in gp.components)
-    assert gr.is_refinement(ref, gp) and gr.is_refinement(ref, triv)
+    assert is_refinement(ref, gp) and is_refinement(ref, triv)
 
 
 def test_refine_z25_on_j():
     j = jo.build_j()
-    g3 = jo.jordan_coarse_z23_grading(j)
+    g3 = jordan_octonion_grading(j, 3)
     # the slot Z2^2 grading: diagonal neutral, iota_i in three classes
     degs = [(0, 0)] * 3
     for i in (1, 2, 3):
@@ -70,25 +88,25 @@ def test_refine_z25_on_j():
     g2 = gr.GradedDecomposition.from_degree_map(
         j.table, FgAbelianGroup(0, (2, 2)), degs)
     assert gr.check_grading(g2).ok
-    ref = gr.refine(g3, g2)
+    ref = refine(g3, g2)
     assert gr.check_grading(ref).ok
     assert sorted(s.dim for _, s in ref.components) == [1] * 24 + [3]
-    g5 = jo.jordan_octonion_grading(j)
+    g5 = jordan_octonion_grading(j)
     assert sorted(s.dim for _, s in g5.components) == \
         sorted(s.dim for _, s in ref.components)
 
 
 def test_universal_group_examples():
     m = jo.build_m()
-    gp = jo.pauli_grading(m)
+    gp = pauli_grading(m)
     assert gr.universal_group(gp).is_isomorphic_to(FgAbelianGroup(0, (3, 3)))
-    o = co.octonion_grading()
+    o = octonion_grading()
     assert gr.universal_group(o).is_isomorphic_to(FgAbelianGroup(0, (2, 2, 2)))
 
 
 def test_universal_group_invariant_under_relabeling():
     m = jo.build_m()
-    gp = jo.pauli_grading(m)
+    gp = pauli_grading(m)
     # relabel the support by the automorphism (a, b) -> (b, a + b) of Z3^2
     group = FgAbelianGroup(0, (3, 3))
     relabeled = gr.GradedDecomposition(
@@ -116,7 +134,7 @@ def test_root_decomposition_universal_group_is_free(chevalley):
 def test_support_generates(ws):
     g13 = ws.grading("gamma13")
     assert gr.support_generates(g13)
-    o = co.octonion_grading()
+    o = octonion_grading()
     assert gr.support_generates(o)
     # the same support with a fourth coordinate 0 spans only Z2^3 in Z2^4
     padded = gr.GradedDecomposition(
@@ -155,7 +173,7 @@ def test_product_group_arithmetic_in_both_layouts():
     assert tz.ncoords == 2 and tz.zero() == (0, 0)
     assert tz.reduce((3, -5)) == (1, -5)
     assert tz.add((1, 4), (1, -7)) == (0, -3)
-    assert tz.neg((1, 4)) == (1, -4)
+    assert tz.sub(tz.zero(), (1, 4)) == (1, -4)
     assert tz.sub((0, 1), (1, 3)) == (1, -2)
     assert tz.pair((1,), (2,)) == (1, 2)
     zt = z.product(z2)
@@ -163,15 +181,16 @@ def test_product_group_arithmetic_in_both_layouts():
     nested = tz.product(z3).product(zt)  # Z2 x Z x Z3 x Z x Z2
     assert nested.ncoords == 5
     assert nested.add((1, 2, 2, 3, 1), (1, 2, 2, 3, 0)) == (0, 4, 1, 6, 1)
-    assert nested.neg((1, 2, 2, 3, 1)) == (1, -2, 1, -3, 1)
+    assert nested.sub(nested.zero(), (1, 2, 2, 3, 1)) == (1, -2, 1, -3, 1)
     assert nested.is_isomorphic_to(FgAbelianGroup(2, (2, 2, 3)))
     with pytest.raises(ValueError):
         tz.reduce((1, 2, 3))
 
 
 def test_induced_derivation_grading_octonions():
-    gd = co.octonion_grading()
-    ders, dgd = gr.induced_derivation_grading(gd)
+    z23 = FgAbelianGroup(0, (2, 2, 2))
+    ders = derivations(co.octonion_table(), co.octonion_degrees(), z23)
+    dgd = gr.GradedDecomposition.from_degree_map(ders.table, z23, ders.blocks)
     assert ders.dim == 14
     dims = {d: s.dim for d, s in dgd.components}
     assert (0, 0, 0) not in dims
@@ -180,11 +199,9 @@ def test_induced_derivation_grading_octonions():
 
 
 def test_induced_derivation_grading_trivial():
-    t = co.octonion_table()
-    gd = gr.GradedDecomposition(
-        t, FgAbelianGroup(0, (2,)),
-        [((0,), unit_vecs(8, range(8)))])
-    ders, dgd = gr.induced_derivation_grading(gd)
+    z2 = FgAbelianGroup(0, (2,))
+    ders = derivations(co.octonion_table(), [(0,)] * 8, z2)
+    dgd = gr.GradedDecomposition.from_degree_map(ders.table, z2, ders.blocks)
     assert ders.dim == 14
     assert len(dgd.components) == 1
 
@@ -303,7 +320,7 @@ def test_gamma12_buckets_match_the_refinement(ws, flag):
         flag.table, FgAbelianGroup(0, (2,) * 5),
         [(tuple(0 if lam == 1 else 1 for lam in t), vecs)
          for t, vecs in spaces])
-    want = gr.refine(z, z25)
+    want = refine(z, z25)
     got = ws.grading("gamma12")
     assert (got.group.rank, got.group.torsion) == \
         (want.group.rank, want.group.torsion)
@@ -420,27 +437,31 @@ def _test_gradings(ws):
     """Every grading the tests build, by name."""
     from e6grad import rootsys as rs
     m, j = jo.build_m(), jo.build_j()
-    gp = jo.pauli_grading(m)
+    gp = pauli_grading(m)
     slot = [(0, 0)] * 3
     for i in (1, 2, 3):
         slot += [jo.PEIRCE_DEG[i]] * 8
     g2 = gr.GradedDecomposition.from_degree_map(
         j.table, FgAbelianGroup(0, (2, 2)), slot)
     chev = ws.model("chevalley").meta["chev"]
+    z23 = FgAbelianGroup(0, (2, 2, 2))
+    der_o = derivations(co.octonion_table(), co.octonion_degrees(), z23)
     out = {name: ws.grading(name) for name in gr.NAMED_GRADINGS}
     out.update({
-        "octonions Z2^3": co.octonion_grading(),
-        "split octonions Z2^3": co.octonion_grading(split=True),
-        "Der(O)": gr.induced_derivation_grading(co.octonion_grading())[1],
+        "octonions Z2^3": octonion_grading(),
+        "split octonions Z2^3": octonion_grading(split=True),
+        "Der(O)": gr.GradedDecomposition.from_degree_map(
+            der_o.table, z23, der_o.blocks),
         "Pauli on M": gp,
         "Pauli on M relabeled": gr.GradedDecomposition(
             m.table, FgAbelianGroup(0, (3, 3)),
             [((d[1] % 3, (d[0] + d[1]) % 3), sub)
              for d, sub in gp.components]),
-        "Z2^5 on J": jo.jordan_octonion_grading(j),
-        "Z2^3 on J": jo.jordan_coarse_z23_grading(j),
-        "Z on J": jo.jordan_z_grading(j),
-        "Z x Z2^3 on J": jo.jordan_z_x_z23_grading(j),
+        "Z2^5 on J": jordan_octonion_grading(j),
+        "Z2^3 on J": jordan_octonion_grading(j, 3),
+        "Z on J": jordan_z_grading(j),
+        "Z x Z2^3 on J": refine(jordan_z_grading(j),
+                                jordan_octonion_grading(j, 3)),
         "slot Z2^2 on J": g2,
         "root grading Z^6": gr.GradedDecomposition.from_degree_map(
             chev.table, FgAbelianGroup(6),

@@ -11,6 +11,7 @@ from e6grad.abgroup import FgAbelianGroup
 from e6grad.gradings import GradedDecomposition
 from e6grad.scalar import Cyc, SQRT3
 from e6grad.structalg import AlgebraTable
+from oracles import jordan_z_grading
 
 
 def test_scalar_round_trip():
@@ -44,11 +45,26 @@ def assert_same_grading(back, gd):
 def test_grading_round_trip():
     m = jo.build_m()
     j = jo.build_j()
-    gz = jo.jordan_z_grading(j)  # eigenvectors with several nonzero entries
+    gz = jordan_z_grading(j)  # eigenvectors with several nonzero entries
     assert any(len(v) > 1 for _, s in gz.components for v in s.basis)
-    for gd, table in ((jo.pauli_grading(m), m.table), (gz, j.table)):
+    pauli = GradedDecomposition.from_degree_map(
+        m.table, FgAbelianGroup(0, (3, 3)), m.meta["degrees"])
+    for gd, table in ((pauli, m.table), (gz, j.table)):
         back = jsonio.grading_from_json(jsonio.grading_to_json(gd), table)
         assert_same_grading(back, gd)
+
+
+def test_grading_to_json_rejects_torsion_before_free():
+    # rank and torsion read back free coordinates first: Z2 x Z would not
+    t = AlgebraTable(2, ["b0", "b1"], [[{}, {}], [{}, {}]])
+    tz = FgAbelianGroup(0, (2,)).product(FgAbelianGroup(1))
+    gd = GradedDecomposition.from_degree_map(t, tz, [(0, 5), (1, 3)])
+    with pytest.raises(ValueError, match="do not put the free coordinates first"):
+        jsonio.grading_to_json(gd)
+    zt = FgAbelianGroup(1).product(FgAbelianGroup(0, (2,)))
+    gd = GradedDecomposition.from_degree_map(t, zt, [(5, 0), (3, 1)])
+    back = jsonio.grading_from_json(jsonio.grading_to_json(gd), t)
+    assert back.support == gd.support == [(3, 1), (5, 0)]
 
 
 def test_dump_deterministic(tmp_path):
@@ -189,7 +205,9 @@ def test_table_rejects_a_bad_dim(dim):
 
 
 def _octonion_grading_json():
-    return jsonio.grading_to_json(co.octonion_grading())
+    return jsonio.grading_to_json(GradedDecomposition.from_degree_map(
+        co.octonion_table(), FgAbelianGroup(0, (2, 2, 2)),
+        co.octonion_degrees()))
 
 
 def test_grading_rejects_basis_vector_length():

@@ -10,7 +10,8 @@ from e6grad import linalg as la
 from e6grad import rootsys as rs
 from e6grad import structalg as sa
 from e6grad.scalar import I as CYC_I
-from e6grad.scalar import is_zero
+from e6grad.scalar import Cyc, is_zero
+from oracles import flag_eigenspace_matches_basis, killing_ad_invariance
 
 
 def sig(form):
@@ -60,7 +61,9 @@ def test_albert_model(albert):
     assert albert.dim == 78
     assert albert.table.check_lie().ok
     assert albert.killing_signature() == -14
-    assert albert.table.is_real_table()
+    assert all(not isinstance(c, Cyc) or c.is_real()
+               for row in albert.table.prod for cell in row
+               for c in cell.values())
     # even part is Der(J): 52-dim, restriction has signature -20
     k = dense(albert.killing())
     even = restrict(albert.killing(), range(52))
@@ -137,7 +140,7 @@ def test_tits_model(tits):
 
 
 def test_tits_killing_invariance(tits):
-    assert sa.killing_ad_invariance(tits.table, tits.killing()).ok
+    assert killing_ad_invariance(tits.table, tits.killing()).ok
 
 
 def test_chevalley_model(chevalley):
@@ -227,8 +230,8 @@ def test_flag_complex_products_have_no_zero_entries(flag):
 
 
 def test_flag_eigenspace(flag):
-    assert lm.flag_plus_eigenspace_dim() == 20
-    assert lm.flag_eigenspace_matches_basis(flag)
+    assert len(lm.flag_plus_eigenspace()) == 20
+    assert flag_eigenspace_matches_basis(flag)
 
 
 def test_flag_ad_e(flag):

