@@ -8,7 +8,7 @@ type vectors, universal grading groups and the supporting computations of
 the exclusion arguments.
 """
 
-from .scalar import Cyc, I, OMEGA, SQRT3, ZETA
+from .scalar import Cyc, I, OMEGA, ZETA
 from .abgroup import FgAbelianGroup
 from .structalg import AlgebraTable, Subspace, derivations, killing_form
 from .gradings import (GradedDecomposition, build_named_grading,
@@ -18,7 +18,7 @@ from .liemodels import (Model, build_albert, build_chevalley_form,
                         build_flag, build_tits, corollary_basis_report)
 
 __all__ = [
-    "Cyc", "I", "OMEGA", "SQRT3", "ZETA", "FgAbelianGroup",
+    "Cyc", "I", "OMEGA", "ZETA", "FgAbelianGroup",
     "AlgebraTable", "Subspace", "derivations", "killing_form",
     "GradedDecomposition", "build_named_grading", "check_grading",
     "interval_check", "type_vector", "universal_group",

@@ -2,12 +2,14 @@
 
 Elements are integer tuples of length r + k, free coordinates first (a
 product group concatenates its factors' tuples instead); torsion coordinates
-are kept reduced mod m_i.  The moduli need not form a
-divisibility chain: groups used for degree bookkeeping (e.g. Z2^3 x Z3^2)
-keep their natural coordinates.  ``canonical()`` maps to the invariant-factor
-form, so isomorphism testing is equality of canonical forms.  Every
-structural question goes through ``presented_group``, which reads a group off
-the invariant factors of its relation matrix.
+are kept reduced mod m_i.  Two groups are equal when their coordinate
+moduli agree in order, so equal groups share their element layout.  The
+moduli need not form a divisibility chain: groups used for degree
+bookkeeping (e.g. Z2^3 x Z3^2) keep their natural coordinates.
+``canonical()`` maps to the invariant-factor form, so isomorphism testing
+is equality of canonical forms.  Every structural question goes through
+``presented_group``, which reads a group off the invariant factors of its
+relation matrix.
 """
 
 from __future__ import annotations
@@ -50,9 +52,18 @@ class FgAbelianGroup:
 
     # -- structure ------------------------------------------------------------
 
-    def product(self, other: "FgAbelianGroup") -> "_Product":
-        """Coordinate product; element tuples are (self coords, other coords)."""
-        return _Product(self, other)
+    def product(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
+        """Coordinate product; element tuples are (self coords, other coords),
+        so its coordinate moduli are the factors' moduli in that order."""
+        out = FgAbelianGroup(self.rank + other.rank,
+                             self.torsion + other.torsion)
+        out._mods = self._mods + other._mods
+        return out
+
+    @staticmethod
+    def pair(a, b) -> tuple[int, ...]:
+        """The element of a product group with factor elements a and b."""
+        return tuple(a) + tuple(b)
 
     def canonical(self) -> "FgAbelianGroup":
         """Isomorphic group with torsion in invariant-factor form."""
@@ -80,27 +91,13 @@ class FgAbelianGroup:
         return " x ".join(parts) if parts else "0"
 
     def __eq__(self, other):
-        return (isinstance(other, FgAbelianGroup)
-                and self.rank == other.rank and self.torsion == other.torsion)
+        return isinstance(other, FgAbelianGroup) and self._mods == other._mods
 
     def __hash__(self):
-        return hash((self.rank, self.torsion))
+        return hash(self._mods)
 
     def __repr__(self):
         return f"FgAbelianGroup(rank={self.rank}, torsion={self.torsion})"
-
-
-class _Product(FgAbelianGroup):
-    """Product group whose element tuples concatenate the factors' tuples,
-    so its coordinate moduli are the factors' moduli in that order."""
-
-    def __init__(self, left: FgAbelianGroup, right: FgAbelianGroup):
-        self.left, self.right = left, right
-        super().__init__(left.rank + right.rank, left.torsion + right.torsion)
-        self._mods = left._mods + right._mods
-
-    def pair(self, a, b):
-        return tuple(a) + tuple(b)
 
 
 def presented_group(n_generators: int, relations: list[dict],

@@ -1,6 +1,8 @@
 """Command-line front end: build models, build gradings, batch verify.
 
-    e6grad build {albert,tits,flag,chevalley} [--epsilon +-1] [--out PATH]
+    e6grad build albert [--epsilon +-1] [--out PATH]
+    e6grad build tits [--split-octonions] [--out PATH]
+    e6grad build {flag,chevalley} [--out PATH]
     e6grad grade MODEL GRADING [--out PATH]
     e6grad verify-all [--json] [--out PATH] [--include-sp8]
                       [--include-twist] [--include-split-octonions]
@@ -28,9 +30,19 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _misplaced(option: str, owner: str, model: str) -> int:
+    print(f"error: {option} applies to the {owner} model, not {model}",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_build(args) -> int:
     # name: the Workspace model; key: the "model" field and default file name
     name = key = args.model
+    if args.epsilon is not None and name != "albert":
+        return _misplaced("--epsilon", "albert", name)
+    if args.split_octonions and name != "tits":
+        return _misplaced("--split-octonions", "tits", name)
     if name == "albert":
         key = f"albert_eps{'+1' if args.epsilon == 1 else '-1'}"
         if args.epsilon == 1:
@@ -134,10 +146,11 @@ def main(argv=None) -> int:
 
     b = sub.add_parser("build", help="build a model and write its table")
     b.add_argument("model", choices=MODELS)
-    b.add_argument("--epsilon", type=int, default=-1, choices=(-1, 1),
-                   help="sign of the odd-odd bracket in the Albert model")
+    b.add_argument("--epsilon", type=int, choices=(-1, 1),
+                   help="sign of the odd-odd bracket in the Albert model "
+                        "(albert only; default -1)")
     b.add_argument("--split-octonions", action="store_true",
-                   help="use split octonions in the Tits model")
+                   help="use split octonions in the Tits model (tits only)")
     b.add_argument("--out", help="output path (default MODEL.json)")
     b.set_defaults(fn=cmd_build)
 

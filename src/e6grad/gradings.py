@@ -38,7 +38,7 @@ from math import gcd, lcm
 
 from .abgroup import FgAbelianGroup, presented_group
 from .linalg import apply, kernel, mat_mul, rank, simultaneous_eigensplit
-from .scalar import Cyc, I as CYC_I, is_zero
+from .scalar import Cyc, I as CYC_I
 from .structalg import (AlgebraTable, CheckReport, Subspace, form_restrict,
                         int_scaled_vectors)
 
@@ -581,6 +581,6 @@ def killing_orthogonality_check(gd: GradedDecomposition,
                 for sa in sub_g.basis:
                     s = sum((x * w[i] for i, x in sa.items() if i in w),
                             Fraction(0))
-                    if not is_zero(s):
+                    if s:
                         return CheckReport("killing-orthogonality", False, (g, h))
     return CheckReport("killing-orthogonality", True)

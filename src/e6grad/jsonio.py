@@ -1,8 +1,9 @@
 """JSON serialization for scalars, algebra tables and gradings.
 
 Formats:
-  * scalar: four "p/q" strings in the power basis {1, z, z^2, z^3}
-    (rational values serialize the same way, with three "0/1" entries)
+  * scalar: four "p/q" strings, its coordinates in the power basis
+    {1, z, z^2, z^3} of Q(zeta_12); tables and gradings are rational, so
+    the last three strings must be zero and are written "0/1"
   * algebra table: {"dim": n, "basis_names": [...],
                     "entries": [[i, j, k, scalar], ...]}  (nonzero only)
   * grading: {"group": {"rank": r, "torsion": [...]},
@@ -21,13 +22,11 @@ from fractions import Fraction
 
 from .abgroup import FgAbelianGroup
 from .gradings import GradedDecomposition
-from .scalar import Cyc
 from .structalg import AlgebraTable
 
 
 def scalar_to_json(x) -> list[str]:
-    if isinstance(x, Cyc):
-        return x.to_strings()
+    """The four strings of a rational x (an int or a Fraction)."""
     return [f"{x.numerator}/{x.denominator}", "0/1", "0/1", "0/1"]
 
 
@@ -36,21 +35,18 @@ _RATIONAL_TAIL = ["0/1"] * 3
 
 
 def scalar_from_json(parts):
-    """The scalar of four "p/q" strings; raises ValueError on anything else.
-
-    Rational values come back as Fractions and the others as Cyc; the
-    common "p/q", "0/1", "0/1", "0/1" form is read without a Cyc."""
+    """The Fraction of four "p/q" strings whose last three are zero; raises
+    ValueError naming the scalar on anything else."""
     if type(parts) is not list or len(parts) != 4 or \
             not all(type(x) is str and _PQ.fullmatch(x) for x in parts):
         raise ValueError(f"scalar {parts!r}: expected a list of four "
                          "'p/q' strings")
-    if parts[1:] == _RATIONAL_TAIL:
-        p, _, q = parts[0].partition("/")
-        return Fraction(int(p), int(q))
-    c = Cyc.from_strings(parts)
-    if c.is_rational():
-        return c.as_fraction()
-    return c
+    if parts[1:] != _RATIONAL_TAIL and \
+            any(int(x.partition("/")[0]) for x in parts[1:]):
+        raise ValueError(f"scalar {parts!r}: a z, z^2 or z^3 coordinate is "
+                         "nonzero; tables and gradings are rational")
+    p, _, q = parts[0].partition("/")
+    return Fraction(int(p), int(q))
 
 
 def table_to_json(table: AlgebraTable) -> dict:

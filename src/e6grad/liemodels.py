@@ -626,7 +626,7 @@ class FlagRealForm(RealForm):
                 if p == q:
                     col = {6 * r + r: Cyc(third) for r in range(6)}
                     col[6 * p + p] = col[6 * p + p] - Cyc(1)
-                    cols.append({k: v for k, v in col.items() if not v.is_zero()})
+                    cols.append({k: v for k, v in col.items() if v})
                 else:
                     cols.append({6 * q + p: Cyc(-1)})
         for t in TRIPLES:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction / Q(zeta_12) scalars.
+"""Exact linear algebra over Fraction and Q(zeta_12) scalars.
 
 A vector is sparse: a dict from index to nonzero scalar.  A matrix is a list
 of sparse columns (column l is the image of basis vector l); this is the one
@@ -11,6 +11,12 @@ invariant factors of an integer matrix given by its sparse rows are read off
 by unit-pivot elimination before a small dense core is reduced.  The joint
 eigenspaces of commuting maps are split off by the images of their Lagrange
 projectors.
+
+Entries are Fractions or ints, except that elimination, inverses, products
+and the eigensplit also take ``Cyc`` entries, as the complex bases of the
+real forms and the 8 x 8 matrices of the sp8 lemma need.  A bilinear form
+is rational, so its signature compares pivots with 0; a Smith relation
+matrix is integer.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .scalar import Cyc, is_zero, sign_exact
+from .scalar import Cyc
 
 
 def apply(cols: list[dict], v: dict, shift=0) -> dict:
@@ -145,7 +151,7 @@ def signature(form: list[dict]) -> tuple[int, int, int]:
     diagonal entry is zero but some entry (i, j) is not, row and column j
     are first added into row and column i, which makes the diagonal entry
     at i equal to 2 form(b_i, b_j).  Inertia does not depend on the pivot
-    order (Sylvester's law).  Entries may be Fractions or real Cyc values.
+    order (Sylvester's law).  Entries are rational (ints or Fractions).
     """
     n = len(form)
     rows = [{i: x for i, x in col.items() if x} for col in form]
@@ -180,11 +186,11 @@ def signature(form: list[dict]) -> tuple[int, int, int]:
             piv = i
         prow = live.pop(piv)
         d = prow.pop(piv)
-        if sign_exact(d) > 0:
+        if d > 0:
             n_plus += 1
         else:
             n_minus += 1
-        dinv = d.inv() if isinstance(d, Cyc) else Fraction(1) / d
+        dinv = Fraction(1) / d
         for i, x in prow.items():
             row = live[i]
             del row[piv]
@@ -392,7 +398,7 @@ def simultaneous_eigensplit(ops: list[list[dict]], eigenvalues: list[list],
         if len(a) != dim or any(not 0 <= k < dim for c in a for k in c):
             raise EigensplitError("operator has wrong shape")
     for n, lams in enumerate(eigenvalues):
-        if any(is_zero(lam - mu)
+        if any(lam == mu
                for i, lam in enumerate(lams) for mu in lams[:i]):
             raise EigensplitError(f"operator {n} has a repeated eigenvalue")
     for i in range(len(ops)):

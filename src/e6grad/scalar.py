@@ -1,27 +1,23 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_12).
 
-Every scalar in this package is either a ``fractions.Fraction`` or a ``Cyc``.
 ``Cyc`` stores coordinates in the power basis {1, z, z^2, z^3} of Q(zeta_12),
 where z is a primitive 12th root of unity with minimal polynomial
 z^4 - z^2 + 1.  The field contains
 
     i     = z^3                (i^2 = -1),
     omega = z^4 = z^2 - 1      (primitive cube root of unity),
-    sqrt3 = z + conj(z) = 2z - z^3,
 
-so a single field covers every eigenvalue and matrix entry needed by the
-constructions in this package.  No floating point is used anywhere.
-
-Real elements of Q(zeta_12) all lie in Q(sqrt3); their sign is decided by
-exact rational comparison (``sign_real``).
+so a single field covers every eigenvalue and matrix entry of the complex
+bases in this package: those of the flag, Chevalley and M real forms
+(``structalg.RealForm``), the Pauli units of M and the 8 x 8 matrices of
+the sp8 lemma.  Every algebra table, bilinear form and JSON scalar is a
+``fractions.Fraction``; ``Cyc.as_fraction`` is where a complex computation
+comes back to Q.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[int, Fraction, "Cyc"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -150,7 +146,7 @@ class Cyc:
 
     def inv(self) -> "Cyc":
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_12)")
         c = self.c
         if not (c[1] or c[2] or c[3]):
@@ -175,29 +171,6 @@ class Cyc:
                     m[r] = [v - f * w for v, w in zip(m[r], m[col])]
         return Cyc._make((m[0][4], m[1][4], m[2][4], m[3][4]))
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return Cyc(other) * self.inv() if isinstance(other, (int, Fraction)) else NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out, p = CYC_ONE, self
-        while n:
-            if n & 1:
-                out = out * p
-            p = p * p
-            n >>= 1
-        return out
-
     # -- structure ---------------------------------------------------------
 
     def conj(self) -> "Cyc":
@@ -206,20 +179,9 @@ class Cyc:
         # z^-1 = z - z^3, z^-2 = 1 - z^2, z^-3 = -z^3
         return Cyc._make((c0 + c2, c1, -c2, -c1 - c3))
 
-    def is_zero(self) -> bool:
-        # Fraction.__bool__ tests the numerator; == would go through the
-        # numbers.Rational ABC check four times.
-        c = self.c
-        return not (c[0] or c[1] or c[2] or c[3])
-
     def __bool__(self) -> bool:
         c = self.c
         return bool(c[0] or c[1] or c[2] or c[3])
-
-    def is_real(self) -> bool:
-        """True iff self equals its complex conjugate."""
-        c0, c1, c2, c3 = self.c
-        return c2 == 0 and c1 == -2 * c3
 
     def is_rational(self) -> bool:
         return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
@@ -229,34 +191,6 @@ class Cyc:
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
         return self.c[0]
-
-    def real_parts(self) -> tuple[Fraction, Fraction]:
-        """For real self, the pair (p, q) with self = p + q*sqrt3."""
-        if not self.is_real():
-            raise ValueError(f"not real: {self!r}")
-        return (self.c[0], -self.c[3])
-
-    def sign_real(self) -> int:
-        """Sign of a real element under the embedding sqrt3 > 0.
-
-        Decided exactly: for p + q*sqrt3 with p, q of mixed sign, compare
-        p^2 with 3 q^2.  Raises ValueError on non-real input.
-        """
-        p, q = self.real_parts()
-        if q == 0:
-            return 0 if p == 0 else (1 if p > 0 else -1)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # mixed signs: |p| vs |q|*sqrt3
-        cmp = p * p - 3 * q * q
-        if cmp == 0:
-            raise ValueError("sqrt3 is irrational; unreachable")
-        big_is_p = cmp > 0
-        return (1 if p > 0 else -1) if big_is_p else (1 if q > 0 else -1)
 
     # -- misc --------------------------------------------------------------
 
@@ -275,36 +209,10 @@ class Cyc:
         terms = [f"{v}{n}" for v, n in zip(self.c, names) if v != 0]
         return " + ".join(terms) if terms else "0"
 
-    def to_strings(self) -> list[str]:
-        """Serialize as four 'p/q' strings in basis order {1, z, z^2, z^3}."""
-        return [f"{v.numerator}/{v.denominator}" for v in self.c]
-
-    @staticmethod
-    def from_strings(parts) -> "Cyc":
-        return Cyc(*(Fraction(s) for s in parts))
-
 
 CYC_ZERO = Cyc(0)
 CYC_ONE = Cyc(1)
 ZETA = Cyc(0, 1, 0, 0)
 I = Cyc(0, 0, 0, 1)            # z^3
 OMEGA = Cyc(-1, 0, 1, 0)       # z^2 - 1
-SQRT3 = Cyc(0, 2, 0, -1)       # 2z - z^3
 
-
-def sign_exact(x: Scalar) -> int:
-    """Sign of an exact real scalar (Fraction or real Cyc)."""
-    if isinstance(x, Cyc):
-        return x.sign_real()
-    return 0 if x == 0 else (1 if x > 0 else -1)
-
-
-def is_zero(x: Scalar) -> bool:
-    return x.is_zero() if isinstance(x, Cyc) else x == 0
-
-
-def as_fraction(x: Scalar) -> Fraction:
-    """Coerce an exact scalar known to be rational to a Fraction."""
-    if isinstance(x, Cyc):
-        return x.as_fraction()
-    return Fraction(x)

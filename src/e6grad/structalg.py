@@ -1,10 +1,13 @@
 """Finite-dimensional real algebras given by structure constants.
 
-An ``AlgebraTable`` stores b_i * b_j = sum_k c[i][j][k] b_k with exact
-scalars (Fractions; Cyc values are accepted but every concrete model in this
-package has rational constants).  Identity checks (anticommutativity, Jacobi,
-the linearized Jordan identity) run over a common-denominator integer scaling
-of the table, so the exhaustive loops stay in machine/bigint arithmetic.
+An ``AlgebraTable`` stores b_i * b_j = sum_k c[i][j][k] b_k with rational
+constants (Fractions or ints); so does every bilinear form here.  Q(zeta_12)
+enters only through a ``RealForm``, whose complex basis holds ``Cyc``
+coordinates: the table it restricts to is rational, and ``to_real_coords``
+raises ValueError on a coordinate that is not.  Identity checks
+(anticommutativity, Jacobi, the linearized Jordan identity) run over a
+common-denominator integer scaling of the table, so the exhaustive loops
+stay in machine/bigint arithmetic.
 The Jacobi check packs each cell of that table into one int, one slot of
 ``bits`` bits per coordinate, with 2^(bits - 1) above 3 n M^2 (M the largest
 |constant|), the most any coordinate of a Jacobi vector can reach in
@@ -38,8 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .abgroup import FgAbelianGroup
 from .linalg import apply, commutator, inverse, kernel, kernel_from_rref, rref
-from .scalar import Cyc, as_fraction, is_zero
+from .scalar import Cyc
 
 Vec = dict  # sparse vector: index -> scalar
 
@@ -112,7 +116,7 @@ class AlgebraTable:
     @classmethod
     def build(cls, dim: int, basis_names: list[str], mul) -> "AlgebraTable":
         """Construct from a callable mul(i, j) -> sparse vector."""
-        prod = [[{k: v for k, v in mul(i, j).items() if not is_zero(v)}
+        prod = [[{k: v for k, v in mul(i, j).items() if v}
                  for j in range(dim)] for i in range(dim)]
         return cls(dim, basis_names, prod)
 
@@ -169,7 +173,7 @@ class AlgebraTable:
                 a, b = self.prod[i][j], self.prod[j][i]
                 keys = set(a) | set(b)
                 for k in keys:
-                    if not is_zero(a.get(k, 0) + b.get(k, 0)):
+                    if a.get(k, 0) + b.get(k, 0):
                         return CheckReport("anticommutative", False, (i, j, k))
         return CheckReport("anticommutative", True)
 
@@ -179,7 +183,7 @@ class AlgebraTable:
                 a, b = self.prod[i][j], self.prod[j][i]
                 keys = set(a) | set(b)
                 for k in keys:
-                    if not is_zero(a.get(k, 0) - b.get(k, 0)):
+                    if a.get(k, 0) - b.get(k, 0):
                         return CheckReport("commutative", False, (i, j, k))
         return CheckReport("commutative", True)
 
@@ -339,7 +343,7 @@ class RealForm:
 
         supports = []
         for t, v in enumerate(complex_basis):
-            sup = [k for k, c in v.items() if not is_zero(c)]
+            sup = [k for k, c in v.items() if c]
             if not sup:
                 raise ValueError(f"basis vector {t} is zero")
             for k in sup[1:]:
@@ -394,8 +398,8 @@ class RealForm:
         for b in {self._block_of[k] for k in w}:
             ts, inv = self._blocks[b]
             for t, row in zip(ts, inv):
-                x = as_fraction(sum((c * w[k] for k, c in row.items()
-                                     if k in w), Fraction(0)))
+                x = _rational(sum((c * w[k] for k, c in row.items()
+                                    if k in w), Fraction(0)))
                 if x:
                     out[t] = x
         return dict(sorted(out.items()))
@@ -557,35 +561,26 @@ class Derivations:
         return AlgebraTable(n, names, prod)
 
 
-class _TrivialGroup:
-    @staticmethod
-    def sub(a, b):
-        return 0
-
-    @staticmethod
-    def add(a, b):
-        return 0
-
-
 def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     """Der(A): kernel of the Leibniz system over all ordered basis pairs.
 
     The unknown D[k][l] is the coefficient of b_k in D(b_l).  Equation
     (i, j, k) is coordinate k of D(b_i b_j) - D(b_i) b_j - b_i D(b_j) over
     the integer-scaled table, and one pass over the n^2 basis pairs
-    assembles them all.  With ``degrees`` (one group element per basis
-    vector, ``group`` providing add/sub) the unknown D[k][l] belongs to the
-    block deg(k) - deg(l) and equation (i, j, k) to the block
-    deg(k) - deg(i) - deg(j).  An equation with an unknown outside its block
-    raises ValueError: the degrees are not a grading of the table.  Each
-    block is row-reduced on its own, and its block key is the degree of its
-    derivations in the induced grading on Der(A).
+    assembles them all.  With ``degrees`` (one element of ``group`` per
+    basis vector) the unknown D[k][l] belongs to the block deg(k) - deg(l)
+    and equation (i, j, k) to the block deg(k) - deg(i) - deg(j); without
+    them every degree is () in the trivial group ``FgAbelianGroup(0)``.  An
+    equation with an unknown outside its block raises ValueError: the
+    degrees are not a grading of the table.  Each block is row-reduced on
+    its own, and its block key is the degree of its derivations in the
+    induced grading on Der(A).
     """
     n = table.dim
     iprod, _ = table.int_scaled()
     if degrees is None:
-        degrees = [0] * n
-        group = _TrivialGroup
+        degrees = [()] * n
+        group = FgAbelianGroup(0)
     # shifts[l][k]: the block of the unknown (k, l)
     shifts = [[group.sub(degrees[k], degrees[l]) for k in range(n)]
               for l in range(n)]
@@ -713,7 +708,7 @@ def form_restrict(form: list[Vec], vectors: list[Vec]) -> list[Vec]:
             for i, x in vectors[a].items():
                 if i in w:
                     s = s + x * w[i]
-            if not is_zero(s):
+            if s:
                 out[b][a] = s
                 out[a][b] = s
     return [dict(sorted(col.items())) for col in out]

@@ -311,7 +311,8 @@ def test_criterion_11_sp8_measured(sp8_report):
         g2 = mat_mul(g, g)
         assert scalar_of(g2) is not None, word
         tr_g = _cyc_trace(g)
-        dim_fix = 18 + ((tr_g * tr_g + _cyc_trace(g2)) / (4 * mu)).as_fraction()
+        dim_fix = 18 + ((tr_g * tr_g + _cyc_trace(g2))
+                        * (4 * mu).inv()).as_fraction()
         case = by_word[word]
         assert case["dim_fix"] == dim_fix, (word, case["dim_fix"], dim_fix)
         assert case["signature"] == 36 - 2 * dim_fix

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from e6grad import jsonio
 from e6grad.cli import main
 
@@ -26,6 +28,32 @@ def test_build_albert_epsilon(tmp_path, monkeypatch):
     doc = jsonio.load("a.json")
     assert doc["killing_signature"] == -14
     assert doc["provenance"]["epsilon"] == -1
+
+
+def test_build_albert_defaults_to_epsilon_minus_one(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "albert"]) == 0
+    assert main(["build", "albert", "--epsilon", "-1", "--out", "a.json"]) == 0
+    d1, d2 = jsonio.load("albert_eps-1.json"), jsonio.load("a.json")
+    d1.pop("generated_at")
+    d2.pop("generated_at")
+    assert d1 == d2
+
+
+@pytest.mark.parametrize("argv, option, model", [
+    (["chevalley", "--epsilon", "1"], "--epsilon", "chevalley"),
+    (["tits", "--epsilon", "-1"], "--epsilon", "tits"),
+    (["flag", "--split-octonions"], "--split-octonions", "flag"),
+    (["albert", "--split-octonions"], "--split-octonions", "albert"),
+])
+def test_build_rejects_an_option_of_another_model(tmp_path, monkeypatch,
+                                                  capsys, argv, option,
+                                                  model):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", *argv]) == 2
+    err = capsys.readouterr().err
+    assert option in err and model in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_deterministic(tmp_path, monkeypatch):

@@ -187,6 +187,18 @@ def test_product_group_arithmetic_in_both_layouts():
         tz.reduce((1, 2, 3))
 
 
+def test_groups_are_equal_only_with_the_same_layout():
+    z2, z = FgAbelianGroup(0, (2,)), FgAbelianGroup(1)
+    tz, zt = z2.product(z), z.product(z2)  # Z2 x Z and Z x Z2
+    assert tz.reduce((3, 5)) == (1, 5) and zt.reduce((3, 5)) == (3, 1)
+    assert tz != zt and tz != FgAbelianGroup(1, (2,))
+    assert tz == z2.product(FgAbelianGroup(1))
+    assert zt == FgAbelianGroup(1, (2,))
+    assert hash(zt) == hash(FgAbelianGroup(1, (2,)))
+    assert len({tz, zt, FgAbelianGroup(1, (2,))}) == 2
+    assert tz.is_isomorphic_to(zt)
+
+
 def test_induced_derivation_grading_octonions():
     z23 = FgAbelianGroup(0, (2, 2, 2))
     ders = derivations(co.octonion_table(), co.octonion_degrees(), z23)

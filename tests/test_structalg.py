@@ -198,6 +198,8 @@ def test_derivations_of_m():
     m = jo.build_m()
     ders = sa.derivations(m.table)
     assert ders.dim == 8
+    # ungraded: one block, of degree () in the trivial group
+    assert ders.group == FgAbelianGroup(0) and set(ders.blocks) == {()}
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == 0
 
