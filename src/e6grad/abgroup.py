@@ -30,6 +30,12 @@ class FgAbelianGroup:
     def ncoords(self) -> int:
         return len(self._mods)
 
+    @property
+    def free_first(self) -> bool:
+        """Whether the free coordinates come first, the layout that rank and
+        torsion alone describe (a product group may interleave them)."""
+        return self._mods == (0,) * self.rank + self.torsion
+
     # -- element arithmetic --------------------------------------------------
 
     def reduce(self, g) -> tuple[int, ...]:
@@ -97,7 +103,8 @@ class FgAbelianGroup:
         return hash(self._mods)
 
     def __repr__(self):
-        return f"FgAbelianGroup(rank={self.rank}, torsion={self.torsion})"
+        text = f"FgAbelianGroup(rank={self.rank}, torsion={self.torsion}"
+        return text + (")" if self.free_first else f", mods={self._mods})")
 
 
 def presented_group(n_generators: int, relations: list[dict],

@@ -11,7 +11,12 @@ Formats:
 
 A grading's basis vectors are sparse in memory and written out in full, one
 scalar per table coordinate; reading drops the zero entries again.  Readers
-validate what they read and raise ValueError naming the bad value or field.
+validate what they read and raise ValueError naming the bad value or field;
+each distinct scalar is parsed and checked once per document.
+
+On disk a document has json's ``indent=1, sort_keys=True`` layout.  ``dump``
+writes the entries of a document's table from one fixed format, the layout
+json gives them, and hands the rest of the document to json.
 """
 
 from __future__ import annotations
@@ -49,6 +54,27 @@ def scalar_from_json(parts):
     return Fraction(int(p), int(q))
 
 
+def _is_four_str(x) -> bool:
+    return type(x) is list and len(x) == 4 and \
+        type(x[0]) is type(x[1]) is type(x[2]) is type(x[3]) is str
+
+
+def _scalar_reader():
+    """scalar_from_json over a memo, held by the returned reader, from the
+    four strings of each scalar read so far to its Fraction."""
+    memo = {}
+
+    def read(parts):
+        if not _is_four_str(parts):
+            return scalar_from_json(parts)  # raises ValueError naming parts
+        key = tuple(parts)
+        x = memo.get(key)
+        if x is None:
+            x = memo[key] = scalar_from_json(parts)
+        return x
+    return read
+
+
 def table_to_json(table: AlgebraTable) -> dict:
     entries = []
     for i in range(table.dim):
@@ -57,10 +83,6 @@ def table_to_json(table: AlgebraTable) -> dict:
                 entries.append([i, j, k, scalar_to_json(c)])
     return {"dim": table.dim, "basis_names": table.basis_names,
             "entries": entries}
-
-
-def _is_index(x, dim: int) -> bool:
-    return type(x) is int and 0 <= x < dim
 
 
 def _field(d, key: str, ok, want: str, where: str):
@@ -89,16 +111,19 @@ def table_from_json(d) -> AlgebraTable:
     entries = _field(d, "entries", lambda x: type(x) is list and all(
         type(e) is list for e in x), "a list of lists", "table")
     prod = [[{} for _ in range(dim)] for _ in range(dim)]
+    read = _scalar_reader()
     zeros = set()  # (i, j, k) of the zero entries, which are dropped
     for e in entries:
-        if len(e) != 4 or not all(_is_index(x, dim) for x in e[:3]):
+        if len(e) != 4 or not (type(e[0]) is type(e[1]) is type(e[2]) is int
+                               and 0 <= e[0] < dim and 0 <= e[1] < dim
+                               and 0 <= e[2] < dim):
             raise ValueError(f"entry {e!r}: expected [i, j, k, scalar] with "
                              f"ints i, j, k in range({dim})")
         i, j, k, c = e
         if k in prod[i][j] or (i, j, k) in zeros:
             raise ValueError(f"entry {e!r}: duplicate (i, j, k) = "
                              f"{(i, j, k)}")
-        x = scalar_from_json(c)
+        x = read(c)
         if x:
             prod[i][j][k] = x
         else:
@@ -110,7 +135,7 @@ def grading_to_json(gd: GradedDecomposition) -> dict:
     """Raises ValueError unless the group's free coordinates come first,
     the layout that its rank and torsion are read back in."""
     g = gd.group
-    if g._mods != (0,) * g.rank + g.torsion:
+    if not g.free_first:
         raise ValueError(f"group coordinate moduli {g._mods} do not put the "
                          "free coordinates first")
     group = {"rank": g.rank, "torsion": list(g.torsion)}
@@ -140,6 +165,7 @@ def grading_from_json(d, table: AlgebraTable) -> GradedDecomposition:
                      lambda x: _is_int_list(x) and all(m >= 2 for m in x),
                      "a list of ints >= 2", "group")
     group = FgAbelianGroup(rank, tuple(torsion))
+    read = _scalar_reader()
     comps = []
     for n, c in enumerate(_field(d, "components", lambda x: type(x) is list,
                                  "a list", "grading")):
@@ -157,15 +183,74 @@ def grading_from_json(d, table: AlgebraTable) -> GradedDecomposition:
             if len(v) != table.dim:
                 raise ValueError(f"{where}, basis vector {m}: length "
                                  f"{len(v)}, the table has dim {table.dim}")
-            vecs.append({k: x for k, x in enumerate(map(scalar_from_json, v))
+            vecs.append({k: x for k, x in enumerate(map(read, v))
                          if x})
         comps.append((tuple(deg), vecs))
     return GradedDecomposition(table, group, comps, d.get("name", ""))
 
 
+# One table entry [i, j, k, [a, b, c, d]] as json lays it out at the depth
+# of doc["table"]["entries"] with indent=1, and the separator between two.
+_ENTRY = ("[\n    %d,\n    %d,\n    %d,\n    [\n     %s,\n     %s,\n"
+          "     %s,\n     %s\n    ]\n   ]")
+_ENTRY_SEP = ",\n   "
+_ENTRY_CHUNK = 1024  # entries formatted into one string per write
+
+
+def _plain_entries(obj):
+    """obj["table"]["entries"] when it is a nonempty list of exactly
+    [int, int, int, [str, str, str, str]] lists, else None."""
+    table = obj.get("table") if type(obj) is dict else None
+    entries = table.get("entries") if type(table) is dict else None
+    if type(entries) is not list or not entries:
+        return None
+    for e in entries:
+        if type(e) is not list or len(e) != 4 or \
+                not (type(e[0]) is type(e[1]) is type(e[2]) is int) or \
+                not _is_four_str(e[3]):
+            return None
+    return entries
+
+
+def _write_entries(fh, entries) -> None:
+    enc = json.encoder.encode_basestring_ascii
+    for n in range(0, len(entries), _ENTRY_CHUNK):
+        if n:
+            fh.write(_ENTRY_SEP)
+        fh.write(_ENTRY_SEP.join(
+            _ENTRY % (i, j, k, enc(a), enc(b), enc(c), enc(d))
+            for i, j, k, (a, b, c, d) in entries[n:n + _ENTRY_CHUNK]))
+
+
 def dump(obj, path: str) -> None:
+    """Write obj as ``json.dump(obj, fh, indent=1, sort_keys=True)`` and a
+    newline would.  A table whose entries are all [int, int, int, [str, str,
+    str, str]] has them written by ``_write_entries``: json encodes the
+    document with the entries replaced by one stand-in, and the chunk it
+    yields for the stand-in is replaced by the entries."""
+    entries = _plain_entries(obj)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        if entries is None:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+        else:
+            stand_in = object()
+            hits = []
+
+            def default(o):
+                if o is not stand_in:  # raises TypeError, as json.dump does
+                    return json.JSONEncoder.default(encoder, o)
+                hits.append(o)
+                return None  # encoded as the chunk "null"
+
+            encoder = json.JSONEncoder(indent=1, sort_keys=True,
+                                       default=default)
+            shell = dict(obj, table=dict(obj["table"], entries=[stand_in]))
+            for chunk in encoder.iterencode(shell):
+                if hits:  # chunk is the stand-in's "null"
+                    hits.clear()
+                    _write_entries(fh, entries)
+                else:
+                    fh.write(chunk)
         fh.write("\n")
 
 

@@ -141,11 +141,11 @@ class AlgebraTable:
         when a constant is not rational.
         """
         if self._int_cache is None:
-            scale = lcm(*(_rational(v).denominator for row in self.prod
-                          for cell in row for v in cell.values()))
-            iprod = [[[(k, int(_rational(v) * scale))
-                       for k, v in cell.items()]
-                      for cell in row] for row in self.prod]
+            n = self.dim
+            ints, scale = int_scaled_vectors(
+                [cell for row in self.prod for cell in row])
+            iprod = [[list(ints[i * n + j].items()) for j in range(n)]
+                     for i in range(n)]
             self._int_cache = (iprod, scale)
         return self._int_cache
 

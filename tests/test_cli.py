@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,6 +20,21 @@ def test_build_tits(tmp_path, monkeypatch):
     assert doc["provenance"]["component_dims"] == [14, 56, 8]
     table = jsonio.table_from_json(doc["table"])
     assert table.dim == 78
+
+
+# sha256 of `e6grad build tits` without its generated_at line, as json.dump
+# with indent=1 and sort_keys=True wrote it
+BUILD_TITS_SHA256 = \
+    "f4bca70de40c5aa2dc446b2fc7d605618a533a376c4e77ff87c192af67db7475"
+
+
+def test_build_tits_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "tits", "--out", "tits.json"]) == 0
+    lines = Path("tits.json").read_bytes().splitlines(keepends=True)
+    kept = [x for x in lines if not x.startswith(b' "generated_at": ')]
+    assert len(kept) == len(lines) - 1
+    assert hashlib.sha256(b"".join(kept)).hexdigest() == BUILD_TITS_SHA256
 
 
 def test_build_albert_epsilon(tmp_path, monkeypatch):

@@ -197,6 +197,11 @@ def test_groups_are_equal_only_with_the_same_layout():
     assert hash(zt) == hash(FgAbelianGroup(1, (2,)))
     assert len({tz, zt, FgAbelianGroup(1, (2,))}) == 2
     assert tz.is_isomorphic_to(zt)
+    # unequal groups print differently; free-first ones print as before
+    assert repr(tz) == "FgAbelianGroup(rank=1, torsion=(2,), mods=(2, 0))"
+    assert repr(zt) == repr(FgAbelianGroup(1, (2,))) == \
+        "FgAbelianGroup(rank=1, torsion=(2,))"
+    assert not tz.free_first and zt.free_first
 
 
 def test_induced_derivation_grading_octonions():

@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from e6grad import composition as co
@@ -68,6 +69,100 @@ def test_dump_deterministic(tmp_path):
     jsonio.dump(jsonio.table_to_json(t), str(p1))
     jsonio.dump(jsonio.table_to_json(t), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def assert_dumps_as_json(doc, path):
+    """dump writes the bytes of json.dump with indent=1 and sort_keys=True,
+    then a newline."""
+    jsonio.dump(doc, str(path))
+    want = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("ascii")
+
+
+def _build_doc(model, name):
+    # the document `e6grad build` writes, less its Killing signature
+    return {"model": name, "provenance": model.provenance, "dim": model.dim,
+            "table": jsonio.table_to_json(model.table),
+            "generated_at": "2018-01-01T00:00:00+00:00"}
+
+
+@pytest.mark.parametrize("name", ["albert", "albert_plus", "tits",
+                                  "tits_split", "flag", "chevalley"])
+def test_dump_writes_the_json_layout_for_each_model(ws, tmp_path, name):
+    doc = _build_doc(ws.model(name), name)
+    assert jsonio._plain_entries(doc) is doc["table"]["entries"]
+    assert_dumps_as_json(doc, tmp_path / "m.json")
+
+
+_AWKWARD = ['"entries": [', 'null', '\\"', 'é', '€ 😀', '\n\t', '\x00', '\ud800']
+
+
+def test_dump_places_the_entries_by_structure_not_by_text(tmp_path):
+    # names and provenance values that look like the layout around the
+    # entries, and keys that sort before and after "table" and "entries"
+    d = _sl2_json()
+    d["basis_names"] = _AWKWARD[:3]
+    d["zeta"] = {"entries": [None], "names": _AWKWARD}
+    doc = {"a": {"entries": []}, "provenance": {"entries": [[1, 2, 3, None]],
+                                                "note": _AWKWARD},
+           "table": d, "zz": [None, "null", []]}
+    assert jsonio._plain_entries(doc) is d["entries"]
+    assert_dumps_as_json(doc, tmp_path / "t.json")
+    back = jsonio.load(str(tmp_path / "t.json"))
+    assert back == doc
+    assert jsonio.table_from_json(back["table"]).prod == \
+        jsonio.table_from_json(_sl2_json()).prod
+
+
+def test_dump_of_more_entries_than_one_write(tmp_path):
+    t = AlgebraTable.build(40, [f"b{i}" for i in range(40)],
+                           lambda i, j: {(i + j) % 40: Fraction(i - j, 7)})
+    doc = {"table": jsonio.table_to_json(t)}
+    assert len(doc["table"]["entries"]) > 1024 * 1.5
+    assert_dumps_as_json(doc, tmp_path / "t.json")
+
+
+def _with_entry(i, value):
+    def f(d):
+        d["entries"][1][i] = value
+    return f
+
+
+@pytest.mark.parametrize("change", [
+    _with_entry(0, True),                           # a bool index
+    _with_entry(2, 1.0),                            # a float index
+    _with_entry(3, ["1/1", "0/1", "0/1"]),          # a 3-string scalar
+    _with_entry(3, ["1/1", "0/1", "0/1", 0]),       # a non-string part
+    _with_entry(3, ("1/1", "0/1", "0/1", "0/1")),   # a tuple scalar
+    lambda d: d["entries"].append([0, 0, 0]),        # a short entry
+], ids=["bool-index", "float-index", "three-strings", "non-string-part",
+        "tuple-scalar", "short-entry"])
+def test_dump_hands_other_entries_to_json(tmp_path, change):
+    d = _sl2_json()
+    change(d)
+    doc = {"model": "sl2", "table": d}
+    assert jsonio._plain_entries(doc) is None
+    assert_dumps_as_json(doc, tmp_path / "t.json")
+
+
+def test_dump_of_the_empty_table(tmp_path):
+    doc = {"table": jsonio.table_to_json(AlgebraTable(0, [], []))}
+    assert doc["table"]["entries"] == []
+    assert_dumps_as_json(doc, tmp_path / "t.json")
+
+
+@pytest.mark.parametrize("where", ["entry", "provenance"])
+def test_dump_rejects_what_json_rejects(tmp_path, where):
+    d = _sl2_json()
+    doc = {"provenance": {}, "table": d}
+    if where == "entry":
+        d["entries"][2][3] = Fraction(1, 2)
+    else:
+        doc["provenance"]["x"] = Fraction(1, 2)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        json.dumps(doc, indent=1, sort_keys=True)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        jsonio.dump(doc, str(tmp_path / "t.json"))
 
 
 def _octonion_table_json():
@@ -168,6 +263,60 @@ def test_grading_rejects_a_scalar_with_a_nonzero_z_coordinate():
     assert "'2/5'" in str(err.value)
 
 
+def test_table_reads_a_repeated_scalar_at_every_cell():
+    d = _sl2_json()
+    half, zero = ["2/4", "0/1", "0/1", "0/1"], ["0/7", "-0/1", "0/1", "0/1"]
+    d["entries"] += [[0, 0, 0, half], [1, 1, 1, list(half)],
+                     [0, 0, 2, zero], [2, 2, 0, list(zero)], [2, 2, 1, half]]
+    t = jsonio.table_from_json(d)
+    assert t.prod[0][0] == {0: Fraction(1, 2)}
+    assert t.prod[1][1] == t.prod[2][2] == {1: Fraction(1, 2)}
+    for again in ([2, 2, 0, half], [0, 0, 2, zero], [1, 1, 1, zero]):
+        d["entries"].append(again)  # a dropped zero's cell, or a set one's
+        with pytest.raises(ValueError, match="duplicate"):
+            jsonio.table_from_json(d)
+        d["entries"].pop()
+
+
+class _Str(str):
+    pass
+
+
+_HALF = ["1/2", "0/1", "0/1", "0/1"]
+
+
+def _read_table_with(first, second):
+    d = _sl2_json()
+    d["entries"][0][3], d["entries"][1][3] = first, second
+    return jsonio.table_from_json(d)
+
+
+def _read_grading_with(first, second):
+    d = _octonion_grading_json()
+    v = d["components"][1]["basis_vectors"][0]
+    v[0], v[1] = first, second
+    return jsonio.grading_from_json(d, co.octonion_table())
+
+
+@pytest.mark.parametrize("read", [_read_table_with, _read_grading_with])
+@pytest.mark.parametrize("first, second, match", [
+    # the four strings of a scalar read before, but not a list of four str
+    (_HALF, tuple(_HALF), "four 'p/q'"),
+    (_HALF, [_Str(x) for x in _HALF], "four 'p/q'"),
+    # an unhashable part, after a good scalar or first
+    (_HALF, [["1/2"], "0/1", "0/1", "0/1"], "four 'p/q'"),
+    ([["1/2"], "0/1", "0/1", "0/1"], _HALF, "four 'p/q'"),
+    # the same malformed scalar twice
+    (["1/0", "0/1", "0/1", "0/1"], ["1/0", "0/1", "0/1", "0/1"], "four 'p/q'"),
+    (["1/1", "0/1", "0/1", "1/3"], ["1/1", "0/1", "0/1", "1/3"],
+     _NOT_RATIONAL),
+])
+def test_readers_check_every_scalar_they_do_not_take_from_the_memo(
+        read, first, second, match):
+    with pytest.raises(ValueError, match=match):
+        read(first, second)
+
+
 def test_table_rejects_basis_names_length():
     d = _octonion_table_json()
     d["basis_names"].pop()
@@ -251,6 +400,7 @@ def test_grading_rejects_degree_length():
     ["1/2", "0/1", "0/1", 0],                # a non-string part
     ["1/0", "0/1", "0/1", "0/1"],            # a zero denominator
     ["1/2 ", "0/1", "0/1", "0/1"],           # not of the form p/q
+    [["1/1"], "0/1", "0/1", "0/1"],          # an unhashable part
 ])
 def test_scalar_rejects_anything_but_four_pq_strings(parts):
     with pytest.raises(ValueError, match="expected a list of four 'p/q'") \
@@ -329,7 +479,9 @@ def tables(draw):
     prod = [[draw(st.dictionaries(st.integers(0, n - 1), nonzero,
                                   max_size=n))
              for _ in range(n)] for _ in range(n)]
-    names = [f"b{i}" for i in range(n)]
+    # names with quotes, backslashes, control and non-ASCII characters
+    chars = st.sampled_from('"\\é€😀\n\x00\ud800') | st.characters()
+    names = draw(st.lists(st.text(chars, max_size=3), min_size=n, max_size=n))
     return AlgebraTable(n, names, prod)
 
 
@@ -341,6 +493,15 @@ def test_table_round_trip_property(table):
     assert back.basis_names == table.basis_names
     assert back.prod == table.prod
     assert jsonio.table_to_json(back) == d
+
+
+@settings(deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables())
+def test_dump_writes_the_json_layout_property(tmp_path, table):
+    doc = {"provenance": {"names": table.basis_names},
+           "table": jsonio.table_to_json(table)}
+    assert_dumps_as_json(doc, tmp_path / "t.json")
 
 
 @st.composite
