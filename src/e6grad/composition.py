@@ -9,11 +9,14 @@ the one used here matches the figure conventions of the source construction
 ``check_norm_multiplicativity`` - any valid orientation gives an isomorphic
 algebra, so downstream results do not depend on the choice.
 
-A split variant (norm of signature (4,4)) is provided for the optional
-signature-2 construction.
+The split octonions (norm of signature (4, 4)) are the Z2-twist of this
+algebra by the third coordinate of its Z2^3 degrees: products of two of
+e4, ..., e7 change sign.  ``basis_mul(split=True)`` gives that product so
+that ``check_norm_multiplicativity`` can certify it; T(Os, M) is built as
+the same twist of T(O, M).
 
 An octonion is a sparse vector {index: Fraction}, multiplied through
-``octonion_table(split).mul_vec``; ``d_ab`` returns the sparse columns of an
+``octonion_table().mul_vec``; ``d_ab`` returns the sparse columns of an
 inner derivation, the form ``Derivations.coords_in_block`` reads.  ``d_ab``
 and the two identity checks run on the (index, sign) table of
 ``basis_mul``.
@@ -46,7 +49,12 @@ _MUL = _pair_table(FANO_LINES)
 
 
 def basis_mul(i: int, j: int, split: bool = False) -> tuple[int, Fraction]:
-    """(k, sign) with e_i e_j = sign * e_k (index 0 is the unit)."""
+    """(k, sign) with e_i e_j = sign * e_k (index 0 is the unit).
+
+    With ``split=True`` the product of the split octonions, the
+    Cayley-Dickson double of the quaternions on {1, e1, e2, e3} with
+    parameter +1 instead of -1: the sign flips when both factors lie in
+    {e4, ..., e7}, so e_k^2 = +1 for k >= 4."""
     if i == 0:
         return j, Fraction(1)
     if j == 0:
@@ -59,7 +67,7 @@ def basis_mul(i: int, j: int, split: bool = False) -> tuple[int, Fraction]:
     return k, Fraction(s)
 
 
-def d_ab(a: dict, b: dict, split: bool = False) -> list[dict]:
+def d_ab(a: dict, b: dict) -> list[dict]:
     """The inner derivation c -> [[a,b],c] + 3(ac)b - 3a(cb) of sparse
     octonions a, b, as its eight sparse columns: column c holds the image
     of e_c.
@@ -68,7 +76,7 @@ def d_ab(a: dict, b: dict, split: bool = False) -> list[dict]:
     """
     if a.get(0) or b.get(0):
         raise ValueError("d_ab requires traceless arguments")
-    prod = [[basis_mul(i, j, split) for j in range(8)] for i in range(8)]
+    prod = [[basis_mul(i, j) for j in range(8)] for i in range(8)]
 
     def mul(u, v):
         out: dict = {}
@@ -91,18 +99,11 @@ def d_ab(a: dict, b: dict, split: bool = False) -> list[dict]:
     return cols
 
 
-def octonion_table(split: bool = False) -> AlgebraTable:
-    """The octonions as an AlgebraTable on the basis {1, e1, ..., e7}.
-
-    With ``split=True`` these are the split octonions: the Cayley-Dickson
-    double of the quaternion subalgebra spanned by {1, e1, e2, e3} with
-    parameter +1 instead of -1.  Each product e_i e_j keeps its index, and
-    its sign flips when both factors lie in {e4, ..., e7}; so e_k^2 = +1
-    for k in {4, 5, 6, 7}, and the norm has signature (4, 4).
-    """
+def octonion_table() -> AlgebraTable:
+    """The octonions as an AlgebraTable on the basis {1, e1, ..., e7}."""
     def mul(i, j):
-        k, s = basis_mul(i, j, split)
-        return {k: s} if s else {}
+        k, s = basis_mul(i, j)
+        return {k: s}
 
     names = ["1"] + [f"e{i}" for i in range(1, 8)]
     return AlgebraTable.build(8, names, mul)

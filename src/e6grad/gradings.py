@@ -338,8 +338,7 @@ def build_named_grading(name: str, model) -> GradedDecomposition:
     if name not in NAMED_GRADINGS:
         raise ValueError(f"unknown grading {name!r}")
     want = GRADING_MODEL[name]
-    base = model.name.split("_")[0]
-    if base != want:
+    if model.name != want:
         raise ValueError(f"{name} lives on the {want} model, not {model.name}")
 
     if name == "gamma3":

@@ -147,8 +147,8 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
     sparse coefficient vector}: E_ii has the single entry 1 at (i, i), and
     iota_i(c_b) has c_b at its slot and gamma_r gamma_s conj(c_b) at the
     transposed slot.  Only the nonzero entries are multiplied.  The product
-    x . y = (xy + yx)/2 is symmetric by its definition, so it is formed for
-    i <= j only and cell (j, i) is a copy of cell (i, j).  Every product
+    x . y = (xy + yx)/2 is symmetric by its definition, so
+    ``AlgebraTable.build`` forms it for i <= j only.  Every product
     formed is read back through two guards: each diagonal entry must be a
     multiple of the unit, and each off-diagonal pair must be gamma-hermitian;
     a coefficient algebra that breaks either raises ValueError.
@@ -195,24 +195,19 @@ def build_h3_diag(coeff: Coeff, gamma: tuple[int, int, int],
                 raise ValueError("matrix is not gamma-hermitian")
         return {k: x for k, x in v.items() if x}
 
-    prod = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            sym = [{} for _ in range(3)]
-            for x, y in ((mats[i], mats[j]), (mats[j], mats[i])):
-                for col, sym_col in zip(_sparse_mat3_mul(coeff, x, y), sym):
-                    for r, w in col.items():
-                        vec_add_scaled(sym_col.setdefault(r, {}), w, half)
-            cell = coords_of(sym)
-            prod[i][j] = cell
-            if j != i:
-                prod[j][i] = dict(cell)
+    def mul(i, j):
+        sym = [{} for _ in range(3)]
+        for x, y in ((mats[i], mats[j]), (mats[j], mats[i])):
+            for col, sym_col in zip(_sparse_mat3_mul(coeff, x, y), sym):
+                for r, w in col.items():
+                    vec_add_scaled(sym_col.setdefault(r, {}), w, half)
+        return coords_of(sym)
 
     names = [f"E{i+1}{i+1}" for i in range(3)]
     for i in (1, 2, 3):
         for b in range(nc):
             names.append(f"i{i}(c{b})")
-    table = AlgebraTable(dim, names, prod)
+    table = AlgebraTable.build(dim, names, mul, 1)
     trace = {i: Fraction(1) for i in range(3)}
     unit = {i: Fraction(1) for i in range(3)}
     meta = {"coeff": coeff,

@@ -3,7 +3,9 @@
   * Albert model   (Der(J) + J_0)^eps with J = H3(O, diag(1,-1,1));
                    eps = -1 gives signature -14; eps = +1 (signature -26)
                    is its Z2-twist, ``twist_z2`` by the parity in its meta.
-  * Tits model     T(O, M) = Der(O) + (O_0 x M_0) + Der(M).
+  * Tits model     T(O, M) = Der(O) + (O_0 x M_0) + Der(M); T(Os, M) over
+                   the split octonions (signature 2) is its Z2-twist by
+                   O's third degree coordinate.
   * Flag model     a five-term Z-graded real form of
                    wedge^6 V* + wedge^3 V* + gl(V) + wedge^3 V + wedge^6 V
                    for V = C^6 with a hermitian form of signature (5, 1).
@@ -95,21 +97,17 @@ def build_albert() -> Model:
     dim = 52 + 26
     names = [f"D{t}" for t in range(52)] + [f"x{t}" for t in range(26)]
 
-    def mul(a, b):
-        if a < 52 and b < 52:
+    def mul(a, b):  # a <= b
+        if b < 52:
             return ders.table.prod[a][b]
-        if a < 52 <= b:
+        if a < 52:
             return j_to_j0(ders.apply(a, j0_vecs[b - 52]))
-        if b < 52 <= a:
-            return {k: -c for k, c in mul(b, a).items()}
         xa, xb = a - 52, b - 52
-        if xa >= xb:
-            return {} if xa == xb else {k: -c for k, c in mul(b, a).items()}
         comm = commutator(r_ops[xa], r_ops[xb])
         g = group.add(j0_degrees[xa], j0_degrees[xb])
         return {k: -c for k, c in ders.coords_in_block(comm, g).items()}
 
-    table = AlgebraTable.build(dim, names, mul)
+    table = AlgebraTable.build(dim, names, mul, -1)
     parity = [0] * 52 + [1] * 26
     z26_degrees = [blk + (0,) for blk in ders.blocks] + \
                   [d + (1,) for d in j0_degrees]
@@ -146,12 +144,10 @@ def albert_z_grading_operator(model: Model) -> list[dict]:
 # Tits model
 # ---------------------------------------------------------------------------
 
-def build_tits(split: bool = False) -> Model:
+def build_tits() -> Model:
     """T(O, M) = Der(O) + (O_0 x M_0) + Der(M), with the four bracket rules.
-
-    ``split=True`` replaces O by the split octonions (signature 2 form).
-    """
-    o_table = composition.octonion_table(split)
+    ``twist_z2(table, [d[2] for d in meta["degrees"]], -1)`` is T(Os, M)."""
+    o_table = composition.octonion_table()
     o_degs = composition.octonion_degrees()
     g23 = FgAbelianGroup(0, (2, 2, 2))
     ders_o = derivations(o_table, o_degs, g23)
@@ -191,7 +187,7 @@ def build_tits(split: bool = False) -> Model:
     o_pair = {}
     for i in range(1, 8):
         for i2 in range(1, 8):
-            dd = composition.d_ab({i: Fraction(1)}, {i2: Fraction(1)}, split)
+            dd = composition.d_ab({i: Fraction(1)}, {i2: Fraction(1)})
             cs = ders_o.coords_in_block(dd, g23.add(o_degs[i], o_degs[i2]))
             comm = dict(o_table.prod[i][i2])
             vec_add_scaled(comm, o_table.prod[i2][i], -1)
@@ -207,29 +203,23 @@ def build_tits(split: bool = False) -> Model:
                              list(cs.items()))
     third = Fraction(1, 3)
 
-    def mul(a, b):
-        # commutator order: both in Der(O)
-        if a < n_do and b < n_do:
+    def mul(a, b):  # a <= b
+        if b < n_do:
             return ders_o.table.prod[a][b]
-        if a >= n_do + n_t and b >= n_do + n_t:
+        if a >= n_do + n_t:
             w = ders_m.table.prod[a - n_do - n_t][b - n_do - n_t]
             return {n_do + n_t + k: c for k, c in w.items()}
-        if a < n_do and b >= n_do + n_t:
-            return {}
-        if b < n_do and a >= n_do + n_t:
-            return {}
-        if a < n_do and n_do <= b < n_do + n_t:
+        if b >= n_do + n_t:
+            if a < n_do:
+                return {}
+            # [a x, d] = -a d(x)
+            i, t = tensor[a - n_do]
+            dx = ders_m.apply(b - n_do - n_t, {t: Fraction(1)})
+            return tensor_vec({i: Fraction(-1)}, dx)
+        if a < n_do:
             i, t = tensor[b - n_do]
             da = ders_o.apply(a, {i: Fraction(1)})
             return tensor_vec(da, {t: Fraction(1)})
-        if b < n_do and n_do <= a < n_do + n_t:
-            return {k: -c for k, c in mul(b, a).items()}
-        if a >= n_do + n_t and n_do <= b < n_do + n_t:
-            i, t = tensor[b - n_do]
-            dx = ders_m.apply(a - n_do - n_t, {t: Fraction(1)})
-            return tensor_vec({i: Fraction(1)}, dx)
-        if b >= n_do + n_t and n_do <= a < n_do + n_t:
-            return {k: -c for k, c in mul(b, a).items()}
         # both tensors
         (i, t), (i2, t2) = tensor[a - n_do], tensor[b - n_do]
         d_cs, comm, tab = o_pair[i, i2]
@@ -253,7 +243,7 @@ def build_tits(split: bool = False) -> Model:
     names = [f"dO{t}" for t in range(14)]
     names += [f"e{i}*u{m_degs[t][0]}{m_degs[t][1]}" for (i, t) in tensor]
     names += [f"dM{t}" for t in range(8)]
-    table = AlgebraTable.build(dim, names, mul)
+    table = AlgebraTable.build(dim, names, mul, -1)
 
     z2z3_degrees = []
     for t in range(14):
@@ -273,11 +263,11 @@ def build_tits(split: bool = False) -> Model:
     }
     prov = {
         "model": "tits",
-        "octonions": "split" if split else "division",
+        "octonions": "division",
         "jordan_algebra": "H3(C, E11+E23+E32)",
         "component_dims": [14, 56, 8],
     }
-    return Model("tits_split" if split else "tits", table, prov, meta)
+    return Model("tits", table, prov, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +458,9 @@ def build_flag_complex() -> AlgebraTable:
         t2, sign = r
         return {f_(t2): Fraction(-sign)}
 
-    def mul(a, b):
+    def mul(a, b):  # a <= b
         if a == b:
             return {}
-        if b < a:
-            return {k: -v for k, v in mul(b, a).items()}
-        # now a < b
         if a < n_gl:
             p, q = divmod(a, 6)
             if b < n_gl:
@@ -541,7 +528,7 @@ def build_flag_complex() -> AlgebraTable:
     names += [f"e{''.join(map(str, t))}" for t in TRIPLES]
     names += [f"f{''.join(map(str, t))}" for t in TRIPLES]
     names += ["w", "h"]
-    return AlgebraTable.build(78, names, mul)
+    return AlgebraTable.build(78, names, mul, -1)
 
 
 def _complement_sign(t: tuple) -> tuple[tuple, int]:

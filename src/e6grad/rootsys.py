@@ -103,7 +103,7 @@ class ChevalleyE6:
         names += [f"e[{','.join(map(str, r))}]" for r in self.pos]
         names += [f"f[{','.join(map(str, r))}]" for r in self.pos]
         self.dim = n
-        self.table = AlgebraTable.build(n, names, self._mul)
+        self.table = AlgebraTable.build(n, names, self._mul, -1)
 
     def e_idx(self, r) -> int:
         return 6 + self.pos_index[r]
@@ -118,11 +118,7 @@ class ChevalleyE6:
         neg = tuple(-x for x in r)
         return self.f_idx(neg), -1
 
-    def _mul(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if j < i:
-            return {k: -v for k, v in self._mul(j, i).items()}
+    def _mul(self, i: int, j: int) -> dict:  # i <= j
         npos = len(self.pos)
         if i < 6:
             if j < 6:

@@ -114,10 +114,22 @@ class AlgebraTable:
         self._int_cache = None
 
     @classmethod
-    def build(cls, dim: int, basis_names: list[str], mul) -> "AlgebraTable":
-        """Construct from a callable mul(i, j) -> sparse vector."""
-        prod = [[{k: v for k, v in mul(i, j).items() if v}
-                 for j in range(dim)] for i in range(dim)]
+    def build(cls, dim: int, basis_names: list[str], mul,
+              sign=None) -> "AlgebraTable":
+        """Construct from a callable mul(i, j) -> sparse vector.
+
+        With ``sign`` -1 (a Lie table) or +1 (a Jordan table), mul is called
+        for i <= j only and cell (j, i) is ``sign`` times cell (i, j); with
+        None it is called for every pair.  This is the one place a table is
+        mirrored; on a mirrored table, anticommutativity or commutativity
+        off the diagonal holds by construction."""
+        prod = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i if sign else 0, dim):
+                cell = {k: v for k, v in mul(i, j).items() if v}
+                prod[i][j] = cell
+                if sign and j != i:
+                    prod[j][i] = {k: sign * v for k, v in cell.items()}
         return cls(dim, basis_names, prod)
 
     # -- products ------------------------------------------------------------
@@ -254,10 +266,9 @@ class AlgebraTable:
         The witness of a failure is (a, b, c, y) for the first failing triple
         and the smallest column y with a nonzero entry.
 
-        For the H3 tables of ``jordan`` the commutativity half holds by
-        construction, since cell (j, i) is a copy of cell (i, j), just as for
-        the mirrored ``RealForm`` tables; there the Jordan half carries the
-        proof.
+        On a table mirrored by ``AlgebraTable.build`` (the H3 tables of
+        ``jordan``, M) the commutativity half holds by construction; there
+        the Jordan half carries the proof.
         """
         r = self.check_commutative()
         if not r:
@@ -316,12 +327,12 @@ class RealForm:
     coordinates of the complex product of basis vectors i and j.
 
     When ``complex_table`` is anticommutative (a Lie table) or commutative
-    (a Jordan table), checked over all pairs, only the products with i <= j
-    are formed, and entry (j, i) is entry (i, j) times -1 or +1.  This is
-    exact: if e_b e_a = s e_a e_b for all coordinates a, b (s = -1 or +1),
-    then by bilinearity b_j b_i = s b_i b_j, and the real coordinates of
-    s w are s times those of w, since ``to_real_coords`` is linear.  Any
-    other table has all n^2 products formed.
+    (a Jordan table), checked over all pairs, ``AlgebraTable.build`` mirrors
+    the restricted table with that sign.  This is exact: if e_b e_a =
+    s e_a e_b for all coordinates a, b (s = -1 or +1), then by bilinearity
+    b_j b_i = s b_i b_j, and the real coordinates of s w are s times those
+    of w, since ``to_real_coords`` is linear.  Any other table has all n^2
+    products formed.
     """
 
     def __init__(self, complex_table: AlgebraTable, complex_basis: list[dict],
@@ -375,17 +386,7 @@ class RealForm:
             self._blocks.append((ts, inv))
         sign = (-1 if complex_table.check_anticommutative()
                 else 1 if complex_table.check_commutative() else None)
-        if sign is None:
-            self.table = AlgebraTable.build(n, names, self._mul)
-        else:
-            prod = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    cell = self._mul(i, j)
-                    prod[i][j] = cell
-                    if j != i:
-                        prod[j][i] = {k: sign * v for k, v in cell.items()}
-            self.table = AlgebraTable(n, names, prod)
+        self.table = AlgebraTable.build(n, names, self._mul, sign)
 
     def to_real_coords(self, w: dict) -> dict:
         """Rational coordinates of the complex vector w in the basis, as a
@@ -545,20 +546,16 @@ class Derivations:
         return {offset + r: Fraction(c, scale) for r, c in enumerate(cs) if c}
 
     def _commutator_table(self) -> AlgebraTable:
-        n = self.dim
         w, d = self.int_mats, self.denoms
-        prod = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                g = self.group.add(self.blocks[i], self.blocks[j])
-                offset, cs = self._int_coords(commutator(w[i], w[j]), g)
-                den = d[i] * d[j]
-                cell = {offset + r: Fraction(c, den)
-                        for r, c in enumerate(cs) if c}
-                prod[i][j] = cell
-                prod[j][i] = {t: -c for t, c in cell.items()}
-        names = [f"D{t}" for t in range(n)]
-        return AlgebraTable(n, names, prod)
+
+        def mul(i, j):
+            g = self.group.add(self.blocks[i], self.blocks[j])
+            offset, cs = self._int_coords(commutator(w[i], w[j]), g)
+            return {offset + r: Fraction(c, d[i] * d[j])
+                    for r, c in enumerate(cs) if c}
+
+        return AlgebraTable.build(self.dim, [f"D{t}" for t in range(self.dim)],
+                                  mul, -1)
 
 
 def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
@@ -756,13 +753,16 @@ def killing_ratio(table: AlgebraTable, sub: Subspace,
 
 
 def twist_z2(table: AlgebraTable, parity: list[int], t) -> AlgebraTable:
-    """Same space, odd-odd products scaled by t; requires a valid Z2-grading."""
+    """Same space, odd-odd products scaled by t; requires a valid Z2-grading
+    with each parity 0 or 1."""
     n = table.dim
+    if len(parity) != n or any(p not in (0, 1) for p in parity):
+        raise ValueError(f"parity vector is not {n} entries of 0 or 1")
     for i in range(n):
         for j in range(n):
-            want = (parity[i] + parity[j]) % 2
+            want = parity[i] ^ parity[j]
             for k in table.prod[i][j]:
-                if parity[k] % 2 != want:
+                if parity[k] != want:
                     raise ValueError(
                         f"parity vector is not a Z2-grading (witness {(i, j, k)})")
     tf = Fraction(t)

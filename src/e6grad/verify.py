@@ -70,12 +70,18 @@ class Workspace:
                 # (Der(J) + J_0)^+1: the eps = -1 table, J_0 x J_0 negated
                 alb = self.model("albert")
                 self._models[name] = liemodels.Model(
-                    "albert", twist_z2(alb.table, alb.meta["parity"], -1),
+                    name, twist_z2(alb.table, alb.meta["parity"], -1),
                     {**alb.provenance, "epsilon": 1})
             elif name == "tits":
                 self._models[name] = liemodels.build_tits()
             elif name == "tits_split":
-                self._models[name] = liemodels.build_tits(split=True)
+                # T(Os, M): T(O, M) twisted by O's third Z2 degree
+                # coordinate, whose twist of O is Os
+                tits = self.model("tits")
+                parity = [d[2] for d in tits.meta["degrees"]]
+                self._models[name] = liemodels.Model(
+                    name, twist_z2(tits.table, parity, -1),
+                    {**tits.provenance, "octonions": "split"})
             elif name == "flag":
                 self._models[name] = liemodels.build_flag()
             elif name == "chevalley":

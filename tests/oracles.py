@@ -3,13 +3,21 @@ program itself calls none of them."""
 
 from fractions import Fraction
 
+from e6grad import composition as co
 from e6grad import liemodels as lm
 from e6grad.abgroup import FgAbelianGroup
 from e6grad.gradings import GradedDecomposition
 from e6grad.jordan import JordanH3, z_grading_derivation
 from e6grad.linalg import apply, kernel, rref, simultaneous_eigensplit
 from e6grad.structalg import (AlgebraTable, CheckReport, Subspace, Vec,
-                              killing_form, vec_add_scaled)
+                              killing_form, twist_z2, vec_add_scaled)
+
+
+def split_octonion_table() -> AlgebraTable:
+    """The split octonions Os, as the program builds T(Os, M): the Z2-twist
+    of O by the third coordinate of its Z2^3 degrees."""
+    return twist_z2(co.octonion_table(),
+                    [d[2] for d in co.octonion_degrees()], -1)
 
 
 def refine(g1: GradedDecomposition, g2: GradedDecomposition,

@@ -10,7 +10,7 @@ from e6grad import linalg as la
 from e6grad import structalg as sa
 from e6grad import verify
 from e6grad.abgroup import FgAbelianGroup
-from oracles import leibniz_residual
+from oracles import leibniz_residual, split_octonion_table
 
 
 def e(i):
@@ -223,8 +223,27 @@ def test_octonion_grading():
 
 def test_split_octonions():
     assert co.check_norm_multiplicativity(split=True).ok
-    t = co.octonion_table(split=True)
+    t = split_octonion_table()
     # e4^2 = +1 in the split algebra
     assert t.prod[4][4] == {0: Fraction(1)}
     # n(e4) = -1: e4 conj(e4) = -1
     assert t.mul_vec(e(4), conj(e(4))) == {0: Fraction(-1)}
+
+
+def test_split_octonion_twist_is_the_algebra_the_norm_check_certifies():
+    # check_norm_multiplicativity(split=True) reads basis_mul(split=True)
+    t = split_octonion_table()
+    want = [[dict([co.basis_mul(i, j, split=True)]) for j in range(8)]
+            for i in range(8)]
+    assert t.prod == want
+    assert all(type(c) is Fraction
+               for row in t.prod for cell in row for c in cell.values())
+
+
+def test_split_octonion_twist_needs_a_grading():
+    parity = [d[2] for d in co.octonion_degrees()]
+    assert parity == [0, 0, 0, 0, 1, 1, 1, 1]
+    for t in range(4, 8):  # e_t even: e_t e_1 is odd
+        bad = parity[:t] + [0] + parity[t + 1:]
+        with pytest.raises(ValueError, match="not a Z2-grading"):
+            sa.twist_z2(co.octonion_table(), bad, -1)

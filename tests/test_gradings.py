@@ -9,7 +9,8 @@ from e6grad import linalg as la
 from e6grad.abgroup import FgAbelianGroup, presented_group
 from e6grad.scalar import I, Cyc
 from e6grad.structalg import AlgebraTable, CheckReport, derivations
-from oracles import is_refinement, jordan_z_grading, refine
+from oracles import (is_refinement, jordan_z_grading, refine,
+                     split_octonion_table)
 
 
 def unit_vecs(n, idxs):
@@ -18,8 +19,8 @@ def unit_vecs(n, idxs):
 
 def octonion_grading(split=False):
     return gr.GradedDecomposition.from_degree_map(
-        co.octonion_table(split), FgAbelianGroup(0, (2, 2, 2)),
-        co.octonion_degrees())
+        split_octonion_table() if split else co.octonion_table(),
+        FgAbelianGroup(0, (2, 2, 2)), co.octonion_degrees())
 
 
 def pauli_grading(m):
@@ -285,6 +286,10 @@ def test_group_descriptions():
 def test_named_grading_wrong_model_rejected(ws):
     with pytest.raises(ValueError):
         gr.build_named_grading("gamma3", ws.model("albert"))
+    # the twisted variants are models of their own, not their base models
+    for name, model in (("gamma7", "albert_plus"), ("gamma3", "tits_split")):
+        with pytest.raises(ValueError, match=f"lives on the .* not {model}$"):
+            gr.build_named_grading(name, ws.model(model))
     with pytest.raises(ValueError):
         gr.build_named_grading("gamma99", ws.model("tits"))
 

@@ -295,3 +295,15 @@ def test_split_octonion_tits_variant(ws):
     model = ws.model("tits_split")
     assert model.table.check_lie().ok
     assert model.killing_signature() == 2
+
+
+def test_tits_twist_needs_a_grading(tits):
+    # T(Os, M) is this twist (its table pin); with one odd basis vector made
+    # even the parity no longer grades T(O, M)
+    parity = [d[2] for d in tits.meta["degrees"]]
+    odd = [t for t, p in enumerate(parity) if p]
+    assert len(odd) == 8 + 4 * 8  # Der(O) odd part and e4..e7 x M_0
+    for t in odd[:1] + odd[-1:]:
+        bad = parity[:t] + [0] + parity[t + 1:]
+        with pytest.raises(ValueError, match="not a Z2-grading"):
+            sa.twist_z2(tits.table, bad, -1)

@@ -104,6 +104,43 @@ def test_twist_z2_requires_grading():
         sa.twist_z2(t, [1, 1], -1)  # [odd, odd] lands in odd: invalid
 
 
+def test_twist_z2_rejects_a_parity_other_than_0_or_1():
+    # b0 b0 = b0: a parity of 2 would pass the grading check as even and
+    # be twisted as odd
+    prod = [[{0: Fraction(1)}, {}], [{}, {}]]
+    t = sa.AlgebraTable(2, ["a", "b"], prod)
+    for parity in ([2, 0], [0, -1], [0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            sa.twist_z2(t, parity, -1)
+    assert sa.twist_z2(t, [0, 0], -1).prod == prod
+
+
+@pytest.mark.parametrize("sign", [-1, 1, None])
+def test_build_mirrors_with_its_sign(sign):
+    n = 6
+    calls = []
+
+    def cell(i, j):  # neither symmetric nor antisymmetric
+        return {(i + j) % n: Fraction(n * i + j + 1)}
+
+    def mul(i, j):  # with an explicit zero, which build drops
+        calls.append((i, j))
+        return {**cell(i, j), (i + j + 1) % n: 0}
+
+    t = sa.AlgebraTable.build(n, [f"b{i}" for i in range(n)], mul, sign)
+    if sign is None:
+        assert calls == [(i, j) for i in range(n) for j in range(n)]
+    else:
+        assert calls == [(i, j) for i in range(n) for j in range(i, n)]
+    for i in range(n):
+        for j in range(n):
+            if sign is None or i <= j:
+                assert t.prod[i][j] == cell(i, j)
+            else:
+                assert t.prod[i][j] == {
+                    k: sign * v for k, v in t.prod[j][i].items()}
+
+
 def test_killing_ratio_whole_algebra_is_one():
     table = co.octonion_table()
     ders = sa.derivations(table)
