@@ -3,9 +3,8 @@
     e6grad build albert [--epsilon +-1] [--out PATH]
     e6grad build tits [--split-octonions] [--out PATH]
     e6grad build {flag,chevalley} [--out PATH]
-    e6grad grade MODEL GRADING [--out PATH]
-    e6grad verify-all [--json] [--out PATH] [--include-sp8]
-                      [--include-twist] [--include-split-octonions]
+    e6grad grade GRADING [--out PATH]
+    e6grad verify-all [--json] [--out PATH]
 
 All machine output is JSON (deterministic modulo the generated_at field);
 human-readable summaries go to stdout.
@@ -19,9 +18,8 @@ import json
 import sys
 
 from . import jsonio, verify
-from .gradings import (GRADING_MODEL, NAMED_GRADINGS, build_named_grading,
-                       check_grading, interval_check, type_vector,
-                       universal_group)
+from .gradings import (GRADING_MODEL, NAMED_GRADINGS, check_grading,
+                       interval_check, type_vector)
 
 MODELS = ("albert", "tits", "flag", "chevalley")
 
@@ -71,18 +69,15 @@ def cmd_grade(args) -> int:
         print(f"error: unknown grading {name!r} "
               f"(choose from {', '.join(NAMED_GRADINGS)})", file=sys.stderr)
         return 2
-    want = GRADING_MODEL[name]
-    if args.model != want:
-        print(f"error: {name} lives on the {want} model, not {args.model}",
-              file=sys.stderr)
-        return 2
-    model = verify.Workspace().model(args.model)
-    gd = build_named_grading(name, model)
+    key = GRADING_MODEL[name]
+    ws = verify.Workspace()
+    model = ws.model(key)
+    gd = ws.grading(name)
     rep = check_grading(gd)
-    ug = universal_group(gd)
+    ug = ws.universal_group(name)
     iv = interval_check(gd, model.killing_signature())
     payload = {
-        "model": args.model,
+        "model": key,
         "grading": name,
         "compatible": rep.ok,
         "type_vector": list(type_vector(gd)),
@@ -92,19 +87,16 @@ def cmd_grade(args) -> int:
         "grading_data": jsonio.grading_to_json(gd),
         "generated_at": _timestamp(),
     }
-    out = args.out or f"{args.model}_{name}.json"
+    out = args.out or f"{key}_{name}.json"
     jsonio.dump(payload, out)
-    print(f"{name} on {args.model}: type {tuple(payload['type_vector'])}, "
+    print(f"{name} on {key}: type {tuple(payload['type_vector'])}, "
           f"group {ug.describe()}, interval {iv['dim_neutral']} +- "
           f"{iv['order2_dim']}; -> {out}")
     return 0 if rep.ok else 1
 
 
 def cmd_verify_all(args) -> int:
-    ws = verify.Workspace()
-    report = verify.run_all(ws, include_sp8=args.include_sp8,
-                            include_twist=args.include_twist,
-                            include_split_octonions=args.include_split_octonions)
+    report = verify.run_all(verify.Workspace())
     report["generated_at"] = _timestamp()
     if args.out:
         jsonio.dump(report, args.out)
@@ -155,7 +147,6 @@ def main(argv=None) -> int:
     b.set_defaults(fn=cmd_build)
 
     g = sub.add_parser("grade", help="build a named grading and its report")
-    g.add_argument("model", choices=MODELS)
     g.add_argument("grading")
     g.add_argument("--out", help="output path (default MODEL_GRADING.json)")
     g.set_defaults(fn=cmd_grade)
@@ -164,12 +155,6 @@ def main(argv=None) -> int:
     v.add_argument("--json", action="store_true",
                    help="print the machine-readable report to stdout")
     v.add_argument("--out", help="also write the JSON report to a file")
-    v.add_argument("--include-sp8", action="store_true",
-                   help="include the sp8 fixed-point computation")
-    v.add_argument("--include-twist", action="store_true",
-                   help="include the Z2-twist signature identity")
-    v.add_argument("--include-split-octonions", action="store_true",
-                   help="include the split-octonion Tits variant")
     v.set_defaults(fn=cmd_verify_all)
 
     args = ap.parse_args(argv)

@@ -22,13 +22,14 @@ grading forms them once, in integers, in its product pass
   product is nonzero, the index of the component of degree g + h (or none)
   and whether some product escapes it.
 
-Mirror rule: when the integer table is anticommutative, checked on every
-cell, only the pairs g <= h are formed and (h, g) is copied from (g, h):
-b_j b_i = -b_i b_j, so the products of (h, g) are those of (g, h) negated,
-with the same target.  The failing pairs are then symmetric, so the first
-failure in the order g outer, h inner has g <= h and the witness of
-``check_grading`` is unchanged.  Any other table (Jordan, octonion, Pauli)
-has all ordered pairs formed.
+Mirror rule: when the table passes ``check_anticommutative`` (and so its
+integer-scaled copy, a positive multiple of it), only the pairs g <= h are
+formed and (h, g) is copied from (g, h): b_j b_i = -b_i b_j, so the
+products of (h, g) are those of (g, h) negated, with the same target.
+The failing pairs are then symmetric, so the first failure in the order
+g outer, h inner has g <= h and the witness of ``check_grading`` is
+unchanged.  Any other table (Jordan, octonion, Pauli) has all ordered
+pairs formed.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class GradedDecomposition:
                        for r, (_, sub) in zip(rows, self.components)]
             supp = self.support
             index = {d: i for i, d in enumerate(supp)}
-            mirror = _anticommutative(table.int_scaled()[0])
+            mirror = table.check_anticommutative().ok
             m = len(supp)
             out = [[None] * m for _ in range(m)]
             for gi in range(m):
@@ -122,17 +123,6 @@ class GradedDecomposition:
                             out[hi][gi] = out[gi][hi]
             self._products = out
         return self._products
-
-
-def _anticommutative(iprod) -> bool:
-    """b_j b_i = -b_i b_j for all i <= j (so b_i b_i = 0), checked on every
-    cell of the integer-scaled table."""
-    for i, row in enumerate(iprod):
-        for j in range(i, len(row)):
-            if {k: c for k, c in row[j] if c} != \
-                    {k: -c for k, c in iprod[j][i] if c}:
-                return False
-    return True
 
 
 def _primitive_rows(sub: Subspace) -> list[dict]:

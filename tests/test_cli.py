@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from e6grad import jsonio
+from e6grad import jsonio, verify
 from e6grad.cli import main
+from test_verify_extra import RUN_ALL_FULL_SHA256
 
 
 def test_build_tits(tmp_path, monkeypatch):
@@ -87,7 +89,7 @@ def test_build_deterministic(tmp_path, monkeypatch):
 
 def test_grade_tits_gamma3(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    rc = main(["grade", "tits", "gamma3", "--out", "g3.json"])
+    rc = main(["grade", "gamma3", "--out", "g3.json"])
     assert rc == 0
     doc = jsonio.load("g3.json")
     assert doc["compatible"] is True
@@ -98,14 +100,19 @@ def test_grade_tits_gamma3(tmp_path, monkeypatch):
     assert len(doc["grading_data"]["components"]) == 71
 
 
-def test_grade_rejects_mismatched_pair(capsys):
-    rc = main(["grade", "tits", "gamma7"])
-    assert rc == 2
-    assert "albert" in capsys.readouterr().err
+def test_grade_names_its_file_after_the_grading_model(tmp_path, monkeypatch,
+                                                      capsys, ws):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "Workspace", lambda: ws)
+    assert main(["grade", "gamma8"]) == 0
+    assert capsys.readouterr().out == (
+        "gamma8 on albert: type (57, 0, 7), group Z x Z2^4, interval 1 +- "
+        "29; -> albert_gamma8.json\n")
+    assert jsonio.load("albert_gamma8.json")["model"] == "albert"
 
 
 def test_grade_rejects_unknown_grading(capsys):
-    rc = main(["grade", "tits", "gamma99"])
+    rc = main(["grade", "gamma99"])
     assert rc == 2
 
 
@@ -114,8 +121,47 @@ def test_module_entry_point_exit_status():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "e6grad", "grade", "tits",
-                           "nosuch"], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-m", "e6grad", "grade", "nosuch"],
+                          env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 2
     assert "unknown grading 'nosuch'" in proc.stderr
+
+
+def _report_sha256(text):
+    doc = json.loads(text)
+    doc.pop("generated_at")
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_verify_all_json_is_the_pinned_report(tmp_path, monkeypatch, capsys,
+                                              ws):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "Workspace", lambda: ws)
+    assert main(["verify-all", "--json", "--out", "report.json"]) == 1
+    assert _report_sha256(capsys.readouterr().out) == RUN_ALL_FULL_SHA256
+    assert _report_sha256(Path("report.json").read_text()) == \
+        RUN_ALL_FULL_SHA256
+
+
+def test_verify_all_text_names_the_three_red_checks(monkeypatch, capsys, ws):
+    monkeypatch.setattr(verify, "Workspace", lambda: ws)
+    assert main(["verify-all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    red = [x for x in lines if x.startswith("    [FAIL] ")]
+    assert len(red) == 3
+    for line, name in zip(red, [
+            "Tits: kappa(a x, b y) = -60 n(a,b) tr(x.y)",
+            "corollary: complete antisymmetry of f^{ijk} on nonzero triples",
+            "sp8: fixed dims {24,16} and signatures {-12,4}"]):
+        assert line.startswith(f"    [FAIL] {name}")
+    assert lines[-1] == "some checks failed"
+
+
+@pytest.mark.parametrize("argv", [["verify-all", "--include-sp8"],
+                                  ["grade", "tits", "gamma3"]])
+def test_removed_options_exit_through_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -580,7 +580,7 @@ def test_product_pass_gives_the_oracle_witness(ws, name, corrupt,
                                                anticommutative):
     bad = corrupt(ws.grading(name))
     # the changed constant alone takes the all-pairs path
-    assert gr._anticommutative(bad.table.int_scaled()[0]) == anticommutative
+    assert bad.table.check_anticommutative().ok == anticommutative
     want = oracle_check_grading(bad)
     assert not want.ok and want.witness is not None
     assert gr.check_grading(bad) == want

@@ -9,8 +9,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROOTS = ["cli.main", "verify.run_all", "verify.split_octonion_checks",
-         "verify.table1_summary"]
+ROOTS = ["cli.main"]
 # reached only from tests, kept for the report check of a ROADMAP open item
 EXEMPT = {
     "gradings.support_generates": "item 1 (fineness)",

@@ -1,5 +1,5 @@
 """Cross-cutting grading invariants over all six named gradings, and the
-pinned default report."""
+pinned report."""
 
 import hashlib
 import json
@@ -69,29 +69,31 @@ def test_universal_groups_computed_once_per_workspace(ws, monkeypatch):
     assert [row["grading"] for row in report["table1"]] == list(NAMED_GRADINGS)
 
 
-# SHA-256 of json.dumps(run_all(ws), sort_keys=True) with the default
-# sections: the byte-for-byte oracle that a refactor must leave unchanged.
-RUN_ALL_SHA256 = \
-    "1b66befbb43b19c69796f8b506f6cbf7faf5e039ece8090f1fe3fdd9144eda6f"
-
-
-def test_default_report_is_pinned(ws):
-    report = verify.run_all(ws)
-    assert sum(len(g["checks"]) for g in report["groups"]) == 76
-    doc = json.dumps(report, sort_keys=True)
-    assert hashlib.sha256(doc.encode()).hexdigest() == RUN_ALL_SHA256
-
-
-# SHA-256 of json.dumps(run_all(ws, include_sp8=True, include_twist=True,
-# include_split_octonions=True), sort_keys=True): the same oracle over the
-# optional sections too (sp8 lemma, twist, split octonions).
+# SHA-256 of json.dumps(run_all(ws), sort_keys=True): the byte-for-byte
+# oracle that a refactor must leave unchanged.
 RUN_ALL_FULL_SHA256 = \
     "9182b81c22360d68dab64e7e9b35ce3072d1c03ecb32c70dbae93f1a7862ea14"
 
 
 def test_full_report_is_pinned(ws):
-    report = verify.run_all(ws, include_sp8=True, include_twist=True,
-                            include_split_octonions=True)
+    report = verify.run_all(ws)
     assert sum(len(g["checks"]) for g in report["groups"]) == 86
     doc = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == RUN_ALL_FULL_SHA256
+
+
+def test_a_red_grading_check_keeps_its_reason(ws, monkeypatch):
+    """A direct-sum failure has no witness pair; its note says why."""
+    gd = ws.grading("gamma3")
+    comps = [(d, list(sub.basis)) for d, sub in gd.components]
+    comps[0][1][0] = comps[1][1][0]  # a vector of another component
+    monkeypatch.setattr(verify, "NAMED_GRADINGS", ("gamma3",))
+    fresh = verify.Workspace()
+    fresh._gradings = {"gamma3": gr.GradedDecomposition(gd.table, gd.group,
+                                                        comps)}
+    fresh._groups = {"gamma3": ws.universal_group("gamma3")}
+    check = verify.criterion_6_gradings(fresh)[0]
+    assert check.to_json() == {
+        "name": "gamma3: grading compatibility", "ok": False,
+        "measured": None, "expected": None,
+        "note": "components are not independent"}
