@@ -1,11 +1,11 @@
 """Finitely generated abelian groups Z^r x Z_m1 x ... x Z_mk.
 
-Elements are integer tuples of length r + k, free coordinates first (a
-product group concatenates its factors' tuples instead); torsion coordinates
-are kept reduced mod m_i.  Two groups are equal when their coordinate
-moduli agree in order, so equal groups share their element layout.  The
-moduli need not form a divisibility chain: groups used for degree
-bookkeeping (e.g. Z2^3 x Z3^2) keep their natural coordinates.
+Elements are integer tuples of length r + k, free coordinates first;
+torsion coordinates are kept reduced mod m_i.  Two groups are equal when
+they have the same rank and the same torsion tuple, so equal groups share
+their element layout.  The moduli need not form a divisibility chain:
+groups used for degree bookkeeping (e.g. Z2^3 x Z3^2) keep their natural
+coordinates.
 ``canonical()`` maps to the invariant-factor form, so isomorphism testing
 is equality of canonical forms.  Every structural question goes through
 ``presented_group``, which reads a group off the invariant factors of its
@@ -30,12 +30,6 @@ class FgAbelianGroup:
     def ncoords(self) -> int:
         return len(self._mods)
 
-    @property
-    def free_first(self) -> bool:
-        """Whether the free coordinates come first, the layout that rank and
-        torsion alone describe (a product group may interleave them)."""
-        return self._mods == (0,) * self.rank + self.torsion
-
     # -- element arithmetic --------------------------------------------------
 
     def reduce(self, g) -> tuple[int, ...]:
@@ -57,19 +51,6 @@ class FgAbelianGroup:
         return self.add(a, a) == self.zero()
 
     # -- structure ------------------------------------------------------------
-
-    def product(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
-        """Coordinate product; element tuples are (self coords, other coords),
-        so its coordinate moduli are the factors' moduli in that order."""
-        out = FgAbelianGroup(self.rank + other.rank,
-                             self.torsion + other.torsion)
-        out._mods = self._mods + other._mods
-        return out
-
-    @staticmethod
-    def pair(a, b) -> tuple[int, ...]:
-        """The element of a product group with factor elements a and b."""
-        return tuple(a) + tuple(b)
 
     def canonical(self) -> "FgAbelianGroup":
         """Isomorphic group with torsion in invariant-factor form."""
@@ -97,14 +78,14 @@ class FgAbelianGroup:
         return " x ".join(parts) if parts else "0"
 
     def __eq__(self, other):
-        return isinstance(other, FgAbelianGroup) and self._mods == other._mods
+        return (isinstance(other, FgAbelianGroup) and self.rank == other.rank
+                and self.torsion == other.torsion)
 
     def __hash__(self):
-        return hash(self._mods)
+        return hash((self.rank, self.torsion))
 
     def __repr__(self):
-        text = f"FgAbelianGroup(rank={self.rank}, torsion={self.torsion}"
-        return text + (")" if self.free_first else f", mods={self._mods})")
+        return f"FgAbelianGroup(rank={self.rank}, torsion={self.torsion})"
 
 
 def presented_group(n_generators: int, relations: list[dict],

@@ -13,11 +13,10 @@ grading forms them once, in integers, in its product pass
 (``GradedDecomposition.products``), kept on the instance:
 
 * each component's sparse RREF rows are scaled to primitive integer
-  vectors, and products are taken over the table's ``int_scaled()`` form;
-* a product w lies in its target component exactly when the integer
-  residual D w - sum_r (D / d_r) w[p_r] row_r vanishes, where p_r is the
-  pivot of row r, d_r > 0 its entry there (every other row is 0 at p_r),
-  and D the lcm of the d_r of the pivots where w is nonzero;
+  vectors (``structalg.primitive``), and products are taken over the
+  table's ``int_scaled()`` form;
+* a product w lies in its target component unless the component's
+  ``structalg.IntSpan`` of those rows and its pivots finds it outside;
 * for each ordered pair of components the pass records whether some
   product is nonzero, the index of the component of degree g + h (or none)
   and whether some product escapes it.
@@ -35,20 +34,21 @@ pairs formed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .abgroup import FgAbelianGroup, presented_group
 from .linalg import apply, kernel, mat_mul, rank, simultaneous_eigensplit
 from .scalar import Cyc, I as CYC_I
-from .structalg import (AlgebraTable, CheckReport, Subspace, form_restrict,
-                        int_scaled_vectors)
+from .structalg import (AlgebraTable, CheckReport, IntSpan, Subspace,
+                        form_restrict, primitive)
 
 
 class GradedDecomposition:
     """A degree map on a direct-sum decomposition of an AlgebraTable."""
 
     def __init__(self, table: AlgebraTable, group, components, name: str = ""):
-        """components: iterable of (degree, vectors); zero summands dropped."""
+        """components: iterable of (degree, vectors), the vectors a list or a
+        Subspace (its RREF rows) of the table's space; zero summands
+        dropped."""
         self.table = table
         self.group = group
         self.name = name
@@ -56,7 +56,7 @@ class GradedDecomposition:
         seen = set()
         for deg, vecs in components:
             deg = group.reduce(deg)
-            sub = vecs if isinstance(vecs, Subspace) else Subspace(table.dim, vecs)
+            sub = Subspace(table.dim, vecs)
             if sub.dim == 0:
                 continue
             if deg in seen:
@@ -95,9 +95,8 @@ class GradedDecomposition:
         """
         if self._products is None:
             table = self.table
-            rows = [_primitive_rows(sub) for _, sub in self.components]
-            targets = [_Target(r, sub.pivots)
-                       for r, (_, sub) in zip(rows, self.components)]
+            spans = [IntSpan([primitive(v)[0] for v in sub.basis], sub.pivots)
+                     for _, sub in self.components]
             supp = self.support
             index = {d: i for i, d in enumerate(supp)}
             mirror = table.check_anticommutative().ok
@@ -107,12 +106,12 @@ class GradedDecomposition:
                 for hi in range(gi if mirror else 0, m):
                     ki = index.get(self.group.add(supp[gi], supp[hi]))
                     nonzero = escapes = False
-                    for a in rows[gi]:
-                        for b in rows[hi]:
+                    for a in spans[gi].rows:
+                        for b in spans[hi].rows:
                             w = table.int_mul_vec(a, b)
                             if w:
                                 nonzero = True
-                                if ki is None or targets[ki].outside(w):
+                                if ki is None or spans[ki].outside(w):
                                     escapes = True
                                     break
                         if escapes:
@@ -123,44 +122,6 @@ class GradedDecomposition:
                             out[hi][gi] = out[gi][hi]
             self._products = out
         return self._products
-
-
-def _primitive_rows(sub: Subspace) -> list[dict]:
-    """The RREF rows of a component, each scaled to a primitive integer
-    vector (a positive multiple of the row, so positive at its pivot)."""
-    out = []
-    for v in sub.basis:
-        (w,), _ = int_scaled_vectors([v])
-        g = gcd(*w.values())
-        out.append({k: x // g for k, x in w.items()})
-    return out
-
-
-class _Target:
-    """Membership in a component, from its primitive integer RREF rows."""
-
-    def __init__(self, rows: list[dict], pivots: list[int]):
-        self.pivot_rows = {p: (row, row[p]) for p, row in zip(pivots, rows)}
-        self.support = {k for row in rows for k in row}
-
-    def outside(self, w: dict) -> bool:
-        """Is the integer vector w outside the span of the rows?
-
-        Row r is d_r at its pivot p_r and 0 at every other pivot, so w is
-        in the span exactly when D w - sum_r (D / d_r) w[p_r] row_r
-        vanishes, with D the lcm of the d_r of the pivots where w is
-        nonzero.  A key of w that no row touches decides it at once."""
-        if not self.support.issuperset(w):
-            return True
-        used = [(self.pivot_rows[k], x) for k, x in w.items()
-                if k in self.pivot_rows]
-        big = lcm(*(d for (_, d), _ in used))
-        resid = {k: big * x for k, x in w.items()}
-        for (row, d), x in used:
-            f = (big // d) * x
-            for k, y in row.items():
-                resid[k] = resid.get(k, 0) - f * y
-        return any(resid.values())
 
 
 def degree_buckets(group, degrees) -> list[tuple[tuple, list[int]]]:
@@ -246,12 +207,12 @@ def support_generates(gd: GradedDecomposition) -> bool:
     """Does the support generate the declared coordinate group?
 
     It does when Z^ncoords modulo the support degrees and the relations
-    m_c e_c = 0, one for each coordinate c of modulus m_c > 0 (wherever a
-    product group puts it), is the trivial group.
+    m_c e_{rank + c} = 0, one for each torsion order m_c, is the trivial
+    group.
     """
     group = gd.group
     relations = [{c: x for c, x in enumerate(d) if x} for d in gd.support]
-    relations += [{c: m} for c, m in enumerate(group._mods) if m]
+    relations += [{group.rank + c: m} for c, m in enumerate(group.torsion)]
     return presented_group(group.ncoords, relations) == FgAbelianGroup(0)
 
 
@@ -352,8 +313,8 @@ def build_named_grading(name: str, model) -> GradedDecomposition:
             z24, [d[:3] + (d[5],) for d in model.meta["z26_degrees"]])
         spaces = simultaneous_eigensplit([lm.albert_z_grading_operator(model)],
                                          [AD_EIGENVALUES], model.dim, start)
-        group = FgAbelianGroup(1).product(z24)
-        comps = [(group.pair((int(t[4]),), t[:4]), vecs) for t, vecs in spaces]
+        group = FgAbelianGroup(1, (2,) * 4)
+        comps = [((int(t[4]),) + t[:4], vecs) for t, vecs in spaces]
     else:
         z = FgAbelianGroup(1)
         start = degree_buckets(z, [(d,) for d in model.meta["z_degrees"]])
@@ -362,15 +323,14 @@ def build_named_grading(name: str, model) -> GradedDecomposition:
             spaces = simultaneous_eigensplit(
                 [lm.flag_ad_e(model), theta, fs[0], fs[1]],
                 [AD_EIGENVALUES, PM, PM, PM], model.dim, start)
-            group = z.product(z).product(FgAbelianGroup(0, (2,) * 3))
-            comps = [(group.pair((int(t[1]), t[0]), _parity(t[2:])), vecs)
+            group = FgAbelianGroup(2, (2,) * 3)
+            comps = [((int(t[1]), t[0]) + _parity(t[2:]), vecs)
                      for t, vecs in spaces]
         else:  # gamma12: operators F1..F4, theta
             spaces = simultaneous_eigensplit(fs + [theta], [PM] * 5, model.dim,
                                              start)
-            group = z.product(FgAbelianGroup(0, (2,) * 5))
-            comps = [(group.pair(t[:1], _parity(t[1:])), vecs)
-                     for t, vecs in spaces]
+            group = FgAbelianGroup(1, (2,) * 5)
+            comps = [(t[:1] + _parity(t[1:]), vecs) for t, vecs in spaces]
     return GradedDecomposition(model.table, group, comps, name)
 
 

@@ -132,12 +132,7 @@ def table_from_json(d) -> AlgebraTable:
 
 
 def grading_to_json(gd: GradedDecomposition) -> dict:
-    """Raises ValueError unless the group's free coordinates come first,
-    the layout that its rank and torsion are read back in."""
     g = gd.group
-    if not g.free_first:
-        raise ValueError(f"group coordinate moduli {g._mods} do not put the "
-                         "free coordinates first")
     group = {"rank": g.rank, "torsion": list(g.torsion)}
     comps = []
     for deg, sub in gd.components:

@@ -31,8 +31,9 @@ magnitude and yields the induced grading on Der(A) for free; an equation
 whose unknowns leave its block shows that the degrees do not grade the
 table, and raises.  Each basis derivation is also held as primitive
 integer columns.  The coordinates of a map in the derivation basis are its
-entries at the free unknowns of the Leibniz kernel, confirmed by a residual
-in integers, and the commutator table of Der(A) is computed in integers.
+entries at the free unknowns of the Leibniz kernel, confirmed by
+``IntSpan``, the integer span test that the grading product pass also
+uses, and the commutator table of Der(A) is computed in integers.
 """
 
 from __future__ import annotations
@@ -80,6 +81,44 @@ def int_scaled_vectors(vecs: list[Vec]) -> tuple[list[Vec], int]:
             w[k] = x.numerator * (s // x.denominator)
         out.append(w)
     return out, s
+
+
+def primitive(v: Vec) -> tuple[Vec, Fraction]:
+    """(w, d) for a nonzero rational sparse vector v: w = d v is a primitive
+    integer vector (its entries have gcd 1) and d > 0.  d is an integer when
+    v has an entry 1, as an RREF row or a kernel vector does."""
+    (w,), s = int_scaled_vectors([v])
+    h = gcd(*w.values())
+    return {k: x // h for k, x in w.items()}, Fraction(s, h)
+
+
+class IntSpan:
+    """The span of integer rows in echelon form: row r is d_r > 0 at its
+    pivot p_r and 0 at every other pivot."""
+
+    def __init__(self, rows: list[Vec], pivots: list):
+        self.rows = rows
+        self.pivots = pivots
+        self._pivot_rows = {p: (row, row[p]) for p, row in zip(pivots, rows)}
+        self._support = {k for row in rows for k in row}
+
+    def outside(self, w: Vec) -> bool:
+        """Is the integer vector w outside the span?
+
+        w is in the span exactly when D w - sum_r (D / d_r) w[p_r] row_r
+        vanishes, with D the lcm of the d_r of the pivots where w is
+        nonzero.  A key of w that no row touches decides it at once."""
+        if not self._support.issuperset(w):
+            return True
+        used = [(self._pivot_rows[k], x) for k, x in w.items()
+                if k in self._pivot_rows]
+        big = lcm(*(d for (_, d), _ in used))
+        resid = {k: big * x for k, x in w.items()}
+        for (row, d), x in used:
+            f = (big // d) * x
+            for k, y in row.items():
+                resid[k] = resid.get(k, 0) - f * y
+        return any(resid.values())
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +216,27 @@ class AlgebraTable:
     # -- axiom checks ------------------------------------------------------------
 
     def check_anticommutative(self) -> CheckReport:
-        for i in range(self.dim):
-            if self.prod[i][i]:
-                return CheckReport("anticommutative", False, (i, i),
-                                   "nonzero square")
-            for j in range(i + 1, self.dim):
-                a, b = self.prod[i][j], self.prod[j][i]
-                keys = set(a) | set(b)
-                for k in keys:
-                    if a.get(k, 0) + b.get(k, 0):
-                        return CheckReport("anticommutative", False, (i, j, k))
-        return CheckReport("anticommutative", True)
+        return self._check_symmetry("anticommutative", -1)
 
     def check_commutative(self) -> CheckReport:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                a, b = self.prod[i][j], self.prod[j][i]
-                keys = set(a) | set(b)
-                for k in keys:
-                    if a.get(k, 0) - b.get(k, 0):
-                        return CheckReport("commutative", False, (i, j, k))
-        return CheckReport("commutative", True)
+        return self._check_symmetry("commutative", 1)
+
+    def _check_symmetry(self, name: str, sign: int) -> CheckReport:
+        """b_j b_i = sign b_i b_j, cell by cell over ``int_scaled()`` (a
+        positive multiple of the table) for every i < j, and for i = j too
+        when sign is -1.  The witness is (i, j, k), k the smallest coordinate
+        where the two cells differ."""
+        iprod, _ = self.int_scaled()
+        for i, row in enumerate(iprod):
+            for j in range(i if sign < 0 else i + 1, self.dim):
+                a = {k: c for k, c in row[j] if c}
+                b = {k: sign * c for k, c in iprod[j][i] if c}
+                if a != b:
+                    k = min(k for k in a.keys() | b.keys()
+                            if a.get(k) != b.get(k))
+                    return CheckReport(name, False, (i, j, k),
+                                       "nonzero square" if i == j else "")
+        return CheckReport(name, True)
 
     def check_jacobi(self) -> CheckReport:
         """The Jacobi identity on every basis triple i < j < k, exactly.
@@ -461,6 +500,9 @@ class Subspace:
 # derivations
 # ---------------------------------------------------------------------------
 
+_NO_SPAN = IntSpan([], [])  # the span of a block without derivations
+
+
 class Derivations:
     """Basis of Der(A) as sparse columns, with its commutator Lie table.
 
@@ -475,11 +517,13 @@ class Derivations:
 
     Each basis derivation of a block is a kernel vector read off the RREF:
     it is 1 at its own free unknown and 0 at the block's other free
-    unknowns.  So the coordinates of a map M of the block are its entries
-    at the free unknowns, and M lies in the span iff the integer residual
-    lcm(d) M - sum_r c_r (lcm(d) / d_r) w_r vanishes (a rational M is scaled
-    to integers first).  The commutator table is taken on the integer forms,
-    once per unordered pair, because [D_j, D_i] = -[D_i, D_j].
+    unknowns, so int_mats[t] is denoms[t] there.  The block's ``IntSpan``
+    holds these integer forms flattened to keys n l + k, with the free
+    unknowns as pivots: the coordinates of a map M of the block are its
+    entries at the free unknowns, once ``IntSpan.outside`` has found M in
+    the span (a rational M is scaled to integers first).  The commutator
+    table is taken on the integer forms, once per unordered pair, because
+    [D_j, D_i] = -[D_i, D_j].
     """
 
     def __init__(self, algebra: AlgebraTable, int_mats: list, denoms: list,
@@ -490,7 +534,7 @@ class Derivations:
         self.blocks = blocks      # block key per basis derivation
         self.group = group
         self._shifts = shifts     # [l][k] -> block key of unknown (k, l)
-        # block key -> (free unknowns, offset, lcm of the denoms, lcm / denom)
+        # block key -> (index of its first derivation, IntSpan)
         self._block_data = block_data
         self.table = self._commutator_table()
 
@@ -508,7 +552,7 @@ class Derivations:
         n = self.algebra.dim
         if len(cols) != n:
             raise ValueError(f"{len(cols)} columns for a {n}-dim algebra")
-        resid = {}  # entry (k, l) at key n l + k
+        w = {}  # entry (k, l) at key n l + k
         for l, col in enumerate(cols):
             if col:
                 shifts = self._shifts[l]
@@ -516,27 +560,11 @@ class Derivations:
                     if shifts[k] != g:
                         raise ValueError(
                             f"entry {(k, l)} lies outside block {g!r}")
-                    resid[n * l + k] = v
-        data = self._block_data.get(g)
-        if data is None:
-            if resid:
-                raise ValueError("matrix is not in the derivation span")
-            return 0, []
-        free, offset, big, mults = data
-        cs = [cols[l].get(k, 0) for k, l in free]
-        if big != 1:
-            resid = {key: big * v for key, v in resid.items()}
-        for r, c in enumerate(cs):
-            if c:
-                f = c * mults[r]
-                for l, col in enumerate(self.int_mats[offset + r]):
-                    if col:
-                        for k, x in col.items():
-                            key = n * l + k
-                            resid[key] = resid.get(key, 0) - f * x
-        if any(resid.values()):
+                    w[n * l + k] = v
+        offset, span = self._block_data.get(g, (0, _NO_SPAN))
+        if span.outside(w):
             raise ValueError("matrix is not in the derivation span")
-        return offset, cs
+        return offset, [w.get(p, 0) for p in span.pivots]
 
     def coords_in_block(self, cols: list[Vec], g) -> Vec:
         """Sparse coordinates of a block-g map, given by its columns, in the
@@ -626,29 +654,25 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     int_mats, denoms, block_keys = [], [], []
     block_data = {}
     for g in sorted(unknowns, key=repr):
-        us = unknowns[g]
+        keys = [n * l + k for k, l in unknowns[g]]
         red, pivots = rref([dict(row) for row in rows[g]])
-        ker = kernel_from_rref(red, pivots, len(us))
+        ker = kernel_from_rref(red, pivots, len(keys))
         if not ker:
             continue
         pivset = set(pivots)
-        free = [us[c] for c in range(len(us)) if c not in pivset]
-        ds = []
+        free = [keys[c] for c in range(len(keys)) if c not in pivset]
+        span_rows = []
         for v in ker:
-            mat = {us[t]: Fraction(x) for t, x in v.items()}
-            scale = lcm(*(x.denominator for x in mat.values()))
-            w = {kl: x.numerator * (scale // x.denominator)
-                 for kl, x in mat.items()}
-            h = gcd(*w.values())
+            w, d = primitive({keys[t]: x for t, x in v.items()})
             cols = [{} for _ in range(n)]
-            for (k, l), x in w.items():
-                cols[l][k] = x // h
+            for key, x in w.items():
+                l, k = divmod(key, n)
+                cols[l][k] = x
             int_mats.append(cols)
-            ds.append(scale // h)
+            denoms.append(d.numerator)  # v is 1 at its free unknown
             block_keys.append(g)
-        big = lcm(*ds)
-        block_data[g] = (free, len(denoms), big, [big // d for d in ds])
-        denoms.extend(ds)
+            span_rows.append(w)
+        block_data[g] = (len(int_mats) - len(ker), IntSpan(span_rows, free))
     return Derivations(table, int_mats, denoms, block_keys, group,
                        block_data, shifts)
 

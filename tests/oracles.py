@@ -31,13 +31,16 @@ def refine(g1: GradedDecomposition, g2: GradedDecomposition,
         raise ValueError("gradings live on different algebras")
     table = g1.table
     n = table.dim
-    group = g1.group.product(g2.group)
+    r1, r2 = g1.group.rank, g2.group.rank
+    group = FgAbelianGroup(r1 + r2, g1.group.torsion + g2.group.torsion)
     comps = []
     for d1, s1 in g1.components:
         for d2, s2 in g2.components:
             inter = subspace_intersection(s1, s2, n)
             if inter.dim:
-                comps.append((group.pair(d1, d2), inter))
+                # free1, free2, torsion1, torsion2
+                deg = d1[:r1] + d2[:r2] + d1[r1:] + d2[r2:]
+                comps.append((deg, inter))
     total = sum(s.dim for _, s in comps)
     if total != n:
         raise ValueError(

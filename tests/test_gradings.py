@@ -8,7 +8,7 @@ from e6grad import jordan as jo
 from e6grad import linalg as la
 from e6grad.abgroup import FgAbelianGroup, presented_group
 from e6grad.scalar import I, Cyc
-from e6grad.structalg import AlgebraTable, CheckReport, derivations
+from e6grad.structalg import AlgebraTable, CheckReport, Subspace, derivations
 from oracles import (is_refinement, jordan_z_grading, refine,
                      split_octonion_table)
 
@@ -66,6 +66,17 @@ def test_duplicate_degree_rejected():
         gr.GradedDecomposition(t, FgAbelianGroup(0, (2,)),
                                [((0,), unit_vecs(8, [0])),
                                 ((2,), unit_vecs(8, [1]))])
+
+
+def test_a_component_outside_the_table_space_is_rejected():
+    # a Subspace component is rebuilt in the table's space, so its ambient
+    # dimension is checked like that of a list of vectors
+    degs = co.octonion_degrees()
+    comps = [(degs[i], unit_vecs(8, [i])) for i in range(7)]
+    comps.append((degs[7], Subspace(200, [{150: Fraction(1)}])))
+    with pytest.raises(ValueError, match="vector outside the 8-dim space"):
+        gr.GradedDecomposition(co.octonion_table(),
+                               FgAbelianGroup(0, (2, 2, 2)), comps)
 
 
 def test_refine_with_trivial_returns_same_components():
@@ -152,57 +163,51 @@ def _two_line_grading(group, degrees):
 
 
 def test_support_generates_product_groups_in_both_layouts():
-    """The torsion relation sits on the coordinate that carries it, also
-    when a product group puts a torsion factor before a free one."""
-    z2, z = FgAbelianGroup(0, (2,)), FgAbelianGroup(1)
-    tz, zt = z2.product(z), z.product(z2)  # Z2 x Z and Z x Z2
-    # every second coordinate a multiple of 3: no generation in either layout
-    assert not gr.support_generates(_two_line_grading(tz, [(1, 3), (1, 6)]))
+    """The torsion relation sits on the coordinate after the free ones, in
+    Z x Z2 and in Z2 x Z written free-first."""
+    zt = FgAbelianGroup(1, (2,))  # Z x Z2, also Z2 x Z with its Z first
+    # every free coordinate a multiple of 3: no generation
     assert not gr.support_generates(_two_line_grading(zt, [(3, 1), (6, 1)]))
-    # (1, 0) = (1, 1) - (0, 1) and its swap generate
-    assert gr.support_generates(_two_line_grading(tz, [(1, 1), (0, 1)]))
+    # (0, 1) = (1, 1) - (1, 0) generates with (1, 0)
     assert gr.support_generates(_two_line_grading(zt, [(1, 1), (1, 0)]))
+    assert gr.support_generates(_two_line_grading(zt, [(1, 1), (0, 1)]))
     # the Z2 coordinate is hit only by 2 = 0: no generation
-    assert not gr.support_generates(_two_line_grading(tz, [(0, 1), (0, 2)]))
     assert not gr.support_generates(_two_line_grading(zt, [(1, 0), (2, 0)]))
+    # the Z2 relation is 2 e_1 = 0, at coordinate rank + 0 = 1: 3 e_0 does
+    # not give e_0, as it would with 2 e_0 = 0
+    assert not gr.support_generates(_two_line_grading(zt, [(3, 0), (0, 1)]))
 
 
 def test_product_group_arithmetic_in_both_layouts():
-    z2, z3 = FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (3,))
-    z = FgAbelianGroup(1)
-    tz = z2.product(z)
-    assert tz.ncoords == 2 and tz.zero() == (0, 0)
-    assert tz.reduce((3, -5)) == (1, -5)
-    assert tz.add((1, 4), (1, -7)) == (0, -3)
-    assert tz.sub(tz.zero(), (1, 4)) == (1, -4)
-    assert tz.sub((0, 1), (1, 3)) == (1, -2)
-    assert tz.pair((1,), (2,)) == (1, 2)
-    zt = z.product(z2)
-    assert zt.reduce((-5, 3)) == (-5, 1) and zt.add((4, 1), (-7, 1)) == (-3, 0)
-    nested = tz.product(z3).product(zt)  # Z2 x Z x Z3 x Z x Z2
-    assert nested.ncoords == 5
-    assert nested.add((1, 2, 2, 3, 1), (1, 2, 2, 3, 0)) == (0, 4, 1, 6, 1)
-    assert nested.sub(nested.zero(), (1, 2, 2, 3, 1)) == (1, -2, 1, -3, 1)
-    assert nested.is_isomorphic_to(FgAbelianGroup(2, (2, 2, 3)))
+    zt = FgAbelianGroup(1, (2,))
+    assert zt.ncoords == 2 and zt.zero() == (0, 0)
+    assert zt.reduce((-5, 3)) == (-5, 1)
+    assert zt.add((4, 1), (-7, 1)) == (-3, 0)
+    assert zt.sub(zt.zero(), (4, 1)) == (-4, 1)
+    assert zt.sub((1, 0), (3, 1)) == (-2, 1)
+    g = FgAbelianGroup(2, (2, 3))  # Z^2 x Z2 x Z3
+    assert g.ncoords == 4
+    assert g.add((2, 3, 1, 2), (2, 3, 1, 2)) == (4, 6, 0, 1)
+    assert g.sub(g.zero(), (2, -3, 1, 2)) == (-2, 3, 1, 1)
+    assert g.has_order_dividing_2((0, 0, 1, 0))
+    assert not g.has_order_dividing_2((0, 0, 1, 1))
+    assert g.is_isomorphic_to(FgAbelianGroup(2, (6,)))
     with pytest.raises(ValueError):
-        tz.reduce((1, 2, 3))
+        zt.reduce((1, 2, 3))
 
 
 def test_groups_are_equal_only_with_the_same_layout():
-    z2, z = FgAbelianGroup(0, (2,)), FgAbelianGroup(1)
-    tz, zt = z2.product(z), z.product(z2)  # Z2 x Z and Z x Z2
-    assert tz.reduce((3, 5)) == (1, 5) and zt.reduce((3, 5)) == (3, 1)
-    assert tz != zt and tz != FgAbelianGroup(1, (2,))
-    assert tz == z2.product(FgAbelianGroup(1))
+    zt = FgAbelianGroup(1, (2,))
     assert zt == FgAbelianGroup(1, (2,))
     assert hash(zt) == hash(FgAbelianGroup(1, (2,)))
-    assert len({tz, zt, FgAbelianGroup(1, (2,))}) == 2
-    assert tz.is_isomorphic_to(zt)
-    # unequal groups print differently; free-first ones print as before
-    assert repr(tz) == "FgAbelianGroup(rank=1, torsion=(2,), mods=(2, 0))"
-    assert repr(zt) == repr(FgAbelianGroup(1, (2,))) == \
-        "FgAbelianGroup(rank=1, torsion=(2,))"
-    assert not tz.free_first and zt.free_first
+    # a different rank or torsion tuple is a different group, also when
+    # the two are isomorphic
+    assert zt != FgAbelianGroup(2) and zt != FgAbelianGroup(0, (2,))
+    assert FgAbelianGroup(0, (2, 3)) != FgAbelianGroup(0, (3, 2))
+    assert FgAbelianGroup(0, (2, 3)).is_isomorphic_to(FgAbelianGroup(0, (6,)))
+    assert FgAbelianGroup(0, (2, 3)) != FgAbelianGroup(0, (6,))
+    assert len({zt, FgAbelianGroup(1, (2,)), FgAbelianGroup(0, (2,))}) == 2
+    assert repr(zt) == "FgAbelianGroup(rank=1, torsion=(2,))"
 
 
 def test_induced_derivation_grading_octonions():

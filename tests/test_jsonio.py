@@ -32,7 +32,7 @@ def test_table_round_trip():
 
 
 def assert_same_grading(back, gd):
-    assert back.group._mods == gd.group._mods
+    assert back.group == gd.group
     assert back.name == gd.name
     assert [(d, s.basis) for d, s in back.components] == \
         [(d, s.basis) for d, s in gd.components]
@@ -48,19 +48,6 @@ def test_grading_round_trip():
     for gd, table in ((pauli, m.table), (gz, j.table)):
         back = jsonio.grading_from_json(jsonio.grading_to_json(gd), table)
         assert_same_grading(back, gd)
-
-
-def test_grading_to_json_rejects_torsion_before_free():
-    # rank and torsion read back free coordinates first: Z2 x Z would not
-    t = AlgebraTable(2, ["b0", "b1"], [[{}, {}], [{}, {}]])
-    tz = FgAbelianGroup(0, (2,)).product(FgAbelianGroup(1))
-    gd = GradedDecomposition.from_degree_map(t, tz, [(0, 5), (1, 3)])
-    with pytest.raises(ValueError, match="do not put the free coordinates first"):
-        jsonio.grading_to_json(gd)
-    zt = FgAbelianGroup(1).product(FgAbelianGroup(0, (2,)))
-    gd = GradedDecomposition.from_degree_map(t, zt, [(5, 0), (3, 1)])
-    back = jsonio.grading_from_json(jsonio.grading_to_json(gd), t)
-    assert back.support == gd.support == [(3, 1), (5, 0)]
 
 
 def test_dump_deterministic(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from e6grad import composition as co
 from e6grad import jsonio
 from e6grad import liemodels as lm
 from e6grad import linalg as la
@@ -307,3 +308,24 @@ def test_tits_twist_needs_a_grading(tits):
         bad = parity[:t] + [0] + parity[t + 1:]
         with pytest.raises(ValueError, match="not a Z2-grading"):
             sa.twist_z2(tits.table, bad, -1)
+
+
+def test_split_tits_twists_by_the_parity_that_splits_the_octonions(ws, tits):
+    """The parity of T(Os, M), read off the cells that the twist negates, is
+    1 on e_i x m exactly for the e_i whose products ``basis_mul(split=True)``
+    flips, 0 on Der(M), and O's third degree coordinate on Der(O)."""
+    split = ws.model("tits_split").table
+    n = tits.dim
+    parity = [int(any(split.prod[i][j] != tits.table.prod[i][j]
+                      for j in range(n))) for i in range(n)]
+    assert sa.twist_z2(tits.table, parity, -1).prod == split.prod
+    flips = {i for i in range(1, 8) if any(
+        co.basis_mul(i, j, split=True) != co.basis_mul(i, j)
+        for j in range(8))}
+    assert flips == {4, 5, 6, 7}
+    n_do, n_t = 14, len(tits.meta["tensor"])
+    assert [parity[n_do + k] for k in range(n_t)] == \
+        [int(i in flips) for i, _ in tits.meta["tensor"]]
+    assert parity[n_do + n_t:] == [0] * 8
+    assert parity[:n_do] == [g[2] for g in tits.meta["ders_o"].blocks]
+    assert sum(parity[:n_do]) == 8

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e6grad import composition as co
 from e6grad import jordan as jo
@@ -672,3 +674,95 @@ def test_check_jacobi_agrees_with_the_triple_loop_on_corruptions(ws, name):
         assert (rep.ok, rep.witness) == (want is None, want), change
         assert rep.ok or rep.name == "jacobi", change
     assert table.check_lie().ok  # the session's table was not touched
+
+
+def test_symmetry_scans_name_the_smallest_failing_coordinate(flag):
+    t = flag.table
+    assert t.check_anticommutative().ok and not t.prod[7][7]
+    # b_40 b_3 changed at coordinates 61 and 12: the pair is (3, 40)
+    for i, j in ((40, 3), (3, 40)):
+        bad = corrupted_copy(t, [(i, j, 61, 1), (i, j, 12, Fraction(1, 3))])
+        rep = bad.check_anticommutative()
+        assert (rep.ok, rep.name, rep.witness, rep.detail) == \
+            (False, "anticommutative", (3, 40, 12), "")
+        assert rep.witness == reference_symmetry_witness(bad, -1)
+    bad = corrupted_copy(t, [(7, 7, 60, 2), (7, 7, 11, -1)])
+    rep = bad.check_anticommutative()
+    assert (rep.ok, rep.witness, rep.detail) == \
+        (False, (7, 7, 11), "nonzero square")
+    assert rep.witness == reference_symmetry_witness(bad, -1)
+    assert not bad.check_lie()
+
+
+def test_commutative_scan_names_the_smallest_failing_coordinate():
+    t = jo.build_m().table
+    assert t.check_commutative().ok
+    for i, j in ((5, 2), (2, 5)):
+        bad = corrupted_copy(t, [(i, j, 8, 1), (i, j, 1, Fraction(-1, 2))])
+        rep = bad.check_commutative()
+        assert (rep.ok, rep.name, rep.witness, rep.detail) == \
+            (False, "commutative", (2, 5, 1), "")
+        assert rep.witness == reference_symmetry_witness(bad, 1)
+        assert not bad.check_jordan()
+    # a changed square keeps the table commutative
+    assert corrupted_copy(t, [(4, 4, 0, 3)]).check_commutative().ok
+
+
+def reference_symmetry_witness(table, sign):
+    """The first (i, j, k), i <= j (i < j for sign 1) and k smallest, with
+    b_j b_i != sign b_i b_j at coordinate k, over the Fraction cells."""
+    n = table.dim
+    for i in range(n):
+        for j in range(i if sign < 0 else i + 1, n):
+            a, b = table.prod[i][j], table.prod[j][i]
+            for k in range(n):
+                if b.get(k, 0) != sign * a.get(k, 0):
+                    return (i, j, k)
+    return None
+
+
+def test_primitive_scales_to_a_primitive_integer_vector():
+    f = Fraction
+    assert sa.primitive({0: f(2, 3), 3: f(-4, 9)}) == ({0: 3, 3: -2}, f(9, 2))
+    assert sa.primitive({5: 4, 1: -6}) == ({5: 2, 1: -3}, f(1, 2))
+    assert sa.primitive({2: f(1), 0: f(-1, 6)}) == ({2: 6, 0: -1}, 6)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.dictionaries(st.integers(0, 8), small.filter(bool), min_size=1))
+def test_primitive_property(v):
+    w, d = sa.primitive(v)
+    assert d > 0 and math.gcd(*w.values()) == 1
+    assert all(type(x) is int for x in w.values())
+    assert w == {k: d * x for k, x in v.items()}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_int_span_agrees_with_subspace_coords(data):
+    dim = data.draw(st.integers(1, 6))
+    vec = st.dictionaries(st.integers(0, dim - 1), small.filter(bool),
+                          max_size=dim)
+    sub = sa.Subspace(dim, data.draw(st.lists(vec, max_size=4)))
+    span = sa.IntSpan([sa.primitive(v)[0] for v in sub.basis], sub.pivots)
+    inside: dict = {}
+    for v in sub.basis:
+        sa.vec_add_scaled(inside, v, data.draw(small))
+    support = {k for v in sub.basis for k in v}
+    # one entry changed, and one key that no row touches (dim is one)
+    changed = [data.draw(st.integers(0, dim - 1)),
+               data.draw(st.sampled_from(
+                   [k for k in range(dim + 1) if k not in support]))]
+    cases = [inside]
+    for k in changed:
+        w = dict(inside)
+        w[k] = w.get(k, 0) + data.draw(small.filter(bool))
+        cases.append({key: x for key, x in w.items() if x})
+    assert sub.coords(inside) is not None
+    for w in cases:
+        if w:
+            assert span.outside(sa.primitive(w)[0]) == \
+                (sub.coords(w) is None), (sub.basis, w)
