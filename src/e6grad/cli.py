@@ -7,7 +7,9 @@
     e6grad verify-all [--json] [--out PATH]
 
 All machine output is JSON (deterministic modulo the generated_at field);
-human-readable summaries go to stdout.
+human-readable summaries go to stdout.  An output path that cannot be
+written exits with status 2: a missing directory is found before any work,
+any other OSError when the file is written.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 from . import jsonio, verify
@@ -34,6 +37,29 @@ def _misplaced(option: str, owner: str, model: str) -> int:
     return 2
 
 
+def _cannot_write(path: str, why: str) -> None:
+    print(f"error: cannot write {path}: {why}", file=sys.stderr)
+
+
+def _missing_directory(path: str) -> bool:
+    """Is the directory of path missing?  Says so on stderr when it is."""
+    d = os.path.dirname(path) or os.curdir
+    if os.path.isdir(d):
+        return False
+    _cannot_write(path, f"no directory {d}")
+    return True
+
+
+def _dump(obj, path: str) -> bool:
+    """Write obj to path; False, after an error message, when that fails."""
+    try:
+        jsonio.dump(obj, path)
+    except OSError as e:
+        _cannot_write(path, e.strerror or str(e))
+        return False
+    return True
+
+
 def cmd_build(args) -> int:
     # name: the Workspace model; key: the "model" field and default file name
     name = key = args.model
@@ -47,6 +73,9 @@ def cmd_build(args) -> int:
             name = "albert_plus"
     elif name == "tits" and args.split_octonions:
         name = key = "tits_split"
+    out = args.out or f"{key}.json"
+    if _missing_directory(out):
+        return 2
     model = verify.Workspace().model(name)
     sig = model.killing_signature()
     payload = {
@@ -57,8 +86,8 @@ def cmd_build(args) -> int:
         "table": jsonio.table_to_json(model.table),
         "generated_at": _timestamp(),
     }
-    out = args.out or f"{key}.json"
-    jsonio.dump(payload, out)
+    if not _dump(payload, out):
+        return 2
     print(f"{key}: dim {model.dim}, Killing signature {sig}; table -> {out}")
     return 0
 
@@ -70,6 +99,9 @@ def cmd_grade(args) -> int:
               f"(choose from {', '.join(NAMED_GRADINGS)})", file=sys.stderr)
         return 2
     key = GRADING_MODEL[name]
+    out = args.out or f"{key}_{name}.json"
+    if _missing_directory(out):
+        return 2
     ws = verify.Workspace()
     model = ws.model(key)
     gd = ws.grading(name)
@@ -87,8 +119,8 @@ def cmd_grade(args) -> int:
         "grading_data": jsonio.grading_to_json(gd),
         "generated_at": _timestamp(),
     }
-    out = args.out or f"{key}_{name}.json"
-    jsonio.dump(payload, out)
+    if not _dump(payload, out):
+        return 2
     print(f"{name} on {key}: type {tuple(payload['type_vector'])}, "
           f"group {ug.describe()}, interval {iv['dim_neutral']} +- "
           f"{iv['order2_dim']}; -> {out}")
@@ -96,10 +128,12 @@ def cmd_grade(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.out and _missing_directory(args.out):
+        return 2
     report = verify.run_all(verify.Workspace())
     report["generated_at"] = _timestamp()
-    if args.out:
-        jsonio.dump(report, args.out)
+    if args.out and not _dump(report, args.out):
+        return 2
     if args.json:
         json.dump(report, sys.stdout, indent=1, sort_keys=True)
         print()

@@ -76,9 +76,8 @@ def build_albert() -> Model:
 
     nj = j.dim
     # traceless basis of J: E11-E22, E22-E33, then the 24 iota vectors
-    j0_vecs = [{0: Fraction(1), 1: Fraction(-1)},
-               {1: Fraction(1), 2: Fraction(-1)}]
-    j0_vecs += [{t: Fraction(1)} for t in range(3, nj)]
+    j0_ints = [{0: 1, 1: -1}, {1: 1, 2: -1}] + [{t: 1} for t in range(3, nj)]
+    j0_vecs = [{t: Fraction(c) for t, c in v.items()} for v in j0_ints]
     j0_degrees = [degrees[0], degrees[1]] + [degrees[t] for t in range(3, nj)]
 
     def j_to_j0(vec: dict) -> dict:
@@ -92,7 +91,10 @@ def build_albert() -> Model:
         out.update((51 + t, vec[t]) for t in sorted(vec) if t >= 3)
         return {k: c for k, c in out.items() if c}
 
-    r_ops = [j.r_operator(v) for v in j0_vecs]
+    # L R_x for x in J_0, L the scale of j.table.int_scaled(): integer columns
+    r_ops = [[j.table.int_mul_vec(x, {l: 1}) for l in range(nj)]
+             for x in j0_ints]
+    denom = j.table.int_scaled()[1] ** 2
 
     dim = 52 + 26
     names = [f"D{t}" for t in range(52)] + [f"x{t}" for t in range(26)]
@@ -102,10 +104,12 @@ def build_albert() -> Model:
             return ders.table.prod[a][b]
         if a < 52:
             return j_to_j0(ders.apply(a, j0_vecs[b - 52]))
+        # [x_a, x_b] = -[R_a, R_b], and L^2 [R_a, R_b] is integer
         xa, xb = a - 52, b - 52
-        comm = commutator(r_ops[xa], r_ops[xb])
         g = group.add(j0_degrees[xa], j0_degrees[xb])
-        return {k: -c for k, c in ders.coords_in_block(comm, g).items()}
+        offset, cs = ders._int_coords(commutator(r_ops[xa], r_ops[xb]), g)
+        return {offset + r: Fraction(-c, denom) for r, c in enumerate(cs)
+                if c}
 
     table = AlgebraTable.build(dim, names, mul, -1)
     parity = [0] * 52 + [1] * 26

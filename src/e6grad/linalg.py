@@ -6,23 +6,25 @@ matrix form that crosses a function boundary, for maps on a 78-dim algebra
 and for 3 x 3 or 8 x 8 matrices alike, and for a symmetric bilinear form
 (column j is {i: kappa(b_i, b_j)}), whose Sylvester inertia is read by
 symmetric congruence on its sparse rows.  Gaussian elimination, kernels and
-inverses work on lists of sparse rows, and so does the Smith form: the
-invariant factors of an integer matrix given by its sparse rows are read off
-by unit-pivot elimination before a small dense core is reduced.  The joint
-eigenspaces of commuting maps are split off by the images of their Lagrange
-projectors.
+inverses work on lists of sparse rows; so do the fraction-free elimination
+of integer rows, whose rows are the RREF's times positive integers, and the
+Smith form: the invariant factors of an integer matrix given by its sparse
+rows are read off by unit-pivot elimination before a small dense core is
+reduced.  The joint eigenspaces of commuting maps are split off by the
+images of their Lagrange projectors.
 
 Entries are Fractions or ints, except that elimination, inverses, products
 and the eigensplit also take ``Cyc`` entries, as the complex bases of the
 real forms and the 8 x 8 matrices of the sp8 lemma need.  A bilinear form
 is rational, so its signature compares pivots with 0; a Smith relation
-matrix is integer.
+matrix and the rows of a fraction-free elimination are integer.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalar import Cyc
 
@@ -108,10 +110,11 @@ def rank(m: list[dict]) -> int:
     return len(rref(m)[1])
 
 
-def kernel_from_rref(red: list[dict], pivots: list[int],
-                     cols: int) -> list[dict]:
-    """Kernel basis read off an RREF: one sparse vector per free column,
-    1 there and 0 at the other free columns."""
+def kernel(m: list[dict], cols: int) -> list[dict]:
+    """Basis of {v : m v = 0} for ``cols`` unknowns, as sparse vectors read
+    off the RREF: one per free column, 1 there and 0 at the other free
+    columns."""
+    red, pivots = rref(m)
     pivset = set(pivots)
     ker = {c: {c: Fraction(1)} for c in range(cols) if c not in pivset}
     for row, pc in zip(red, pivots):
@@ -121,10 +124,81 @@ def kernel_from_rref(red: list[dict], pivots: list[int],
     return [dict(sorted(v.items())) for v in ker.values()]
 
 
-def kernel(m: list[dict], cols: int) -> list[dict]:
-    """Basis of {v : m v = 0} for ``cols`` unknowns, as sparse vectors."""
-    red, pivots = rref(m)
-    return kernel_from_rref(red, pivots, cols)
+def int_rref(m: list[dict]) -> tuple[list[dict], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer sparse rows;
+    returns (R, pivot_columns).
+
+    R holds the nonzero rows in order of their pivots, with ascending keys:
+    row r is d_r > 0 at its pivot p_r, its least index, 0 at every other
+    pivot, and its entries have gcd 1.  So R_r / d_r is row r of
+    ``rref(m)``.  The rows are reduced as ``rref`` reduces them, with the
+    integer step v <- (d / g) v - (v[p] / g) R_r (g = gcd(d, v[p])) in
+    place of subtracting a rational multiple, and each new row is divided
+    by the gcd of its entries.
+    """
+    red: dict = {}  # pivot column -> reduced row
+
+    def clear(v, r, p):
+        """v with its entry at p cleared by the row r, d = r[p] > 0."""
+        d, f = r[p], v[p]
+        g = gcd(d, f)
+        d, f = d // g, f // g
+        out = {k: d * x for k, x in v.items()} if d != 1 else v
+        for k, x in r.items():
+            s = out.get(k, 0) - f * x
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return out
+
+    for row in m:
+        v = {k: x for k, x in row.items() if x}
+        for c in [c for c in v if c in red]:
+            v = clear(v, red[c], c)
+        if not v:
+            continue
+        p = min(v)
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        if g != 1:
+            v = {k: x // g for k, x in v.items()}
+        for q, r in red.items():
+            if p in r:
+                r = clear(r, v, p)
+                h = gcd(*r.values())
+                red[q] = {k: x // h for k, x in r.items()} if h != 1 else r
+        red[p] = v
+    pivots = sorted(red)
+    return [dict(sorted(red[p].items())) for p in pivots], pivots
+
+
+def int_kernel(m: list[dict], cols: int) -> list[tuple[int, dict]]:
+    """(c, w) for each free column c of the integer sparse rows m, in
+    ascending order: w is a primitive integer solution of m w = 0, with
+    ascending keys, w[c] > 0 and 0 at the other free columns.  So w / w[c]
+    is ``kernel(m, cols)``'s vector for c.
+
+    Read off ``int_rref(m)``: the rational kernel vector is 1 at c and
+    -R_r[c] / d_r at each pivot p_r; times D, the lcm of those d_r, it is
+    integer, and it is then divided by the gcd of its entries.
+    """
+    red, pivots = int_rref(m)
+    pivset = set(pivots)
+    hits = {c: [] for c in range(cols) if c not in pivset}
+    for row, p in zip(red, pivots):
+        for c, x in row.items():
+            if c != p:
+                hits[c].append((p, row[p], x))
+    out = []
+    for c, hs in hits.items():
+        big = lcm(*(d for _, d, _ in hs))
+        w = {p: -(big // d) * x for p, d, x in hs}
+        w[c] = big
+        h = gcd(*w.values())
+        out.append((c, {k: x // h for k, x in sorted(w.items())}))
+    return out
 
 
 def inverse(m: list[dict]) -> list[dict]:

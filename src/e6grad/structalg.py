@@ -4,10 +4,12 @@ An ``AlgebraTable`` stores b_i * b_j = sum_k c[i][j][k] b_k with rational
 constants (Fractions or ints); so does every bilinear form here.  Q(zeta_12)
 enters only through a ``RealForm``, whose complex basis holds ``Cyc``
 coordinates: the table it restricts to is rational, and ``to_real_coords``
-raises ValueError on a coordinate that is not.  Identity checks
-(anticommutativity, Jacobi, the linearized Jordan identity) run over a
-common-denominator integer scaling of the table, so the exhaustive loops
-stay in machine/bigint arithmetic.
+raises ValueError on a coordinate that is not.  The restriction itself runs
+in Z[zeta_12], on integer vectors split by powers of z over one scale per
+family, with the products taken over the integer-scaled complex table.
+Identity checks (anticommutativity, Jacobi, the linearized Jordan identity)
+run over a common-denominator integer scaling of the table, so the
+exhaustive loops stay in machine/bigint arithmetic.
 The Jacobi check packs each cell of that table into one int, one slot of
 ``bits`` bits per coordinate, with 2^(bits - 1) above 3 n M^2 (M the largest
 |constant|), the most any coordinate of a Jacobi vector can reach in
@@ -29,11 +31,13 @@ system splits into independent blocks indexed by the degree shift of the
 unknown matrix entries, which both speeds the kernel up by orders of
 magnitude and yields the induced grading on Der(A) for free; an equation
 whose unknowns leave its block shows that the degrees do not grade the
-table, and raises.  Each basis derivation is also held as primitive
-integer columns.  The coordinates of a map in the derivation basis are its
-entries at the free unknowns of the Leibniz kernel, confirmed by
-``IntSpan``, the integer span test that the grading product pass also
-uses, and the commutator table of Der(A) is computed in integers.
+table, and raises.  Each block is row-reduced by fraction-free
+Gauss-Jordan elimination (``linalg.int_kernel``), and each basis derivation
+is held as the primitive integer kernel vector read off it.  The
+coordinates of a map in the derivation basis are its entries at the free
+unknowns of the Leibniz kernel, confirmed by ``IntSpan``, the integer span
+test that the grading product pass also uses, and the commutator table of
+Der(A) is computed in integers.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .abgroup import FgAbelianGroup
-from .linalg import apply, commutator, inverse, kernel, kernel_from_rref, rref
+from .linalg import apply, commutator, int_kernel, inverse, kernel, rref
 from .scalar import Cyc
 
 Vec = dict  # sparse vector: index -> scalar
@@ -80,6 +84,26 @@ def int_scaled_vectors(vecs: list[Vec]) -> tuple[list[Vec], int]:
             x = _rational(x)
             w[k] = x.numerator * (s // x.denominator)
         out.append(w)
+    return out, s
+
+
+def _int_parts(vecs: list[dict]) -> tuple[list[list], int]:
+    """(parts, s) for sparse vectors over Q(zeta_12): s is the lcm of the
+    denominators of all their coordinates in the power basis, and parts[v]
+    lists (p, u_p) for the powers p of z with s vecs[v] = sum_p z^p u_p,
+    u_p a nonzero integer sparse vector, p ascending."""
+    coords = [[(k, x.c if isinstance(x, Cyc) else (x,)) for k, x in v.items()]
+              for v in vecs]
+    s = lcm(*(y.denominator for v in coords for _, c in v for y in c))
+    out = []
+    for v in coords:
+        by_power: dict = {}
+        for k, c in v:
+            for p, y in enumerate(c):
+                if y:
+                    by_power.setdefault(p, {})[k] = \
+                        y.numerator * (s // y.denominator)
+        out.append(sorted(by_power.items()))
     return out, s
 
 
@@ -365,6 +389,19 @@ class RealForm:
     ``table`` is the restricted algebra: entry (i, j) holds the rational
     coordinates of the complex product of basis vectors i and j.
 
+    The restriction runs in Z[zeta_12], held as integers.  The basis, the
+    rows of the block inverses and every vector whose coordinates are read
+    are each scaled by one positive integer (``_int_parts``) and split by
+    powers of z: a vector is sum_p z^p u_p with integer vectors u_p.  The
+    product of basis vectors i and j is then sum_{p, q} z^(p + q) u_p v_q,
+    each u_p v_q an integer product over ``complex_table.int_scaled()``,
+    and coordinate t of a vector sum_m z^m w_m is sum_{r, m} z^(r + m)
+    <row t of the inverse at z^r, w_m>, an integer polynomial in z of
+    degree at most 9.  ``_coords`` reduces it with z^6 = -1, z^4 = z^2 - 1
+    and z^5 = z^3 - z to the power basis {1, z, z^2, z^3}; the coordinate
+    is rational exactly when the z, z^2 and z^3 parts are zero, and it is
+    the 1 part over the product of the scales.
+
     When ``complex_table`` is anticommutative (a Lie table) or commutative
     (a Jordan table), checked over all pairs, ``AlgebraTable.build`` mirrors
     the restricted table with that sign.  This is exact: if e_b e_a =
@@ -405,9 +442,7 @@ class RealForm:
         vecs: dict = {}
         for t, sup in enumerate(supports):
             vecs.setdefault(find(sup[0]), []).append(t)
-        # blocks: (basis indices, inverse rows keyed by coordinate)
-        self._blocks = []
-        self._block_of = [0] * n
+        inv_rows = [None] * n  # row t of the inverse, keyed by coordinate
         for r, ks in coords.items():
             ts = vecs.get(r, [])
             if len(ts) != len(ks):
@@ -419,10 +454,17 @@ class RealForm:
                 for k, c in complex_basis[t].items():
                     if c:
                         rows[pos[k]][q] = c
-            inv = [{ks[p]: c for p, c in row.items()} for row in inverse(rows)]
-            for k in ks:
-                self._block_of[k] = len(self._blocks)
-            self._blocks.append((ts, inv))
+            for t, row in zip(ts, inverse(rows)):
+                inv_rows[t] = {ks[p]: c for p, c in row.items()}
+        # _inv_cols[k]: (t, r, c) for entry c z^r at coordinate k of row t
+        parts, self._inv_scale = _int_parts(inv_rows)
+        self._inv_cols = [[] for _ in range(n)]
+        for t, row_parts in enumerate(parts):
+            for r, row in row_parts:
+                for k, c in row.items():
+                    self._inv_cols[k].append((t, r, c))
+        self._basis_parts, scale = _int_parts(complex_basis)
+        self._prod_scale = scale * scale * complex_table.int_scaled()[1]
         sign = (-1 if complex_table.check_anticommutative()
                 else 1 if complex_table.check_commutative() else None)
         self.table = AlgebraTable.build(n, names, self._mul, sign)
@@ -434,19 +476,40 @@ class RealForm:
         Raises ValueError when a coordinate is not rational, i.e. w is not
         in the real span.
         """
-        out = {}
-        for b in {self._block_of[k] for k in w}:
-            ts, inv = self._blocks[b]
-            for t, row in zip(ts, inv):
-                x = _rational(sum((c * w[k] for k, c in row.items()
-                                    if k in w), Fraction(0)))
-                if x:
-                    out[t] = x
-        return dict(sorted(out.items()))
+        (parts,), scale = _int_parts([w])
+        return self._coords(parts, scale)
 
     def _mul(self, i: int, j: int) -> dict:
-        w = self.complex.mul_vec(self.complex_basis[i], self.complex_basis[j])
-        return self.to_real_coords(w)
+        mul = self.complex.int_mul_vec
+        return self._coords([(p + q, mul(u, v))
+                             for p, u in self._basis_parts[i]
+                             for q, v in self._basis_parts[j]],
+                            self._prod_scale)
+
+    def _coords(self, parts: list, scale: int) -> dict:
+        """The coordinates of sum_m z^m w_m / scale, for the (m, w_m) of
+        ``parts`` with 0 <= m <= 6 and integer vectors w_m."""
+        acc: dict = {}  # t -> coefficients of z^0 .. z^9
+        cols = self._inv_cols
+        for m, w in parts:
+            for k, x in w.items():
+                for t, r, c in cols[k]:
+                    a = acc.get(t)
+                    if a is None:
+                        a = acc[t] = [0] * 10
+                    a[r + m] += c * x
+        den = scale * self._inv_scale
+        out = {}
+        for t in sorted(acc):
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = acc[t]
+            c0, c1 = a0 - a6 - a4, a1 - a7 - a5
+            c2, c3 = a2 - a8 + a4, a3 - a9 + a5
+            if c1 or c2 or c3:
+                raise ValueError("not rational: " + repr(Cyc(
+                    *(Fraction(c, den) for c in (c0, c1, c2, c3)))))
+            if c0:
+                out[t] = Fraction(c0, den)
+        return out
 
     def real_matrix_of(self, cols: list[dict]) -> list[dict]:
         """Sparse real-basis columns of a complex-linear map given by its
@@ -515,7 +578,8 @@ class Derivations:
     degrees of the induced grading on Der(A).  The Leibniz unknown (k, l)
     is the entry at row k of column l, and its block is ``_shifts[l][k]``.
 
-    Each basis derivation of a block is a kernel vector read off the RREF:
+    Each basis derivation of a block is a kernel vector of its Leibniz
+    rows, read off their fraction-free elimination (``linalg.int_kernel``):
     it is 1 at its own free unknown and 0 at the block's other free
     unknowns, so int_mats[t] is denoms[t] there.  The block's ``IntSpan``
     holds these integer forms flattened to keys n l + k, with the free
@@ -597,9 +661,9 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     and equation (i, j, k) to the block deg(k) - deg(i) - deg(j); without
     them every degree is () in the trivial group ``FgAbelianGroup(0)``.  An
     equation with an unknown outside its block raises ValueError: the
-    degrees are not a grading of the table.  Each block is row-reduced on
-    its own, and its block key is the degree of its derivations in the
-    induced grading on Der(A).
+    degrees are not a grading of the table.  Each block's primitive integer
+    equations are row-reduced on their own, in integers, and its block key
+    is the degree of its derivations in the induced grading on Der(A).
     """
     n = table.dim
     iprod, _ = table.int_scaled()
@@ -655,24 +719,22 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     block_data = {}
     for g in sorted(unknowns, key=repr):
         keys = [n * l + k for k, l in unknowns[g]]
-        red, pivots = rref([dict(row) for row in rows[g]])
-        ker = kernel_from_rref(red, pivots, len(keys))
+        ker = int_kernel([dict(row) for row in rows[g]], len(keys))
         if not ker:
             continue
-        pivset = set(pivots)
-        free = [keys[c] for c in range(len(keys)) if c not in pivset]
         span_rows = []
-        for v in ker:
-            w, d = primitive({keys[t]: x for t, x in v.items()})
+        for c, w in ker:
+            w = {keys[t]: x for t, x in w.items()}
             cols = [{} for _ in range(n)]
             for key, x in w.items():
                 l, k = divmod(key, n)
                 cols[l][k] = x
             int_mats.append(cols)
-            denoms.append(d.numerator)  # v is 1 at its free unknown
+            denoms.append(w[keys[c]])
             block_keys.append(g)
             span_rows.append(w)
-        block_data[g] = (len(int_mats) - len(ker), IntSpan(span_rows, free))
+        block_data[g] = (len(int_mats) - len(ker),
+                         IntSpan(span_rows, [keys[c] for c, _ in ker]))
     return Derivations(table, int_mats, denoms, block_keys, group,
                        block_data, shifts)
 

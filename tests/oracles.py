@@ -8,7 +8,9 @@ from e6grad import liemodels as lm
 from e6grad.abgroup import FgAbelianGroup
 from e6grad.gradings import GradedDecomposition
 from e6grad.jordan import JordanH3, z_grading_derivation
-from e6grad.linalg import apply, kernel, rref, simultaneous_eigensplit
+from e6grad.linalg import (apply, inverse, kernel, rref,
+                           simultaneous_eigensplit)
+from e6grad.scalar import Cyc
 from e6grad.structalg import (AlgebraTable, CheckReport, Subspace, Vec,
                               killing_form, twist_z2, vec_add_scaled)
 
@@ -77,6 +79,41 @@ def is_refinement(fine: GradedDecomposition, coarse: GradedDecomposition) -> boo
         if not hit:
             return False
     return True
+
+
+def cyc_restriction(complex_table: AlgebraTable, basis: list[Vec]):
+    """The restriction of scalars in Q(zeta_12) arithmetic: (prod, coords)
+    with prod[i][j] the rational coordinates of the complex product of
+    basis vectors i and j, formed by ``mul_vec`` over ``Cyc`` for every
+    pair, and coords(w) those of any complex vector w, read with the
+    inverse of the whole basis matrix.  Raises ValueError on a coordinate
+    that is not rational."""
+    n = len(basis)
+    rows = [{} for _ in range(n)]  # row k, column t: coordinate k of b_t
+    for t, v in enumerate(basis):
+        for k, c in v.items():
+            if c:
+                rows[k][t] = c
+    by_coord: dict = {}  # k -> [(t, entry k of row t of the inverse)]
+    for t, row in enumerate(inverse(rows)):
+        for k, c in row.items():
+            by_coord.setdefault(k, []).append((t, c))
+
+    def coords(w: Vec) -> Vec:
+        acc: dict = {}
+        for k, x in w.items():
+            for t, c in by_coord.get(k, ()):
+                acc[t] = acc.get(t, 0) + c * x
+        out = {}
+        for t in sorted(acc):
+            x = acc[t].as_fraction() if isinstance(acc[t], Cyc) else acc[t]
+            if x:
+                out[t] = Fraction(x)
+        return out
+
+    prod = [[coords(complex_table.mul_vec(u, v)) for v in basis]
+            for u in basis]
+    return prod, coords
 
 
 def leibniz_residual(table: AlgebraTable, cols: list[Vec]) -> bool:

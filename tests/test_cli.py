@@ -165,3 +165,33 @@ def test_removed_options_exit_through_argparse(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+COMMANDS = [["build", "tits"], ["grade", "gamma3"], ["verify-all", "--json"]]
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_an_out_path_in_a_missing_directory_exits_before_any_work(
+        tmp_path, monkeypatch, capsys, argv):
+    def no_work():
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(verify, "Workspace", no_work)
+    out = tmp_path / "missing" / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: cannot write {out}: no directory {out.parent}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_a_failed_write_exits_2_with_the_reason(tmp_path, monkeypatch, capsys,
+                                               ws, argv):
+    # the output path is a directory, so opening it for writing fails
+    monkeypatch.setattr(verify, "Workspace", lambda: ws)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"

@@ -148,6 +148,47 @@ def test_rref_matches_dense_gauss_jordan():
     assert deficient == {False, True}
 
 
+def _int_cases(rng):
+    """Integer matrices as sparse rows, about half of the entries zero:
+    random ones, and each with a zero row, a duplicate row and a negated
+    leading row added; an all-zero matrix and single columns."""
+    yield [{}, {}], 3
+    yield [{0: 0}], 1
+    yield [{0: 4}, {0: -6}], 1
+    yield [{0: -3}, {}, {0: 5}], 1
+    for _ in range(80):
+        r, c = rng.randint(1, 7), rng.randint(1, 8)
+        m = rows([[rng.randint(-9, 9) if rng.random() < 0.5 else 0
+                   for _ in range(c)] for _ in range(r)])
+        yield m, c
+        i = rng.randrange(r)
+        yield m[:i] + [{}, dict(m[i])] + m[i:], c
+        yield [{k: -x for k, x in m[0].items()}] + m[1:], c
+
+
+def test_int_rref_is_the_rref_scaled_to_primitive_rows():
+    rng = random.Random(29)
+    for m, c in _int_cases(rng):
+        red, piv = la.int_rref(m)
+        want, want_piv = la.rref(m)
+        assert piv == want_piv, m
+        for row, p, ref in zip(red, piv, want):
+            d = row[p]
+            assert d > 0 and math.gcd(*row.values()) == 1
+            assert all(type(x) is int for x in row.values())
+            assert list(row) == sorted(row) and min(row) == p
+            assert row == {k: d * x for k, x in ref.items()}, m
+        ker = la.int_kernel(m, c)
+        assert [{k: Fraction(x, w[f]) for k, x in w.items()}
+                for f, w in ker] == la.kernel(m, c), m
+        assert [f for f, _ in ker] == [f for f in range(c) if f not in piv]
+        for f, w in ker:
+            assert w[f] > 0 and math.gcd(*w.values()) == 1
+            assert list(w) == sorted(w)
+            assert all(sum(x * w.get(k, 0) for k, x in row.items()) == 0
+                       for row in m)
+
+
 def test_inverse_of_cyc_matrix():
     rng = random.Random(23)
     n = 6

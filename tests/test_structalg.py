@@ -10,10 +10,11 @@ from e6grad import composition as co
 from e6grad import jordan as jo
 from e6grad import liemodels as lm
 from e6grad import linalg as la
+from e6grad import rootsys as rs
 from e6grad import structalg as sa
 from e6grad.abgroup import FgAbelianGroup
-from e6grad.scalar import CYC_ONE, ZETA
-from oracles import killing_ad_invariance, leibniz_residual
+from e6grad.scalar import CYC_ONE, I as CYC_I, OMEGA, ZETA, Cyc
+from oracles import cyc_restriction, killing_ad_invariance, leibniz_residual
 
 
 def cols(m):
@@ -445,6 +446,75 @@ def test_real_form_still_rejects_irrational_mirrored_products():
         prod = [[{}, {0: ZETA}], [{0: sign * ZETA}, {}]]
         with pytest.raises(ValueError, match="not rational"):
             sa.RealForm(sa.AlgebraTable(2, names, prod), basis, names)
+
+
+def _sl2_real_form():
+    """su(1, 1) in sl2 = <e, f, h> ([h, e] = 2e, [h, f] = -2f, [e, f] = h)
+    on the basis (e + f) / 2, i (e - f) / 2, i h / 3."""
+    one, two = Fraction(1), Fraction(2)
+    prod = [[{}, {2: one}, {0: -two}],
+            [{2: -one}, {}, {1: two}],
+            [{0: two}, {1: -two}, {}]]
+    names = ["e", "f", "h"]
+    half = Fraction(1, 2)
+    basis = [{0: Cyc(half), 1: Cyc(half)},
+             {0: CYC_I * half, 1: CYC_I * -half},
+             {2: CYC_I * Fraction(1, 3)}]
+    return sa.RealForm(sa.AlgebraTable(3, names, prod), basis,
+                       ["p", "q", "ih"])
+
+
+def _m_real_form():
+    """M on its Pauli units, as ``jordan.build_m`` restricts it; several
+    coordinates are two-term elements of Q(zeta_12), such as omega."""
+    units = jo._pauli_matrices()
+    basis = [dict(sorted((3 * i + j, x) for j, col in enumerate(units[d])
+                         for i, x in col.items())) for d in sorted(units)]
+    return sa.RealForm(jo._mat3_plus(), basis, [f"u{t}" for t in range(9)])
+
+
+def _ms_real_form():
+    """Ms = H3(R + R), as Mat3(Q)+ on E_ii and (E_ij +- E_ji) / 2 (i < j)."""
+    half = Fraction(1, 2)
+    basis = [{4 * i: CYC_ONE} for i in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        basis.append({3 * i + j: Cyc(half), 3 * j + i: Cyc(half)})
+        basis.append({3 * i + j: Cyc(half), 3 * j + i: Cyc(-half)})
+    return sa.RealForm(jo._mat3_plus(), basis, [f"s{t}" for t in range(9)])
+
+
+@pytest.mark.parametrize("case", ["flag", "chevalley", "compact", "M", "Ms",
+                                  "su(1,1)"])
+def test_real_form_matches_the_cyc_restriction(case, flag, chevalley):
+    rf = {"flag": lambda: flag.meta["real_form"],
+          "chevalley": lambda: chevalley.meta["real_form"],
+          "compact": lambda: rs.ChevalleyRealForm(rs.ChevalleyE6(), (1,) * 6),
+          "M": _m_real_form, "Ms": _ms_real_form,
+          "su(1,1)": _sl2_real_form}[case]()
+    prod, coords = cyc_restriction(rf.complex, rf.complex_basis)
+    n = rf.table.dim
+    for i in range(n):
+        for j in range(n):
+            assert rf.table.prod[i][j] == prod[i][j], (i, j)
+            assert list(prod[i][j]) == sorted(prod[i][j])
+    # to_real_coords on complex vectors: basis products, a sum of two
+    # basis vectors with Q(zeta_12) weights, and the image of b_0 under a
+    # scaling by 2/3
+    basis = rf.complex_basis
+    for i in range(n):
+        j = (i + 1) % n
+        w = rf.complex.mul_vec(basis[i], basis[j])
+        assert rf.to_real_coords(w) == coords(w)
+        v = dict(basis[i])
+        for k, c in basis[j].items():
+            v[k] = v.get(k, 0) + Fraction(2, 3) * c
+        assert rf.to_real_coords(v) == coords(v) == {i: 1, j: Fraction(2, 3)}
+        for z in (CYC_I, OMEGA):
+            v = {k: z * c for k, c in basis[i].items()}
+            with pytest.raises(ValueError, match="not rational"):
+                rf.to_real_coords(v)
+            with pytest.raises(ValueError, match="not rational"):
+                coords(v)
 
 
 def reference_jordan_witness(table):
