@@ -16,10 +16,10 @@ that ``check_norm_multiplicativity`` can certify it; T(Os, M) is built as
 the same twist of T(O, M).
 
 An octonion is a sparse vector {index: Fraction}, multiplied through
-``octonion_table().mul_vec``; ``d_ab`` returns the sparse columns of an
-inner derivation, the form ``Derivations.coords_in_block`` reads.  ``d_ab``
-and the two identity checks run on the (index, sign) table of
-``basis_mul``.
+``octonion_table().mul_vec``.  ``inner_derivation`` returns the integer
+columns of an inner derivation d_{a,b} of integer octonions, over the
+integer-scaled table, the form ``Derivations._int_coords`` reads.  The two
+identity checks run on the (index, sign) table of ``basis_mul``.
 """
 
 from __future__ import annotations
@@ -67,30 +67,18 @@ def basis_mul(i: int, j: int, split: bool = False) -> tuple[int, Fraction]:
     return k, Fraction(s)
 
 
-def d_ab(a: dict, b: dict) -> list[dict]:
-    """The inner derivation c -> [[a,b],c] + 3(ac)b - 3a(cb) of sparse
-    octonions a, b, as its eight sparse columns: column c holds the image
-    of e_c.
-
-    Requires traceless a, b (t(a) = 2 a_0).
-    """
-    if a.get(0) or b.get(0):
-        raise ValueError("d_ab requires traceless arguments")
-    prod = [[basis_mul(i, j) for j in range(8)] for i in range(8)]
-
-    def mul(u, v):
-        out: dict = {}
-        for i, x in u.items():
-            for j, y in v.items():
-                k, s = prod[i][j]
-                out[k] = out.get(k, 0) + s * x * y
-        return {k: x for k, x in out.items() if x}
-
+def inner_derivation(table: AlgebraTable, a: dict, b: dict) -> list[dict]:
+    """L^2 d_{a,b} for integer octonions a, b with no real part, over
+    ``table.int_scaled()`` with scale L: the integer columns of the inner
+    derivation c -> [[a,b],c] + 3(ac)b - 3a(cb), column c the image of
+    e_c.  Every term is a product of three factors, which ``int_mul_vec``
+    forms as L^2 times its value in the table."""
+    mul = table.int_mul_vec
     comm = mul(a, b)
     vec_add_scaled(comm, mul(b, a), -1)
     cols = []
-    for j in range(8):
-        c = {j: Fraction(1)}
+    for j in range(table.dim):
+        c = {j: 1}
         v = mul(comm, c)
         vec_add_scaled(v, mul(c, comm), -1)
         vec_add_scaled(v, mul(mul(a, c), b), 3)

@@ -188,14 +188,18 @@ def build_tits() -> Model:
     # The tensor-tensor bracket from factor products taken once per pair:
     # d_{a,b} coordinates, [a, b] and t(ab) per octonion pair, and tr(x.y),
     # x*y and the [R_x, R_y] coordinates per M pair.
+    # d_{a,b} is read from its integer form L^2 d_{a,b}, L the scale of
+    # o_table.int_scaled().
+    o_denom = o_table.int_scaled()[1] ** 2
     o_pair = {}
     for i in range(1, 8):
         for i2 in range(1, 8):
-            dd = composition.d_ab({i: Fraction(1)}, {i2: Fraction(1)})
-            cs = ders_o.coords_in_block(dd, g23.add(o_degs[i], o_degs[i2]))
+            dd = composition.inner_derivation(o_table, {i: 1}, {i2: 1})
+            offset, cs = ders_o._int_coords(dd, g23.add(o_degs[i], o_degs[i2]))
             comm = dict(o_table.prod[i][i2])
             vec_add_scaled(comm, o_table.prod[i2][i], -1)
-            o_pair[i, i2] = (list(cs.items()), comm,
+            o_pair[i, i2] = ([(offset + r, Fraction(c, o_denom))
+                              for r, c in enumerate(cs) if c], comm,
                              2 * o_table.prod[i][i2].get(0, 0))
     m_pair = {}
     for t in m0_idx:

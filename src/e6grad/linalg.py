@@ -124,40 +124,43 @@ def kernel(m: list[dict], cols: int) -> list[dict]:
     return [dict(sorted(v.items())) for v in ker.values()]
 
 
-def int_rref(m: list[dict]) -> tuple[list[dict], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of integer sparse rows;
-    returns (R, pivot_columns).
+def _clear(v: dict, r: dict, p: int) -> dict:
+    """v with its entry at p cleared by the integer row r, r[p] > 0: the
+    step v <- (r[p] / g) v - (v[p] / g) r, g = gcd(r[p], v[p]).  Changes v
+    in place when r[p] / g is 1."""
+    d, f = r[p], v[p]
+    g = gcd(d, f)
+    d, f = d // g, f // g
+    out = {k: d * x for k, x in v.items()} if d != 1 else v
+    for k, x in r.items():
+        s = out.get(k, 0) - f * x
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
-    R holds the nonzero rows in order of their pivots, with ascending keys:
-    row r is d_r > 0 at its pivot p_r, its least index, 0 at every other
-    pivot, and its entries have gcd 1.  So R_r / d_r is row r of
-    ``rref(m)``.  The rows are reduced as ``rref`` reduces them, with the
-    integer step v <- (d / g) v - (v[p] / g) R_r (g = gcd(d, v[p])) in
-    place of subtracting a rational multiple, and each new row is divided
-    by the gcd of its entries.
-    """
-    red: dict = {}  # pivot column -> reduced row
 
-    def clear(v, r, p):
-        """v with its entry at p cleared by the row r, d = r[p] > 0."""
-        d, f = r[p], v[p]
-        g = gcd(d, f)
-        d, f = d // g, f // g
-        out = {k: d * x for k, x in v.items()} if d != 1 else v
-        for k, x in r.items():
-            s = out.get(k, 0) - f * x
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return out
+class IntEchelon:
+    """The span of integer sparse rows fed one at a time to fraction-free
+    Gauss-Jordan elimination.  ``red`` maps each pivot p to its kept row,
+    which is d > 0 at p, its least index, 0 at every other pivot, and has
+    entries with gcd 1."""
 
-    for row in m:
+    def __init__(self):
+        self.red: dict = {}  # pivot column -> reduced row
+
+    def add(self, row: dict) -> dict:
+        """Reduce ``row`` by the kept rows.  A nonzero remainder, scaled to
+        a primitive row positive at its least index, is kept, cleared from
+        the other kept rows, and returned as a copy; a row in the span
+        returns {}."""
+        red = self.red
         v = {k: x for k, x in row.items() if x}
         for c in [c for c in v if c in red]:
-            v = clear(v, red[c], c)
+            v = _clear(v, red[c], c)
         if not v:
-            continue
+            return v
         p = min(v)
         g = gcd(*v.values())
         if v[p] < 0:
@@ -166,10 +169,29 @@ def int_rref(m: list[dict]) -> tuple[list[dict], list[int]]:
             v = {k: x // g for k, x in v.items()}
         for q, r in red.items():
             if p in r:
-                r = clear(r, v, p)
+                r = _clear(r, v, p)
                 h = gcd(*r.values())
                 red[q] = {k: x // h for k, x in r.items()} if h != 1 else r
         red[p] = v
+        return dict(v)
+
+
+def int_rref(m: list[dict]) -> tuple[list[dict], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer sparse rows;
+    returns (R, pivot_columns).
+
+    R holds the nonzero rows in order of their pivots, with ascending keys:
+    row r is d_r > 0 at its pivot p_r, its least index, 0 at every other
+    pivot, and its entries have gcd 1.  So R_r / d_r is row r of
+    ``rref(m)``.  The rows are fed to an ``IntEchelon``, which reduces them
+    as ``rref`` reduces them, with the integer step v <- (d / g) v -
+    (v[p] / g) R_r (g = gcd(d, v[p])) in place of subtracting a rational
+    multiple, and divides each new row by the gcd of its entries.
+    """
+    span = IntEchelon()
+    for row in m:
+        span.add(row)
+    red = span.red
     pivots = sorted(red)
     return [dict(sorted(red[p].items())) for p in pivots], pivots
 

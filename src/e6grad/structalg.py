@@ -14,7 +14,14 @@ The Jacobi check packs each cell of that table into one int, one slot of
 ``bits`` bits per coordinate, with 2^(bits - 1) above 3 n M^2 (M the largest
 |constant|), the most any coordinate of a Jacobi vector can reach in
 absolute value; so a packed Jacobi vector is zero exactly when every
-coordinate is, and each triple costs a few int products, not a dict.
+coordinate is, and each triple costs a few int products, not a dict.  It
+scans only the triples that meet a generating set S, by a lemma that holds
+in any algebra: if the left multiplications L_x and L_y are derivations,
+then L_{xy} = [L_x, L_y] is one, so the x with L_x a derivation form a
+subalgebra.  On an anticommutative table, L_s is a derivation exactly when
+every Jacobi vector of a triple containing s vanishes; so when S generates
+and every triple meeting S passes, every triple passes.  S is found by
+closing span(S) under the L_s by fraction-free integer elimination.
 Vectors are sparse dicts (index -> nonzero scalar) throughout: a
 ``Subspace`` holds the sparse RREF rows of a basis and reads coordinates off
 its pivots, with a residual over the vector's keys.  A linear map (ad b_i,
@@ -26,18 +33,20 @@ transposed positions (l, k) and (k, l).
 
 Derivation algebras are computed as the kernel of the Leibniz linear system
 over all ordered basis pairs, assembled in one pass over the integer-scaled
-table.  When the algebra carries a group grading with homogeneous basis, the
-system splits into independent blocks indexed by the degree shift of the
-unknown matrix entries, which both speeds the kernel up by orders of
-magnitude and yields the induced grading on Der(A) for free; an equation
-whose unknowns leave its block shows that the degrees do not grade the
-table, and raises.  Each block is row-reduced by fraction-free
-Gauss-Jordan elimination (``linalg.int_kernel``), and each basis derivation
-is held as the primitive integer kernel vector read off it.  The
-coordinates of a map in the derivation basis are its entries at the free
-unknowns of the Leibniz kernel, confirmed by ``IntSpan``, the integer span
-test that the grading product pass also uses, and the commutator table of
-Der(A) is computed in integers.
+table; on a commutative or anticommutative table, equation (j, i, k) is
++-equation (i, j, k), so only the pairs i <= j are assembled.  When the
+algebra carries a group grading with homogeneous basis, the system splits
+into independent blocks indexed by the degree shift of the unknown matrix
+entries, which both speeds the kernel up by orders of magnitude and yields
+the induced grading on Der(A) for free; an equation whose unknowns leave
+its block shows that the degrees do not grade the table, and raises.  Each
+block is row-reduced by fraction-free Gauss-Jordan elimination
+(``linalg.int_kernel``), and each basis derivation is held as the primitive
+integer kernel vector read off it.  The coordinates of a map in the
+derivation basis are its entries at the free unknowns of the Leibniz
+kernel, confirmed by ``IntSpan``, the integer span test that the grading
+product pass also uses, and the commutator table of Der(A) is computed in
+integers.
 """
 
 from __future__ import annotations
@@ -47,7 +56,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .abgroup import FgAbelianGroup
-from .linalg import apply, commutator, int_kernel, inverse, kernel, rref
+from .linalg import (IntEchelon, apply, commutator, int_kernel, inverse,
+                     kernel, rref)
 from .scalar import Cyc
 
 Vec = dict  # sparse vector: index -> scalar
@@ -262,8 +272,67 @@ class AlgebraTable:
                                        "nonzero square" if i == j else "")
         return CheckReport(name, True)
 
+    def generators(self) -> list[int]:
+        """Indices S, ascending, such that the smallest subspace that holds
+        every b_s (s in S) and is closed under every left multiplication L_s
+        (s in S) is the whole space; so S generates the algebra.
+
+        The basis is walked in index order, and b_t joins S when it lies
+        outside the current subspace V.  V is then closed under the L_s by
+        fraction-free elimination (``linalg.IntEchelon``) over
+        ``int_scaled()``: each vector kept in V is taken through every L_s,
+        and a new L_s through every vector kept so far, until no product
+        leaves V.  The walk stops when V has rank n.
+        """
+        n = self.dim
+        span = IntEchelon()
+        gens: list[int] = []
+        vecs: list[Vec] = []  # the vectors kept in V, in order
+        for t in range(n):
+            if len(span.red) == n:
+                break
+            v = span.add({t: 1})
+            if not v:
+                continue
+            gens.append(t)
+            # (s, u): L_s u is still to be taken; the loop reaches the
+            # pairs appended while it runs
+            todo = [(t, u) for u in vecs] + [(s, v) for s in gens]
+            vecs.append(v)
+            for s, u in todo:
+                if len(span.red) == n:
+                    break
+                w = span.add(self.int_mul_vec({s: 1}, u))
+                if w:
+                    vecs.append(w)
+                    todo += [(s2, w) for s2 in gens]
+        return gens
+
     def check_jacobi(self) -> CheckReport:
-        """The Jacobi identity on every basis triple i < j < k, exactly.
+        """The Jacobi identity on every basis triple i < j < k, exactly,
+        proved from the triples that meet a generating set.  The witness of
+        a failure is the first failing triple (i, j, k) in lexicographic
+        order.
+
+        *Lemma.*  In any algebra, if L_x is a derivation, then (x y) z =
+        x (y z) - y (x z), i.e. L_{xy} = [L_x, L_y], and a commutator of
+        two derivations is one.  So N = {x : L_x is a derivation} is a
+        subalgebra (a subspace, as L is linear).  On an anticommutative
+        table (b_i b_i = 0 and b_j b_i = -b_i b_j) the Jacobi vector is
+        alternating, and L_s is a derivation exactly when the Jacobi vector
+        of every triple that contains s vanishes.
+
+        Take S = ``generators()`` and let (i, j, k) be the first failing
+        triple.  Every triple that contains an s < i comes before it and
+        passes, so N holds b_s for each s < i in S; being a subalgebra, N
+        then holds the subspace that the walk of ``generators`` had closed
+        under those L_s when it reached b_i.  Were i not in S, b_i would
+        lie in that subspace, L_{b_i} would be a derivation, and (i, j, k)
+        would pass.  So i is in S: scanning only the triples that meet S,
+        in lexicographic order, finds the same first failure as scanning
+        them all, and when none of them fails the identity holds on every
+        triple.  A table that is not anticommutative has every triple
+        scanned.
 
         With c the integer-scaled constants, the Jacobi vector of (i, j, k)
         is sum_l c_jk^l b_i b_l + c_ki^l b_j b_l + c_ij^l b_k b_l.  Each of
@@ -277,8 +346,8 @@ class AlgebraTable:
         lowest nonzero coordinate is d at slot m, the packed int is
         d 2^(bits m) plus a multiple of 2^(bits (m + 1)), and 0 < |d| <
         2^bits, so it is not zero.  So the packed int is zero exactly when
-        the Jacobi vector is.  The witness of a failure is the first triple
-        (i, j, k) in lexicographic order whose Jacobi vector is not zero.
+        the Jacobi vector is, and, as 2 M < 2^bits, the table is
+        anticommutative exactly when P[j][i] = -P[i][j] for all i <= j.
         """
         iprod, _ = self.int_scaled()
         n = self.dim
@@ -287,11 +356,17 @@ class AlgebraTable:
         bits = (3 * n * big * big).bit_length() + 1
         packed = [[sum(c << (bits * m) for m, c in cell) for cell in row]
                   for row in iprod]
+        anti = all(packed[i][j] == -packed[j][i]
+                   for i in range(n) for j in range(i, n))
+        gens = set(self.generators() if anti else range(n))
+        # later[j]: the k > j in gens, for a triple that meets gens at k only
+        later = [sorted(k for k in gens if k > j) for j in range(n)]
         for i in range(n):
             pi = packed[i]
             for j in range(i + 1, n):
                 pj, row_j, c_ij = packed[j], iprod[j], iprod[i][j]
-                for k in range(j + 1, n):
+                ks = range(j + 1, n) if i in gens or j in gens else later[j]
+                for k in ks:
                     s = 0
                     for l, c in row_j[k]:
                         s += c * pi[l]
@@ -656,14 +731,21 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     The unknown D[k][l] is the coefficient of b_k in D(b_l).  Equation
     (i, j, k) is coordinate k of D(b_i b_j) - D(b_i) b_j - b_i D(b_j) over
     the integer-scaled table, and one pass over the n^2 basis pairs
-    assembles them all.  With ``degrees`` (one element of ``group`` per
-    basis vector) the unknown D[k][l] belongs to the block deg(k) - deg(l)
-    and equation (i, j, k) to the block deg(k) - deg(i) - deg(j); without
-    them every degree is () in the trivial group ``FgAbelianGroup(0)``.  An
-    equation with an unknown outside its block raises ValueError: the
-    degrees are not a grading of the table.  Each block's primitive integer
-    equations are row-reduced on their own, in integers, and its block key
-    is the degree of its derivations in the induced grading on Der(A).
+    assembles them all.  On a table that passes ``check_commutative`` or
+    ``check_anticommutative`` (b_j b_i = s b_i b_j, s = +-1), D(b_j b_i) -
+    D(b_j) b_i - b_j D(b_i) = s (D(b_i b_j) - b_i D(b_j) - D(b_i) b_j), so
+    equation (j, i, k) is s times equation (i, j, k) and the pass takes the
+    pairs i <= j only.  Each row is kept once, primitive and positive at its
+    first unknown, and the rows of (i, j) came first, so the system is the
+    same as from every ordered pair.  With ``degrees`` (one element of
+    ``group`` per basis vector) the unknown D[k][l] belongs to the block
+    deg(k) - deg(l) and equation (i, j, k) to the block deg(k) - deg(i) -
+    deg(j); without them every degree is () in the trivial group
+    ``FgAbelianGroup(0)``.  An equation with an unknown outside its block
+    raises ValueError: the degrees are not a grading of the table.  Each
+    block's primitive integer equations are row-reduced on their own, in
+    integers, and its block key is the degree of its derivations in the
+    induced grading on Der(A).
     """
     n = table.dim
     iprod, _ = table.int_scaled()
@@ -680,8 +762,9 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
     col = {kl: t for us in unknowns.values() for t, kl in enumerate(us)}
     rows: dict = {g: {} for g in unknowns}
     block_of: dict = {}  # (k, deg i + deg j) -> block of equation (i, j, k)
+    mirrored = table.check_commutative() or table.check_anticommutative()
     for i in range(n):
-        for j in range(n):
+        for j in range(i if mirrored else 0, n):
             eqs: dict = {}
             for l, c in iprod[i][j]:
                 for k in range(n):

@@ -15,6 +15,39 @@ from e6grad.structalg import (AlgebraTable, CheckReport, Subspace, Vec,
                               killing_form, twist_z2, vec_add_scaled)
 
 
+def d_ab(a: dict, b: dict) -> list[dict]:
+    """The inner derivation c -> [[a,b],c] + 3(ac)b - 3a(cb) of sparse
+    octonions a, b over Fractions, on the (index, sign) table of
+    ``composition.basis_mul``, as its eight sparse columns: column c holds
+    the image of e_c.
+
+    Requires traceless a, b (t(a) = 2 a_0).
+    """
+    if a.get(0) or b.get(0):
+        raise ValueError("d_ab requires traceless arguments")
+    prod = [[co.basis_mul(i, j) for j in range(8)] for i in range(8)]
+
+    def mul(u, v):
+        out: dict = {}
+        for i, x in u.items():
+            for j, y in v.items():
+                k, s = prod[i][j]
+                out[k] = out.get(k, 0) + s * x * y
+        return {k: x for k, x in out.items() if x}
+
+    comm = mul(a, b)
+    vec_add_scaled(comm, mul(b, a), -1)
+    cols = []
+    for j in range(8):
+        c = {j: Fraction(1)}
+        v = mul(comm, c)
+        vec_add_scaled(v, mul(c, comm), -1)
+        vec_add_scaled(v, mul(mul(a, c), b), 3)
+        vec_add_scaled(v, mul(a, mul(c, b)), -3)
+        cols.append(v)
+    return cols
+
+
 def split_octonion_table() -> AlgebraTable:
     """The split octonions Os, as the program builds T(Os, M): the Z2-twist
     of O by the third coordinate of its Z2^3 degrees."""
@@ -131,6 +164,30 @@ def leibniz_residual(table: AlgebraTable, cols: list[Vec]) -> bool:
             if resid:
                 return False
     return True
+
+
+def leibniz_kernel(table: AlgebraTable) -> Subspace:
+    """Der(A) by Fractions: the kernel of the Leibniz equations of every
+    ordered basis pair (i, j), with the unknown D[k][l] at n l + k."""
+    n = table.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            # D(b_i b_j) - D(b_i) b_j - b_i D(b_j), coordinate by coordinate
+            eqs: dict = {}
+            for l, c in table.prod[i][j].items():
+                for k in range(n):
+                    e = eqs.setdefault(k, {})
+                    e[n * l + k] = e.get(n * l + k, 0) + c
+            for m in range(n):
+                for k, c in table.prod[m][j].items():
+                    e = eqs.setdefault(k, {})
+                    e[n * i + m] = e.get(n * i + m, 0) - c
+                for k, c in table.prod[i][m].items():
+                    e = eqs.setdefault(k, {})
+                    e[n * j + m] = e.get(n * j + m, 0) - c
+            rows += eqs.values()
+    return Subspace(n * n, kernel(rows, n * n))
 
 
 def killing_ad_invariance(table: AlgebraTable,

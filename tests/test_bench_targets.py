@@ -8,7 +8,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from e6grad import composition, gradings
+from e6grad import composition, gradings, liemodels
 from e6grad.abgroup import FgAbelianGroup
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -58,3 +58,22 @@ def test_work_counters_read_the_traced_arguments():
     assert counts["linalg.rref_cells"] > 0
     assert counts["linalg.snf_cells"] > 0
     assert counts["abgroup.relations"] > 0
+
+
+def test_the_jacobi_proof_and_the_leibniz_pass_are_timed_in_their_spans(tits):
+    """The generating-set proof runs inside ``check_jacobi`` and the Leibniz
+    assembly inside ``derivations``, so the spans the benchmark reads time
+    them: one ``structalg.check_jacobi`` span per ``check_lie`` on a
+    permuted model, and ``structalg.derivations`` under ``build_albert``."""
+    workloads, spans = _load("workloads"), _load("spans")
+    permuted = workloads.signed_permutation(tits.table, random.Random(2))
+    tracer = spans.Tracer("test")
+    with tracer.installed(workloads.TRACE_TARGETS):
+        assert permuted.check_lie().ok
+        names = [span[0] for span in tracer.spans]
+        assert names.count("structalg.check_jacobi") == 1
+        liemodels.build_albert()
+    names = [span[0] for span in tracer.spans]
+    assert names[0] == "structalg.check_jacobi"
+    assert "structalg.derivations" in names
+    assert tracer.counts["structalg.leibniz_unknowns"] > 0

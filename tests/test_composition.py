@@ -10,7 +10,7 @@ from e6grad import linalg as la
 from e6grad import structalg as sa
 from e6grad import verify
 from e6grad.abgroup import FgAbelianGroup
-from oracles import leibniz_residual, split_octonion_table
+from oracles import d_ab, leibniz_residual, split_octonion_table
 
 
 def e(i):
@@ -152,7 +152,7 @@ def test_conjugation_norm_trace():
 
 
 def test_d_ab_antisymmetry_and_derivation():
-    assert co.d_ab(e(3), e(3)) == [{}] * 8
+    assert d_ab(e(3), e(3)) == [{}] * 8
     rng = random.Random(4)
     table = co.octonion_table()
     for _ in range(5):
@@ -162,25 +162,53 @@ def test_d_ab_antisymmetry_and_derivation():
         x = {k: c for k, c in x.items() if c}
         y = table.mul_vec(e(1), x)
         assert y.get(0, 0) == 0
-        d = co.d_ab(e(1), y)
+        d = d_ab(e(1), y)
         assert leibniz_residual(table, d)
 
 
 def test_d_ab_requires_traceless():
     with pytest.raises(ValueError):
-        co.d_ab(e(0), e(1))
+        d_ab(e(0), e(1))
     with pytest.raises(ValueError):
-        co.d_ab(e(1), {0: Fraction(1), 2: Fraction(1)})
+        d_ab(e(1), {0: Fraction(1), 2: Fraction(1)})
 
 
 def test_d_ab_spans_der_o():
     mats = []
     for i in range(1, 8):
         for j in range(i + 1, 8):
-            d = co.d_ab(e(i), e(j))
+            d = d_ab(e(i), e(j))
             mats.append({8 * r + c: x for c, col in enumerate(d)
                          for r, x in col.items()})
     assert sa.Subspace(64, mats).dim == 14
+
+
+def test_inner_derivation_is_d_ab_in_integers():
+    """``inner_derivation`` is L^2 d_{a,b} on all 49 pairs of imaginary
+    units, and its coordinates, read with ``_int_coords`` as ``build_tits``
+    reads them, are those of the Fraction d_{a,b}.  On the octonions with
+    every constant halved (L = 2), d_{a,b} is a quarter of the octonions'."""
+    table = co.octonion_table()
+    degs, group = co.octonion_degrees(), FgAbelianGroup(0, (2, 2, 2))
+    ders = sa.derivations(table, degs, group)
+    half = sa.AlgebraTable(8, table.basis_names, [
+        [{k: x / 2 for k, x in cell.items()} for cell in row]
+        for row in table.prod])
+    assert table.int_scaled()[1] == 1 and half.int_scaled()[1] == 2
+    for i in range(1, 8):
+        for j in range(1, 8):
+            want = d_ab(e(i), e(j))
+            got = co.inner_derivation(table, {i: 1}, {j: 1})
+            assert got == want
+            assert all(type(x) is int for col in got for x in col.values())
+            g = group.add(degs[i], degs[j])
+            offset, cs = ders._int_coords(got, g)
+            assert {offset + r: c for r, c in enumerate(cs) if c} == \
+                ders.coords_in_block(want, g)
+            quarter = co.inner_derivation(half, {i: 1}, {j: 1})
+            assert [{k: Fraction(x, 4) for k, x in col.items()}
+                    for col in quarter] == \
+                [{k: x / 4 for k, x in col.items()} for col in want]
 
 
 def test_derivation_algebra():

@@ -14,7 +14,8 @@ from e6grad import rootsys as rs
 from e6grad import structalg as sa
 from e6grad.abgroup import FgAbelianGroup
 from e6grad.scalar import CYC_ONE, I as CYC_I, OMEGA, ZETA, Cyc
-from oracles import cyc_restriction, killing_ad_invariance, leibniz_residual
+from oracles import (cyc_restriction, killing_ad_invariance, leibniz_kernel,
+                     leibniz_residual)
 
 
 def cols(m):
@@ -242,6 +243,35 @@ def test_derivations_of_m():
     assert ders.group == FgAbelianGroup(0) and set(ders.blocks) == {()}
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == 0
+
+
+@pytest.mark.parametrize("case", ["sl2", "heisenberg", "dual numbers",
+                                  "octonions"])
+def test_derivations_of_small_algebras_match_every_ordered_pair(case):
+    """Dimensions 3, 6, 1 and 14.  sl2 and the Heisenberg algebra are
+    anticommutative and Q[x]/(x^2) is commutative, so their Leibniz rows
+    come from the pairs i <= j; the octonions are neither, so from every
+    ordered pair.  Each span equals the kernel of the equations of every
+    ordered pair, by Fractions."""
+    one = Fraction(1)
+    dual = [[{0: one}, {1: one}], [{1: one}, {}]]  # 1 and x, x^2 = 0
+    table, dim = {
+        "sl2": (anticommutative_table(3, [(0, 1, {1: 2}), (0, 2, {2: -2}),
+                                          (1, 2, {0: 1})]), 3),
+        "heisenberg": (anticommutative_table(3, [(0, 1, {2: 1})]), 6),
+        "dual numbers": (sa.AlgebraTable(2, ["1", "x"], dual), 1),
+        "octonions": (co.octonion_table(), 14),
+    }[case]
+    symmetric = (table.check_anticommutative().ok
+                 or table.check_commutative().ok)
+    assert symmetric == (case != "octonions")
+    ders = sa.derivations(table)
+    assert ders.dim == dim
+    n = table.dim
+    flat = [{n * l + k: Fraction(x, d) for l, col in enumerate(w)
+             for k, x in col.items()}
+            for w, d in zip(ders.int_mats, ders.denoms)]
+    assert sa.Subspace(n * n, flat).basis == leibniz_kernel(table).basis
 
 
 def reference_commutator_table(ders):
@@ -743,7 +773,86 @@ def test_check_jacobi_agrees_with_the_triple_loop_on_corruptions(ws, name):
         want = reference_jacobi_witness(bad)
         assert (rep.ok, rep.witness) == (want is None, want), change
         assert rep.ok or rep.name == "jacobi", change
+        # the first failing triple starts in the corrupted table's own S
+        assert rep.ok or rep.witness[0] in bad.generators(), change
     assert table.check_lie().ok  # the session's table was not touched
+
+
+def signed_permutation(table, rng):
+    """The table in the basis f_i = s_i b_{p(i)} for a random permutation p
+    and random signs s."""
+    n = table.dim
+    p = list(range(n))
+    rng.shuffle(p)
+    s = [rng.choice((1, -1)) for _ in range(n)]
+    q = {pi: i for i, pi in enumerate(p)}
+    prod = [[{q[k]: c * s[i] * s[j] * s[q[k]]
+              for k, c in table.prod[p[i]][p[j]].items()}
+             for j in range(n)] for i in range(n)]
+    return sa.AlgebraTable(n, [table.basis_names[i] for i in p], prod)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_generating_set_proof_on_permuted_models(ws, name):
+    """On a model and two signed permutations of it, S = ``generators()``
+    generates (the Fraction ``closure`` of S is everything), is ascending
+    and much smaller than the basis, and ``check_lie`` passes as the
+    triple loop does; on corruptions of the permutations the verdict and
+    witness are the triple loop's, and the witness starts in the corrupted
+    table's S."""
+    model = ws.model(name).table
+    n = model.dim
+    rng = random.Random(f"generators/{name}")
+    for table in (model, signed_permutation(model, rng),
+                  signed_permutation(model, rng)):
+        gens = table.generators()
+        assert gens == sorted(gens) and gens[:2] == [0, 1]
+        assert 2 <= len(gens) <= 12
+        assert sa.closure(table, [{s: Fraction(1)} for s in gens]).dim == n
+        assert table.check_lie().ok
+        assert reference_jacobi_witness(table) is None
+        if table is model:
+            continue
+        for change in lie_corruptions(table, 4, seed=f"permuted/{name}"):
+            bad = corrupted_copy(table, change)
+            rep = bad.check_lie()
+            want = reference_jacobi_witness(bad)
+            assert (rep.ok, rep.witness) == (want is None, want), change
+            assert rep.ok or rep.witness[0] in bad.generators(), change
+
+
+def test_generators_of_abelian_and_heisenberg_tables():
+    # no products: every basis vector is a generator
+    assert zero_algebra(4).generators() == [0, 1, 2, 3]
+    # [x, y] = z: x and y generate
+    heis = anticommutative_table(3, [(0, 1, {2: 1})])
+    assert heis.generators() == [0, 1]
+    assert heis.check_lie().ok
+    # sl2 on (h, e, f) needs all three; on (e, f, h), [e, f] = h
+    sl2 = anticommutative_table(3, [(0, 1, {1: 2}), (0, 2, {2: -2}),
+                                    (1, 2, {0: 1})])
+    assert sl2.generators() == [0, 1, 2]
+    efh = anticommutative_table(3, [(2, 0, {0: 2}), (2, 1, {1: -2}),
+                                    (0, 1, {2: 1})])
+    assert efh.generators() == [0, 1] and efh.check_lie().ok
+
+
+def test_a_table_that_is_not_anticommutative_is_scanned_in_full():
+    """b_0 b_0 = b_1, b_2 b_1 = b_4, b_2 b_4 = b_3, b_3 b_4 = b_1 and
+    b_1 b_1 = b_1: S = [0, 2] generates, and the first failing triple
+    (1, 3, 4) misses it, which the lemma allows only because the table is
+    not anticommutative; the scan of every triple finds it."""
+    cells = {(0, 0): 1, (2, 1): 4, (2, 4): 3, (3, 4): 1, (1, 1): 1}
+    prod = [[{} for _ in range(5)] for _ in range(5)]
+    for (i, j), k in cells.items():
+        prod[i][j] = {k: Fraction(1)}
+    t = sa.AlgebraTable(5, [f"b{i}" for i in range(5)], prod)
+    assert not t.check_anticommutative()
+    assert t.generators() == [0, 2]
+    assert reference_jacobi_vector(t, 1, 3, 4) == {1: 1}
+    assert reference_jacobi_witness(t) == (1, 3, 4)
+    rep = t.check_jacobi()
+    assert (rep.ok, rep.witness) == (False, (1, 3, 4))
 
 
 def test_symmetry_scans_name_the_smallest_failing_coordinate(flag):
