@@ -18,8 +18,9 @@ the same twist of T(O, M).
 An octonion is a sparse vector {index: Fraction}, multiplied through
 ``octonion_table().mul_vec``.  ``inner_derivation`` returns the integer
 columns of an inner derivation d_{a,b} of integer octonions, over the
-integer-scaled table, the form ``Derivations._int_coords`` reads.  The two
-identity checks run on the (index, sign) table of ``basis_mul``.
+integer-scaled table; ``build_tits`` spans Der(O) by them and reads their
+coordinates with ``Derivations.coords``.  The two identity checks run on
+the (index, sign) table of ``basis_mul``.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from . import composition, jordan, rootsys
 from .abgroup import FgAbelianGroup
 from .linalg import apply, commutator, kernel, mat_mul, rank, signature
 from .scalar import Cyc, I as CYC_I
-from .structalg import (AlgebraTable, RealForm, derivations, killing_form,
-                        vec_add_scaled)
+from .structalg import (AlgebraTable, Derivations, RealForm,
+                        int_scaled_vectors, killing_form, vec_add_scaled)
 
 
 @dataclass
@@ -66,19 +66,30 @@ class Model:
 
 def build_albert() -> Model:
     """(Der(J) + J_0)^eps for eps = -1: [d, x] = d(x), [x, y] = -[R_x, R_y].
-    ``twist_z2(table, meta["parity"], -1)`` is the eps = +1 algebra."""
+    ``twist_z2(table, meta["parity"], -1)`` is the eps = +1 algebra.
+
+    Der(J) is the span of the inner derivations [R_x, R_y], x, y in J_0
+    (Jacobson 1949), graded by the Z2^5 degrees of J."""
     j = jordan.build_j()
     degrees = jordan.octonion_z2_degrees(j)
     group = FgAbelianGroup(0, (2, 2, 2, 2, 2))
-    ders = derivations(j.table, degrees, group)
-    if ders.dim != 52:
-        raise AssertionError(f"dim Der(J) = {ders.dim} != 52")
-
     nj = j.dim
     # traceless basis of J: E11-E22, E22-E33, then the 24 iota vectors
     j0_ints = [{0: 1, 1: -1}, {1: 1, 2: -1}] + [{t: 1} for t in range(3, nj)]
     j0_vecs = [{t: Fraction(c) for t, c in v.items()} for v in j0_ints]
     j0_degrees = [degrees[0], degrees[1]] + [degrees[t] for t in range(3, nj)]
+
+    # L R_x for x in J_0, L the scale of j.table.int_scaled(): integer
+    # columns; and L^2 [R_x, R_y] for x before y
+    r_ops = [[j.table.int_mul_vec(x, {l: 1}) for l in range(nj)]
+             for x in j0_ints]
+    denom = j.table.int_scaled()[1] ** 2
+    r_comms = {(a, b): commutator(r_ops[a], r_ops[b])
+               for a in range(26) for b in range(a + 1, 26)}
+    ders = Derivations(j.table, r_comms.values(),
+                       lambda k, l: group.sub(degrees[k], degrees[l]))
+    if ders.dim != 52:
+        raise AssertionError(f"dim Der(J) = {ders.dim} != 52")
 
     def j_to_j0(vec: dict) -> dict:
         """Model coordinates of a traceless vector of J: x52 and x53 for
@@ -91,11 +102,6 @@ def build_albert() -> Model:
         out.update((51 + t, vec[t]) for t in sorted(vec) if t >= 3)
         return {k: c for k, c in out.items() if c}
 
-    # L R_x for x in J_0, L the scale of j.table.int_scaled(): integer columns
-    r_ops = [[j.table.int_mul_vec(x, {l: 1}) for l in range(nj)]
-             for x in j0_ints]
-    denom = j.table.int_scaled()[1] ** 2
-
     dim = 52 + 26
     names = [f"D{t}" for t in range(52)] + [f"x{t}" for t in range(26)]
 
@@ -104,12 +110,11 @@ def build_albert() -> Model:
             return ders.table.prod[a][b]
         if a < 52:
             return j_to_j0(ders.apply(a, j0_vecs[b - 52]))
-        # [x_a, x_b] = -[R_a, R_b], and L^2 [R_a, R_b] is integer
-        xa, xb = a - 52, b - 52
-        g = group.add(j0_degrees[xa], j0_degrees[xb])
-        offset, cs = ders._int_coords(commutator(r_ops[xa], r_ops[xb]), g)
-        return {offset + r: Fraction(-c, denom) for r, c in enumerate(cs)
-                if c}
+        if a == b:
+            return {}
+        # [x_a, x_b] = -[R_a, R_b]
+        cs = ders.coords(r_comms[a - 52, b - 52], denom)
+        return {t: -c for t, c in cs.items()}
 
     table = AlgebraTable.build(dim, names, mul, -1)
     parity = [0] * 52 + [1] * 26
@@ -134,12 +139,9 @@ def build_albert() -> Model:
 def albert_z_grading_operator(model: Model) -> list[dict]:
     """ad of the derivation 4 [R_{iota1(1)}, R_{E22}] as an element of the
     model (a homogeneous element of Der(J)), as sparse columns."""
-    j = model.meta["jordan"]
-    ders = model.meta["derivations"]
-    d = jordan.z_grading_derivation(j)
-    # the block of one entry; coords_in_block rejects an entry outside it
-    l = next(l for l, col in enumerate(d) if col)
-    cs = ders.coords_in_block(d, ders._shifts[l][min(d[l])])
+    ints, scale = int_scaled_vectors(
+        jordan.z_grading_derivation(model.meta["jordan"]))
+    cs = model.meta["derivations"].coords(ints, scale)
     return [model.table.mul_vec(cs, {l: Fraction(1)})
             for l in range(model.dim)]
 
@@ -150,23 +152,38 @@ def albert_z_grading_operator(model: Model) -> list[dict]:
 
 def build_tits() -> Model:
     """T(O, M) = Der(O) + (O_0 x M_0) + Der(M), with the four bracket rules.
-    ``twist_z2(table, [d[2] for d in meta["degrees"]], -1)`` is T(Os, M)."""
+    ``twist_z2(table, [d[2] for d in meta["degrees"]], -1)`` is T(Os, M).
+
+    Der(O) is the span of the inner derivations d_{a,b} and Der(M) that of
+    the [R_x, R_y], x, y in M_0 (Schafer 1966, ch. III), graded by the
+    Z2^3 degrees of O and the Z3^2 degrees of M."""
     o_table = composition.octonion_table()
     o_degs = composition.octonion_degrees()
     g23 = FgAbelianGroup(0, (2, 2, 2))
-    ders_o = derivations(o_table, o_degs, g23)
+    # L^2 d_{a,b} for imaginary units a, b, L the scale of
+    # o_table.int_scaled()
+    o_denom = o_table.int_scaled()[1] ** 2
+    d_ab = {(i, i2): composition.inner_derivation(o_table, {i: 1}, {i2: 1})
+            for i in range(1, 8) for i2 in range(1, 8)}
+    ders_o = Derivations(o_table, d_ab.values(),
+                         lambda k, l: g23.sub(o_degs[k], o_degs[l]))
     if ders_o.dim != 14:
         raise AssertionError(f"dim Der(O) = {ders_o.dim} != 14")
 
     m = jordan.build_m()
     m_degs = m.meta["degrees"]
     g33 = FgAbelianGroup(0, (3, 3))
-    ders_m = derivations(m.table, m_degs, g33)
+    m0_idx = [t for t in range(9) if m_degs[t] != (0, 0)]
+    # L^2 [R_x, R_y] for x, y in M_0, L the scale of m.table.int_scaled()
+    m_denom = m.table.int_scaled()[1] ** 2
+    r_ops_m = [[m.table.int_mul_vec({t: 1}, {l: 1}) for l in range(9)]
+               for t in range(9)]
+    r_comms = {(t, t2): commutator(r_ops_m[t], r_ops_m[t2])
+               for t in m0_idx for t2 in m0_idx}
+    ders_m = Derivations(m.table, r_comms.values(),
+                         lambda k, l: g33.sub(m_degs[k], m_degs[l]))
     if ders_m.dim != 8:
         raise AssertionError(f"dim Der(M) = {ders_m.dim} != 8")
-
-    m0_idx = [t for t in range(9) if m_degs[t] != (0, 0)]
-    m0_pos = {t: k for k, t in enumerate(m0_idx)}
 
     # tensor basis: (e_i, m_j) for i = 1..7, j in m0_idx
     tensor = [(i, t) for i in range(1, 8) for t in m0_idx]
@@ -183,32 +200,20 @@ def build_tits() -> Model:
                 out[n_do + tpos[(i, t)]] = ca * cx
         return out
 
-    r_ops_m = [m.r_operator({t: Fraction(1)}) for t in range(9)]
-
     # The tensor-tensor bracket from factor products taken once per pair:
     # d_{a,b} coordinates, [a, b] and t(ab) per octonion pair, and tr(x.y),
     # x*y and the [R_x, R_y] coordinates per M pair.
-    # d_{a,b} is read from its integer form L^2 d_{a,b}, L the scale of
-    # o_table.int_scaled().
-    o_denom = o_table.int_scaled()[1] ** 2
     o_pair = {}
-    for i in range(1, 8):
-        for i2 in range(1, 8):
-            dd = composition.inner_derivation(o_table, {i: 1}, {i2: 1})
-            offset, cs = ders_o._int_coords(dd, g23.add(o_degs[i], o_degs[i2]))
-            comm = dict(o_table.prod[i][i2])
-            vec_add_scaled(comm, o_table.prod[i2][i], -1)
-            o_pair[i, i2] = ([(offset + r, Fraction(c, o_denom))
-                              for r, c in enumerate(cs) if c], comm,
-                             2 * o_table.prod[i][i2].get(0, 0))
+    for (i, i2), dd in d_ab.items():
+        comm = dict(o_table.prod[i][i2])
+        vec_add_scaled(comm, o_table.prod[i2][i], -1)
+        o_pair[i, i2] = (list(ders_o.coords(dd, o_denom).items()), comm,
+                         2 * o_table.prod[i][i2].get(0, 0))
     m_pair = {}
-    for t in m0_idx:
-        for t2 in m0_idx:
-            rcomm = commutator(r_ops_m[t], r_ops_m[t2])
-            cs = ders_m.coords_in_block(rcomm, g33.add(m_degs[t], m_degs[t2]))
-            m_pair[t, t2] = (m.trace_of(m.table.prod[t][t2]),
-                             m.star({t: Fraction(1)}, {t2: Fraction(1)}),
-                             list(cs.items()))
+    for (t, t2), rcomm in r_comms.items():
+        m_pair[t, t2] = (m.trace_of(m.table.prod[t][t2]),
+                         m.star({t: Fraction(1)}, {t2: Fraction(1)}),
+                         list(ders_m.coords(rcomm, m_denom).items()))
     third = Fraction(1, 3)
 
     def mul(a, b):  # a <= b

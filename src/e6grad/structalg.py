@@ -31,22 +31,22 @@ indexes every nonzero entry c_il^k of every ad b_i by its position (l, k)
 once, and accumulates all kappa_ij together from the pairs of entries at
 transposed positions (l, k) and (k, l).
 
-Derivation algebras are computed as the kernel of the Leibniz linear system
-over all ordered basis pairs, assembled in one pass over the integer-scaled
-table; on a commutative or anticommutative table, equation (j, i, k) is
-+-equation (i, j, k), so only the pairs i <= j are assembled.  When the
-algebra carries a group grading with homogeneous basis, the system splits
-into independent blocks indexed by the degree shift of the unknown matrix
-entries, which both speeds the kernel up by orders of magnitude and yields
-the induced grading on Der(A) for free; an equation whose unknowns leave
-its block shows that the degrees do not grade the table, and raises.  Each
-block is row-reduced by fraction-free Gauss-Jordan elimination
-(``linalg.int_kernel``), and each basis derivation is held as the primitive
-integer kernel vector read off it.  The coordinates of a map in the
-derivation basis are its entries at the free unknowns of the Leibniz
-kernel, confirmed by ``IntSpan``, the integer span test that the grading
-product pass also uses, and the commutator table of Der(A) is computed in
-integers.
+A ``Derivations`` is reduced from integer maps that span it: the inner
+derivations the model builders form, or the kernel vectors of the Leibniz
+linear system that ``derivations(table)`` solves.  The maps go to one
+fraction-free echelon (``linalg.IntEchelon``) with pivots taken from the
+right in the row-major order of the matrix entries (k, l).  That reduced
+echelon basis depends only on the span, and it is the Leibniz kernel basis:
+a kernel vector is 1 at its free unknown c and 0 at the other free
+unknowns, its other entries sit at pivots of the equations' RREF rows that
+contain c, and a pivot is its row's least index, so c is the largest
+unknown of its support.  The coordinates of a map in the derivation basis
+are its entries at the pivots, confirmed by ``IntSpan``, the integer span
+test that the grading product pass also uses, and the commutator table of
+the derivations is computed in integers.  The Leibniz system is assembled
+in one pass over the integer-scaled table; on a commutative or
+anticommutative table, equation (j, i, k) is +-equation (i, j, k), so only
+the pairs i <= j are assembled.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .abgroup import FgAbelianGroup
 from .linalg import (IntEchelon, apply, commutator, int_kernel, inverse,
                      kernel, rref)
 from .scalar import Cyc
@@ -638,130 +637,132 @@ class Subspace:
 # derivations
 # ---------------------------------------------------------------------------
 
-_NO_SPAN = IntSpan([], [])  # the span of a block without derivations
-
-
 class Derivations:
-    """Basis of Der(A) as sparse columns, with its commutator Lie table.
+    """A basis of a Lie algebra of derivations, as sparse columns, with its
+    commutator Lie table, reduced from integer maps that span it.
 
     The t-th basis derivation D_t is held once, as primitive integer
     columns ``int_mats[t]`` (column l a sparse vector of ints, the entries
     of all columns with gcd 1) and a positive integer ``denoms[t]``: the
     coefficient of b_k in D_t(b_l) is int_mats[t][l][k] / denoms[t].
-    ``blocks[t]`` is the degree shift of D_t under the grading used to split
-    the Leibniz system (all equal for ungraded input); these are exactly the
-    degrees of the induced grading on Der(A).  The Leibniz unknown (k, l)
-    is the entry at row k of column l, and its block is ``_shifts[l][k]``.
+    ``blocks[t]`` is the degree of D_t: ``degree(k, l)`` of each of its
+    entries (k, l), () for every entry by default.  For the degrees of a
+    grading of the algebra (deg k - deg l), these are the degrees of the
+    induced grading on the span.
 
-    Each basis derivation of a block is a kernel vector of its Leibniz
-    rows, read off their fraction-free elimination (``linalg.int_kernel``):
-    it is 1 at its own free unknown and 0 at the block's other free
-    unknowns, so int_mats[t] is denoms[t] there.  The block's ``IntSpan``
-    holds these integer forms flattened to keys n l + k, with the free
-    unknowns as pivots: the coordinates of a map M of the block are its
-    entries at the free unknowns, once ``IntSpan.outside`` has found M in
-    the span (a rational M is scaled to integers first).  The commutator
-    table is taken on the integer forms, once per unordered pair, because
-    [D_j, D_i] = -[D_i, D_j].
+    The maps are fed to an ``IntEchelon`` with the entry (k, l) at key
+    -(n k + l), i.e. with pivots taken from the right in the row-major
+    order of (k, l); a map whose entries have two degrees raises
+    ValueError.  So D_t / denoms[t] is the reduced echelon basis of the
+    span with pivots from the right: 1 at its pivot, the largest (k, l) of
+    its support, and 0 at every other pivot.  That basis depends only on
+    the span.  The Leibniz kernel vector of a free unknown c is 1 at c and
+    0 at the other free unknowns, and nonzero elsewhere only at pivots of
+    the equations' RREF rows that contain c; a pivot is its row's least
+    index, so c is the largest unknown of its support.  So the Leibniz
+    kernel, split by degree or not, is this basis of Der(A), and spanning
+    Der(A) by any maps (inner derivations, say) gives it too; homogeneous
+    maps of different degrees have disjoint supports, so the echelon of
+    their span is the union of the echelons of its degree parts.  The basis
+    is ordered by ``repr`` of the degree, then by ascending pivot (k, l).
+
+    ``IntSpan`` holds the rows with their pivots: the coordinates of a map
+    are its entries at the pivots, once ``IntSpan.outside`` has found it in
+    the span.  The commutator table is taken on the integer forms, once per
+    unordered pair, because [D_j, D_i] = -[D_i, D_j].
     """
 
-    def __init__(self, algebra: AlgebraTable, int_mats: list, denoms: list,
-                 blocks: list, group, block_data: dict, shifts: list):
+    def __init__(self, algebra: AlgebraTable, maps,
+                 degree=lambda k, l: ()):
+        n = self.n = algebra.dim
         self.algebra = algebra
-        self.int_mats = int_mats  # primitive integer columns per D_t
-        self.denoms = denoms      # D_t = int_mats[t] / denoms[t]
-        self.blocks = blocks      # block key per basis derivation
-        self.group = group
-        self._shifts = shifts     # [l][k] -> block key of unknown (k, l)
-        # block key -> (index of its first derivation, IntSpan)
-        self._block_data = block_data
+        span = IntEchelon()
+        deg_at: dict = {}  # key -> degree of the entry there
+        deg_of: dict = {}  # pivot key -> degree of its derivation
+        for idx, cols in enumerate(maps):
+            w = self._flat(cols)
+            g = None
+            for key in w:
+                h = deg_at.get(key)
+                if h is None:
+                    h = deg_at[key] = degree(*divmod(-key, n))
+                if g is None:
+                    g = h
+                elif h != g:
+                    raise ValueError(
+                        f"map {idx} has entry {divmod(-key, n)} of degree "
+                        f"{h!r} and an entry of degree {g!r}")
+            row = span.add(w)
+            if row:
+                deg_of[min(row)] = g
+        pivots = sorted(span.red, key=lambda p: (repr(deg_of[p]), -p))
+        rows = [span.red[p] for p in pivots]
+        self.blocks = [deg_of[p] for p in pivots]  # degree per D_t
+        self.denoms = [row[p] for row, p in zip(rows, pivots)]
+        self.int_mats = []  # primitive integer columns per D_t
+        for row in rows:
+            cols = [{} for _ in range(n)]
+            for key, x in sorted(row.items(), reverse=True):
+                k, l = divmod(-key, n)
+                cols[l][k] = x
+            self.int_mats.append(cols)
+        self._span = IntSpan(rows, pivots)
         self.table = self._commutator_table()
 
     @property
     def dim(self):
         return len(self.int_mats)
 
+    def _flat(self, cols: list[Vec]) -> Vec:
+        """The entries of integer columns, entry (k, l) at key -(n k + l)."""
+        n = self.n
+        if len(cols) != n:
+            raise ValueError(f"{len(cols)} columns for a {n}-dim algebra")
+        return {-(n * k + l): x for l, col in enumerate(cols)
+                for k, x in col.items() if x}
+
     def apply(self, idx: int, v: Vec) -> Vec:
         """D_idx v, for a sparse vector v."""
         inv = Fraction(1, self.denoms[idx])
         return {k: inv * x for k, x in apply(self.int_mats[idx], v).items()}
 
-    def _int_coords(self, cols: list[Vec], g) -> tuple[int, list]:
-        """(offset, coordinates) of a block-g map with integer columns."""
-        n = self.algebra.dim
-        if len(cols) != n:
-            raise ValueError(f"{len(cols)} columns for a {n}-dim algebra")
-        w = {}  # entry (k, l) at key n l + k
-        for l, col in enumerate(cols):
-            if col:
-                shifts = self._shifts[l]
-                for k, v in col.items():
-                    if shifts[k] != g:
-                        raise ValueError(
-                            f"entry {(k, l)} lies outside block {g!r}")
-                    w[n * l + k] = v
-        offset, span = self._block_data.get(g, (0, _NO_SPAN))
-        if span.outside(w):
+    def coords(self, cols: list[Vec], scale: int) -> Vec:
+        """Sparse coordinates in the derivation basis of the map cols /
+        scale, for integer columns cols and a nonzero integer scale; raises
+        ValueError when the map is not in the span."""
+        w = self._flat(cols)
+        if self._span.outside(w):
             raise ValueError("matrix is not in the derivation span")
-        return offset, [w.get(p, 0) for p in span.pivots]
-
-    def coords_in_block(self, cols: list[Vec], g) -> Vec:
-        """Sparse coordinates of a block-g map, given by its columns, in the
-        derivation basis."""
-        ints, scale = int_scaled_vectors(cols)
-        offset, cs = self._int_coords(ints, g)
-        return {offset + r: Fraction(c, scale) for r, c in enumerate(cs) if c}
+        return {t: Fraction(w[p], scale)
+                for t, p in enumerate(self._span.pivots) if p in w}
 
     def _commutator_table(self) -> AlgebraTable:
         w, d = self.int_mats, self.denoms
-
-        def mul(i, j):
-            g = self.group.add(self.blocks[i], self.blocks[j])
-            offset, cs = self._int_coords(commutator(w[i], w[j]), g)
-            return {offset + r: Fraction(c, d[i] * d[j])
-                    for r, c in enumerate(cs) if c}
-
-        return AlgebraTable.build(self.dim, [f"D{t}" for t in range(self.dim)],
-                                  mul, -1)
+        return AlgebraTable.build(
+            self.dim, [f"D{t}" for t in range(self.dim)],
+            lambda i, j: self.coords(commutator(w[i], w[j]), d[i] * d[j]), -1)
 
 
-def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
+def derivations(table: AlgebraTable) -> Derivations:
     """Der(A): kernel of the Leibniz system over all ordered basis pairs.
 
-    The unknown D[k][l] is the coefficient of b_k in D(b_l).  Equation
-    (i, j, k) is coordinate k of D(b_i b_j) - D(b_i) b_j - b_i D(b_j) over
-    the integer-scaled table, and one pass over the n^2 basis pairs
-    assembles them all.  On a table that passes ``check_commutative`` or
-    ``check_anticommutative`` (b_j b_i = s b_i b_j, s = +-1), D(b_j b_i) -
-    D(b_j) b_i - b_j D(b_i) = s (D(b_i b_j) - b_i D(b_j) - D(b_i) b_j), so
-    equation (j, i, k) is s times equation (i, j, k) and the pass takes the
-    pairs i <= j only.  Each row is kept once, primitive and positive at its
-    first unknown, and the rows of (i, j) came first, so the system is the
-    same as from every ordered pair.  With ``degrees`` (one element of
-    ``group`` per basis vector) the unknown D[k][l] belongs to the block
-    deg(k) - deg(l) and equation (i, j, k) to the block deg(k) - deg(i) -
-    deg(j); without them every degree is () in the trivial group
-    ``FgAbelianGroup(0)``.  An equation with an unknown outside its block
-    raises ValueError: the degrees are not a grading of the table.  Each
-    block's primitive integer equations are row-reduced on their own, in
-    integers, and its block key is the degree of its derivations in the
-    induced grading on Der(A).
+    The unknown D[k][l] is the coefficient of b_k in D(b_l), at column
+    n k + l.  Equation (i, j, k) is coordinate k of D(b_i b_j) - D(b_i) b_j
+    - b_i D(b_j) over the integer-scaled table, and one pass over the n^2
+    basis pairs assembles them all.  On a table that passes
+    ``check_commutative`` or ``check_anticommutative`` (b_j b_i = s b_i
+    b_j, s = +-1), D(b_j b_i) - D(b_j) b_i - b_j D(b_i) = s (D(b_i b_j) -
+    b_i D(b_j) - D(b_i) b_j), so equation (j, i, k) is s times equation
+    (i, j, k) and the pass takes the pairs i <= j only.  Each row is kept
+    once, primitive and positive at its first unknown, and the rows of
+    (i, j) came first, so the system is the same as from every ordered
+    pair.  The primitive integer equations are row-reduced in integers
+    (``linalg.int_kernel``), and ``Derivations`` takes the kernel vectors,
+    each already its reduced row with pivots from the right.
     """
     n = table.dim
     iprod, _ = table.int_scaled()
-    if degrees is None:
-        degrees = [()] * n
-        group = FgAbelianGroup(0)
-    # shifts[l][k]: the block of the unknown (k, l)
-    shifts = [[group.sub(degrees[k], degrees[l]) for k in range(n)]
-              for l in range(n)]
-    unknowns: dict = {}  # block key -> unknowns (k, l) in row-major order
-    for k in range(n):
-        for l in range(n):
-            unknowns.setdefault(shifts[l][k], []).append((k, l))
-    col = {kl: t for us in unknowns.values() for t, kl in enumerate(us)}
-    rows: dict = {g: {} for g in unknowns}
-    block_of: dict = {}  # (k, deg i + deg j) -> block of equation (i, j, k)
+    rows: dict = {}
     mirrored = table.check_commutative() or table.check_anticommutative()
     for i in range(n):
         for j in range(i if mirrored else 0, n):
@@ -769,57 +770,30 @@ def derivations(table: AlgebraTable, degrees=None, group=None) -> Derivations:
             for l, c in iprod[i][j]:
                 for k in range(n):
                     e = eqs.setdefault(k, {})
-                    e[k, l] = e.get((k, l), 0) + c
+                    e[n * k + l] = e.get(n * k + l, 0) + c
             for m in range(n):
                 for k, c in iprod[m][j]:
                     e = eqs.setdefault(k, {})
-                    e[m, i] = e.get((m, i), 0) - c
+                    e[n * m + i] = e.get(n * m + i, 0) - c
                 for k, c in iprod[i][m]:
                     e = eqs.setdefault(k, {})
-                    e[m, j] = e.get((m, j), 0) - c
-            dij = group.add(degrees[i], degrees[j])
-            for k, e in eqs.items():
-                g = block_of.get((k, dij))
-                if g is None:
-                    g = block_of[k, dij] = group.sub(degrees[k], dij)
-                row = []
-                for kl, c in e.items():
-                    if c:
-                        if shifts[kl[1]][kl[0]] != g:
-                            raise ValueError(
-                                f"degrees are not a grading of the table: "
-                                f"equation {(i, j, k)} has unknown {kl} "
-                                f"outside block {g!r}")
-                        row.append((col[kl], c))
+                    e[n * m + j] = e.get(n * m + j, 0) - c
+            for e in eqs.values():
+                row = sorted((t, c) for t, c in e.items() if c)
                 if not row:
                     continue
-                row.sort()
                 h = gcd(*(c for _, c in row))
                 if row[0][1] < 0:
                     h = -h
-                rows[g][tuple((t, c // h) for t, c in row)] = None
-    int_mats, denoms, block_keys = [], [], []
-    block_data = {}
-    for g in sorted(unknowns, key=repr):
-        keys = [n * l + k for k, l in unknowns[g]]
-        ker = int_kernel([dict(row) for row in rows[g]], len(keys))
-        if not ker:
-            continue
-        span_rows = []
-        for c, w in ker:
-            w = {keys[t]: x for t, x in w.items()}
-            cols = [{} for _ in range(n)]
-            for key, x in w.items():
-                l, k = divmod(key, n)
-                cols[l][k] = x
-            int_mats.append(cols)
-            denoms.append(w[keys[c]])
-            block_keys.append(g)
-            span_rows.append(w)
-        block_data[g] = (len(int_mats) - len(ker),
-                         IntSpan(span_rows, [keys[c] for c, _ in ker]))
-    return Derivations(table, int_mats, denoms, block_keys, group,
-                       block_data, shifts)
+                rows[tuple((t, c // h) for t, c in row)] = None
+    maps = []
+    for _, w in int_kernel([dict(row) for row in rows], n * n):
+        cols = [{} for _ in range(n)]
+        for t, x in w.items():
+            k, l = divmod(t, n)
+            cols[l][k] = x
+        maps.append(cols)
+    return Derivations(table, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from e6grad import composition, gradings, liemodels
+from e6grad import composition, gradings, verify
 from e6grad.abgroup import FgAbelianGroup
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -64,7 +64,9 @@ def test_the_jacobi_proof_and_the_leibniz_pass_are_timed_in_their_spans(tits):
     """The generating-set proof runs inside ``check_jacobi`` and the Leibniz
     assembly inside ``derivations``, so the spans the benchmark reads time
     them: one ``structalg.check_jacobi`` span per ``check_lie`` on a
-    permuted model, and ``structalg.derivations`` under ``build_albert``."""
+    permuted model, and one ``structalg.derivations`` span, over the 64
+    unknowns of Der(O), in criterion 1 (the builders span their derivation
+    algebras by inner derivations and solve no Leibniz system)."""
     workloads, spans = _load("workloads"), _load("spans")
     permuted = workloads.signed_permutation(tits.table, random.Random(2))
     tracer = spans.Tracer("test")
@@ -72,8 +74,8 @@ def test_the_jacobi_proof_and_the_leibniz_pass_are_timed_in_their_spans(tits):
         assert permuted.check_lie().ok
         names = [span[0] for span in tracer.spans]
         assert names.count("structalg.check_jacobi") == 1
-        liemodels.build_albert()
+        verify.criterion_1_octonions(verify.Workspace())
     names = [span[0] for span in tracer.spans]
     assert names[0] == "structalg.check_jacobi"
-    assert "structalg.derivations" in names
-    assert tracer.counts["structalg.leibniz_unknowns"] > 0
+    assert names.count("structalg.derivations") == 1
+    assert tracer.counts["structalg.leibniz_unknowns"] == 64

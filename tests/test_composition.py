@@ -185,12 +185,12 @@ def test_d_ab_spans_der_o():
 
 def test_inner_derivation_is_d_ab_in_integers():
     """``inner_derivation`` is L^2 d_{a,b} on all 49 pairs of imaginary
-    units, and its coordinates, read with ``_int_coords`` as ``build_tits``
-    reads them, are those of the Fraction d_{a,b}.  On the octonions with
-    every constant halved (L = 2), d_{a,b} is a quarter of the octonions'."""
+    units, and its coordinates in the Leibniz basis of Der(O), read with
+    ``coords`` as ``build_tits`` reads them, put the Fraction d_{a,b} back
+    together.  On the octonions with every constant halved (L = 2),
+    d_{a,b} is a quarter of the octonions'."""
     table = co.octonion_table()
-    degs, group = co.octonion_degrees(), FgAbelianGroup(0, (2, 2, 2))
-    ders = sa.derivations(table, degs, group)
+    ders = sa.derivations(table)
     half = sa.AlgebraTable(8, table.basis_names, [
         [{k: x / 2 for k, x in cell.items()} for cell in row]
         for row in table.prod])
@@ -201,10 +201,12 @@ def test_inner_derivation_is_d_ab_in_integers():
             got = co.inner_derivation(table, {i: 1}, {j: 1})
             assert got == want
             assert all(type(x) is int for col in got for x in col.values())
-            g = group.add(degs[i], degs[j])
-            offset, cs = ders._int_coords(got, g)
-            assert {offset + r: c for r, c in enumerate(cs) if c} == \
-                ders.coords_in_block(want, g)
+            back = [{} for _ in range(8)]
+            for t, c in ders.coords(got, 1).items():
+                for l, col in enumerate(ders.int_mats[t]):
+                    sa.vec_add_scaled(back[l], col,
+                                      Fraction(c, ders.denoms[t]))
+            assert back == want
             quarter = co.inner_derivation(half, {i: 1}, {j: 1})
             assert [{k: Fraction(x, 4) for k, x in col.items()}
                     for col in quarter] == \
@@ -225,10 +227,10 @@ def test_derivation_algebra():
     assert not leibniz_residual(table, [{k: Fraction(1)} for k in range(8)])
 
 
-def test_der_o_graded_blocks():
-    table = co.octonion_table()
-    ders = sa.derivations(table, co.octonion_degrees(),
-                          FgAbelianGroup(0, (2, 2, 2)))
+def test_der_o_graded_blocks(tits):
+    """Der(O) as ``build_tits`` spans it by the d_{a,b}: two derivations in
+    each nonzero degree of Z2^3."""
+    ders = tits.meta["ders_o"]
     assert ders.dim == 14
     from collections import Counter
     cnt = Counter(ders.blocks)

@@ -8,7 +8,7 @@ from e6grad import jordan as jo
 from e6grad import linalg as la
 from e6grad.abgroup import FgAbelianGroup, presented_group
 from e6grad.scalar import I, Cyc
-from e6grad.structalg import AlgebraTable, CheckReport, Subspace, derivations
+from e6grad.structalg import AlgebraTable, CheckReport, Derivations, Subspace
 from oracles import (is_refinement, jordan_z_grading, refine,
                      split_octonion_table)
 
@@ -210,9 +210,9 @@ def test_groups_are_equal_only_with_the_same_layout():
     assert repr(zt) == "FgAbelianGroup(rank=1, torsion=(2,))"
 
 
-def test_induced_derivation_grading_octonions():
+def test_induced_derivation_grading_octonions(tits):
     z23 = FgAbelianGroup(0, (2, 2, 2))
-    ders = derivations(co.octonion_table(), co.octonion_degrees(), z23)
+    ders = tits.meta["ders_o"]
     dgd = gr.GradedDecomposition.from_degree_map(ders.table, z23, ders.blocks)
     assert ders.dim == 14
     dims = {d: s.dim for d, s in dgd.components}
@@ -223,7 +223,10 @@ def test_induced_derivation_grading_octonions():
 
 def test_induced_derivation_grading_trivial():
     z2 = FgAbelianGroup(0, (2,))
-    ders = derivations(co.octonion_table(), [(0,)] * 8, z2)
+    table = co.octonion_table()
+    ders = Derivations(table, [co.inner_derivation(table, {i: 1}, {j: 1})
+                               for i in range(1, 8) for j in range(1, 8)],
+                       lambda k, l: (0,))
     dgd = gr.GradedDecomposition.from_degree_map(ders.table, z2, ders.blocks)
     assert ders.dim == 14
     assert len(dgd.components) == 1
@@ -472,7 +475,7 @@ def _test_gradings(ws):
         j.table, FgAbelianGroup(0, (2, 2)), slot)
     chev = ws.model("chevalley").meta["chev"]
     z23 = FgAbelianGroup(0, (2, 2, 2))
-    der_o = derivations(co.octonion_table(), co.octonion_degrees(), z23)
+    der_o = ws.model("tits").meta["ders_o"]
     out = {name: ws.grading(name) for name in gr.NAMED_GRADINGS}
     out.update({
         "octonions Z2^3": octonion_grading(),

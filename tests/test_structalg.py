@@ -195,10 +195,9 @@ def test_subalgebra_table_rejects_nonclosed():
 
 
 @pytest.fixture(scope="module")
-def der_j():
-    j = jo.build_j()
-    return j, sa.derivations(j.table, jo.octonion_z2_degrees(j),
-                             FgAbelianGroup(0, (2,) * 5))
+def der_j(albert):
+    """J and Der(J), spanned by the [R_x, R_y] in ``build_albert``."""
+    return albert.meta["jordan"], albert.meta["derivations"]
 
 
 def rational_mat(ders, t):
@@ -239,8 +238,8 @@ def test_derivations_of_m():
     m = jo.build_m()
     ders = sa.derivations(m.table)
     assert ders.dim == 8
-    # ungraded: one block, of degree () in the trivial group
-    assert ders.group == FgAbelianGroup(0) and set(ders.blocks) == {()}
+    # ungraded: every derivation has degree ()
+    assert set(ders.blocks) == {()}
     sig = la.signature(sa.killing_form(ders.table))
     assert sig[0] - sig[1] == 0
 
@@ -267,18 +266,63 @@ def test_derivations_of_small_algebras_match_every_ordered_pair(case):
     assert symmetric == (case != "octonions")
     ders = sa.derivations(table)
     assert ders.dim == dim
-    n = table.dim
-    flat = [{n * l + k: Fraction(x, d) for l, col in enumerate(w)
-             for k, x in col.items()}
-            for w, d in zip(ders.int_mats, ders.denoms)]
-    assert sa.Subspace(n * n, flat).basis == leibniz_kernel(table).basis
+    assert flat_span(ders).basis == leibniz_kernel(table).basis
 
 
-def reference_commutator_table(ders):
+def flat_span(ders):
+    """The span of the basis derivations, entry (k, l) at n l + k, by
+    Fractions."""
+    n = ders.algebra.dim
+    return sa.Subspace(n * n, [
+        {n * l + k: Fraction(x, d) for l, col in enumerate(w)
+         for k, x in col.items()}
+        for w, d in zip(ders.int_mats, ders.denoms)])
+
+
+def test_inner_derivations_span_the_leibniz_kernel(der_j, tits):
+    """The builders span Der(J) by the [R_x, R_y], Der(O) by the d_{a,b}
+    and Der(M) by the [R_x, R_y] (Jacobson 1949; Schafer 1966, ch. III).
+    On the three tables, that span is the kernel of the ungraded Leibniz
+    system, and the basis reduced from it is the kernel's basis, up to
+    order."""
+    for inner in (der_j[1], tits.meta["ders_o"], tits.meta["ders_m"]):
+        leibniz = sa.derivations(inner.algebra)
+        assert flat_span(inner).basis == flat_span(leibniz).basis
+        assert sorted(map(repr, zip(inner.int_mats, inner.denoms))) == \
+            sorted(map(repr, zip(leibniz.int_mats, leibniz.denoms)))
+
+
+def test_derivations_reject_a_map_with_entries_in_two_degrees():
+    """A map fed to ``Derivations`` with a degree function must be
+    homogeneous; the refusal names the entry whose degree differs."""
+    table = co.octonion_table()
+    degs, group = co.octonion_degrees(), FgAbelianGroup(0, (2, 2, 2))
+
+    def degree(k, l):
+        return group.sub(degs[k], degs[l])
+
+    d12 = co.inner_derivation(table, {1: 1}, {2: 1})
+    assert sa.Derivations(table, [d12], degree).blocks == [(1, 1, 0)]
+    bad = [dict(col) for col in d12]
+    bad[7][7] = 1  # degree (0, 0, 0), where d12 has (1, 1, 0)
+    with pytest.raises(ValueError, match=r"map 1 has entry \(7, 7\) of "
+                       r"degree \(0, 0, 0\) and an entry of degree "
+                       r"\(1, 1, 0\)"):
+        sa.Derivations(table, [d12, bad], degree)
+    # by default every entry has degree (): d12 + d13, with entries of degrees
+    # (1, 1, 0) and (0, 1, 0) under O's grading, has degree ()
+    d13 = co.inner_derivation(table, {1: 1}, {3: 1})
+    mixed = [{**a, **b} for a, b in zip(d12, d13)]
+    with pytest.raises(ValueError, match="map 0 has entry"):
+        sa.Derivations(table, [mixed], degree)
+    assert sa.Derivations(table, [mixed]).blocks == [()]
+
+
+def reference_commutator_table(ders, group):
     """The commutator table by the Fraction path: [D_i, D_j] of the rational
     matrices for every ordered pair, as products, coordinates read at the
-    free unknowns, and a dense Fraction residual against the block's kernel
-    vectors."""
+    free unknowns, and a dense Fraction residual against the kernel vectors
+    of the block ``group.add(blocks[i], blocks[j])``."""
     n = ders.dim
     cols = [rational_mat(ders, t) for t in range(n)]
     mats = [entries(c) for c in cols]
@@ -298,7 +342,7 @@ def reference_commutator_table(ders):
                 row.append({})
                 continue
             comm = entries(product_commutator(cols[i], cols[j]))
-            g = ders.group.add(ders.blocks[i], ders.blocks[j])
+            g = group.add(ders.blocks[i], ders.blocks[j])
             ts = by_block.get(g, [])
             unknowns = sorted({kl for t in ts for kl in mats[t]} |
                               set(comm))
@@ -320,15 +364,14 @@ def assert_same_cells(got, want):
                for row in got for c in row for x in c.values())
 
 
-def test_integer_commutator_table_matches_fraction_path(der_j):
+def test_integer_commutator_table_matches_fraction_path(der_j, tits):
     m = jo.build_m()
-    for ders in (der_j[1],
-                 sa.derivations(co.octonion_table(), co.octonion_degrees(),
-                                FgAbelianGroup(0, (2, 2, 2))),
-                 sa.derivations(m.table, m.meta["degrees"],
-                                FgAbelianGroup(0, (3, 3))),
-                 sa.derivations(m.table)):
-        assert_same_cells(ders.table.prod, reference_commutator_table(ders))
+    for ders, group in ((der_j[1], FgAbelianGroup(0, (2,) * 5)),
+                        (tits.meta["ders_o"], FgAbelianGroup(0, (2, 2, 2))),
+                        (tits.meta["ders_m"], FgAbelianGroup(0, (3, 3))),
+                        (sa.derivations(m.table), FgAbelianGroup(0))):
+        assert_same_cells(ders.table.prod,
+                          reference_commutator_table(ders, group))
         for t, w in enumerate(ders.int_mats):
             assert len(w) == ders.algebra.dim
             assert math.gcd(*entries(w).values()) == 1 and ders.denoms[t] > 0
@@ -341,54 +384,35 @@ def test_integer_commutator_table_matches_fraction_path(der_j):
 
 
 def test_coords_in_block_reads_free_unknowns(der_j):
+    """The coordinates of (2/3) D_t, a map of D_t's block, are its entries
+    at the pivots, the Leibniz free unknowns; a sum over two blocks reads
+    both."""
     _, ders = der_j
     for t in (0, 17, 51):
-        g = ders.blocks[t]
-        mat = [{k: Fraction(2, 3) * x for k, x in col.items()}
-               for col in rational_mat(ders, t)]
-        cs = ders.coords_in_block(mat, g)
-        assert cs == {t: Fraction(2, 3)}
-
-
-def test_coords_in_block_rejects_other_blocks():
-    ders = sa.derivations(co.octonion_table(), co.octonion_degrees(),
-                          FgAbelianGroup(0, (2, 2, 2)))
-    g = ders.blocks[0]
-    other = next(h for h in ders.blocks if h != g)
-    with pytest.raises(ValueError, match="outside block"):
-        ders.coords_in_block(rational_mat(ders, 0), other)
-    mixed = rational_mat(ders, 0)
-    for col, add in zip(mixed, rational_mat(ders, ders.blocks.index(other))):
-        col.update(add)
-    with pytest.raises(ValueError, match="outside block"):
-        ders.coords_in_block(mixed, g)
-    with pytest.raises(ValueError, match="7 columns for a 8-dim algebra"):
-        ders.coords_in_block(rational_mat(ders, 0)[:7], g)
+        mat = [{k: 2 * x for k, x in col.items()} for col in ders.int_mats[t]]
+        assert ders.coords(mat, 3 * ders.denoms[t]) == {t: Fraction(2, 3)}
+    assert ders.blocks[0] != ders.blocks[51]
+    both = [{**a, **b} for a, b in zip(ders.int_mats[0], ders.int_mats[51])]
+    assert ders.coords(both, 1) == {0: ders.denoms[0], 51: ders.denoms[51]}
 
 
 def test_coords_in_block_rejects_non_derivations():
-    ders = sa.derivations(co.octonion_table(), co.octonion_degrees(),
-                          FgAbelianGroup(0, (2, 2, 2)))
-    # the identity map is block (0, 0, 0) and is not a derivation
-    ident = [{k: Fraction(1)} for k in range(8)]
+    ders = sa.derivations(co.octonion_table())
+    # the identity map is not a derivation
+    ident = [{k: 1} for k in range(8)]
     with pytest.raises(ValueError, match="not in the derivation span"):
-        ders.coords_in_block(ident, (0, 0, 0))
+        ders.coords(ident, 1)
     # Der(O) is skew for the norm, so no derivation plus a multiple of one
     # matrix unit is a derivation
-    g = ders.blocks[0]
+    d = ders.denoms[0]
     for k, l in entries(ders.int_mats[0]):
-        bad = rational_mat(ders, 0)
-        bad[l][k] += Fraction(1, 2)
+        bad = [{k2: 2 * x for k2, x in col.items()}
+               for col in ders.int_mats[0]]
+        bad[l][k] += d  # 2 d (D_0 + E_kl / 2)
         with pytest.raises(ValueError, match="not in the derivation span"):
-            ders.coords_in_block(bad, g)
-
-
-def test_derivations_rejects_degrees_that_do_not_grade():
-    degs = list(co.octonion_degrees())
-    degs[1] = tuple(1 - x for x in degs[1][:1]) + degs[1][1:]
-    with pytest.raises(ValueError, match="not a grading"):
-        sa.derivations(co.octonion_table(), degs,
-                       FgAbelianGroup(0, (2, 2, 2)))
+            ders.coords(bad, 2 * d)
+    with pytest.raises(ValueError, match="7 columns for a 8-dim algebra"):
+        ders.coords(ders.int_mats[0][:7], 1)
 
 
 def test_subspace_coords():
